@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Any, Callable
 
 from .crypto import digest_of, sign, verify
@@ -77,24 +78,29 @@ class FaultPlan:
 # --- protocol messages -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Batch:
+    """One instance's proposal. Its digest, computed once per object, commits
+    to the Merkle leaves of its txns, which hash each whole signed record."""
+
     instance: int
     seq: int
     timestamp: int
     txns: tuple[LedgerTransaction, ...]
     control: Any = None  # instance-change certificate payload, if a control batch
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def digest_hex(self) -> str:
-        return digest_of(
-            {
+        if self._digest is None:
+            body = {
                 "instance": self.instance,
                 "seq": self.seq,
                 "timestamp": self.timestamp,
-                "txns": [txn.to_dict() for txn in self.txns],
+                "txns": [txn.leaf().hex for txn in self.txns],
                 "control": self.control,
             }
-        ).hex
+            object.__setattr__(self, "_digest", digest_of(body).hex)
+        return self._digest
 
 
 @dataclass(frozen=True)
@@ -202,10 +208,9 @@ class PerfMonitor:
 
     def __init__(self, window: int):
         self.window = window
-        self.reset(0)
+        self.reset()
 
-    def reset(self, now: int) -> None:
-        self.reset_time = now
+    def reset(self) -> None:
         self.commits: dict[int, deque] = {0: deque(maxlen=self.window), 1: deque(maxlen=self.window)}
         self.totals: dict[int, int] = {0: 0, 1: 0}
 
@@ -267,7 +272,6 @@ class Slot:
     commit_sent: bool = False
     committed: bool = False
     committed_digest: str | None = None
-    commit_time: int = 0
     fetch_requested: bool = False
 
 
@@ -277,7 +281,8 @@ class InstanceState:
     primary: int
     next_seq: int = 1
     slots: dict[int, Slot] = field(default_factory=dict)
-    proposed_txns: set = field(default_factory=set)
+    # primary only: admitted txns not yet proposed nor applied, in admission order
+    unproposed: dict[str, LedgerTransaction] = field(default_factory=dict)
     last_committed: int = 0  # highest contiguous committed seq
 
     def slot(self, seq: int) -> Slot:
@@ -286,9 +291,7 @@ class InstanceState:
         return self.slots[seq]
 
     def bump_committed(self) -> None:
-        while self.slots.get(self.last_committed + 1, None) and self.slots[
-            self.last_committed + 1
-        ].committed:
+        while (slot := self.slots.get(self.last_committed + 1)) is not None and slot.committed:
             self.last_committed += 1
 
 
@@ -338,6 +341,7 @@ class ConsensusNode:
         self.frozen_instance: int | None = None
         self.cert_proposed_epochs: set = set()
         self.exec_blocked_since: int | None = None
+        self.exec_blocked_cursor = 0  # master exec_cursor when the stall clock started
 
         self.monitor = PerfMonitor(config.window)
         self.crashed = False
@@ -394,12 +398,8 @@ class ConsensusNode:
         for instance in self.instances.values():
             if instance.primary != self.id:
                 continue
-            unproposed = sum(
-                1
-                for tid in self.pending
-                if tid not in instance.proposed_txns and tid not in self.applied
-            )
-            if unproposed >= self.config.batch_max:
+            instance.unproposed[txn_id] = txn
+            if len(instance.unproposed) >= self.config.batch_max:
                 self.propose(instance.instance_id)
             elif not self.batch_timer_armed[instance.instance_id]:
                 self.batch_timer_armed[instance.instance_id] = True
@@ -416,17 +416,13 @@ class ConsensusNode:
         instance = self.instances[instance_id]
         if instance.primary != self.id:
             return
-        candidates = [
-            txn
-            for tid, txn in self.pending.items()
-            if tid not in instance.proposed_txns and tid not in self.applied
-        ][: self.config.batch_max]
+        candidates = list(islice(instance.unproposed.values(), self.config.batch_max))
         if not candidates:
             return
         seq = instance.next_seq
         instance.next_seq += 1
         for txn in candidates:
-            instance.proposed_txns.add(txn.txn_id.hex)
+            del instance.unproposed[txn.txn_id.hex]
         batch = Batch(instance_id, seq, self.net.now, tuple(candidates))
         if self.is_equivocating() and len(self.peers) >= 2:
             # same seq, conflicting content, to disjoint halves of the peers
@@ -440,10 +436,7 @@ class ConsensusNode:
         else:
             self._broadcast(PrePrepare(instance_id, seq, batch))
         self._accept_preprepare(instance_id, seq, batch)
-        leftovers = any(
-            tid not in instance.proposed_txns and tid not in self.applied for tid in self.pending
-        )
-        if leftovers and not self.batch_timer_armed[instance_id]:
+        if instance.unproposed and not self.batch_timer_armed[instance_id]:
             self.batch_timer_armed[instance_id] = True
             self.net.timer(self.id, self.config.batch_timeout, ("batch", instance_id))
 
@@ -539,7 +532,6 @@ class ConsensusNode:
         slot = instance.slot(seq)
         slot.committed = True
         slot.committed_digest = digest
-        slot.commit_time = self.net.now
         instance.bump_committed()
         batch = slot.batches[digest]
         if batch.control is None:
@@ -574,9 +566,6 @@ class ConsensusNode:
 
     # -- instance change
 
-    def _last_master_committed(self) -> int:
-        return self._master().last_committed
-
     def on_monitor_tick(self) -> None:
         if self.crashed:
             return
@@ -595,12 +584,12 @@ class ConsensusNode:
     def _execution_stalled(self) -> bool:
         """Committed master batches are waiting on execution authorization for
         longer than the stall bound — vote so an instance change can unstick."""
-        master = self._master()
-        if master.last_committed <= self.exec_cursor[self.master_instance]:
+        cursor = self.exec_cursor[self.master_instance]
+        if self._master().last_committed <= cursor:
             self.exec_blocked_since = None
             return False
-        if self.exec_blocked_since is None:
-            self.exec_blocked_since = self.net.now
+        if self.exec_blocked_since is None or cursor != self.exec_blocked_cursor:  # moved: restart
+            self.exec_blocked_since, self.exec_blocked_cursor = self.net.now, cursor
             return False
         return self.net.now - self.exec_blocked_since >= self.config.stall_vote_after
 
@@ -608,11 +597,8 @@ class ConsensusNode:
         """A valid admitted request has gone unserved past the stall bound:
         the master instance is not making progress for clients (e.g. its
         primary equivocates or crashed), so push for an instance change."""
-        for txn_id in self.pending:
-            if txn_id in self.applied:
-                continue
-            first = self.first_seen.get(txn_id, self.net.now)
-            return self.net.now - first >= self.config.stall_vote_after
+        for txn_id in self.pending:  # admission order: the oldest comes first
+            return self.net.now - self.first_seen[txn_id] >= self.config.stall_vote_after
         return False
 
     def _cast_vote(self, new_master: int) -> None:
@@ -622,7 +608,7 @@ class ConsensusNode:
         self.voted_epochs.add(epoch)
         self.frozen_instance = self.master_instance
         vote = InstanceChangeVote.create(
-            epoch, new_master, self._last_master_committed(), self.id, self.signing_private
+            epoch, new_master, self._master().last_committed, self.id, self.signing_private
         )
         self.votes.setdefault(epoch, {})[self.id] = vote
         self._broadcast(vote)
@@ -736,7 +722,7 @@ class ConsensusNode:
                 self.pending_switch = None
                 self.frozen_instance = None
                 self.exec_blocked_since = None
-                self.monitor.reset(self.net.now)
+                self.monitor.reset()
                 self.log(
                     self.net.now,
                     self.id,
@@ -766,6 +752,8 @@ class ConsensusNode:
             self.applied.add(txn_id)
             self.applied_at[txn_id] = self.net.now
             self.pending.pop(txn_id, None)
+            for instance in self.instances.values():
+                instance.unproposed.pop(txn_id, None)
             new_state, rejection = apply(self.state, txn)
             if rejection is None:
                 self.state = new_state

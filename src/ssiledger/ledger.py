@@ -16,7 +16,7 @@ what consensus uses for deduplication.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -48,9 +48,13 @@ class TxnType(str, enum.Enum):
     CONSENT_PROOF = "CONSENT_PROOF"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerTransaction:
-    """A typed public record, signed by its author over the canonical payload."""
+    """A typed public record, signed by its author over the canonical payload.
+
+    Its payload bytes, id check and Merkle leaf are cached on first use, so the
+    payload must never be mutated in place: derive a changed record with
+    ``dataclasses.replace``, whose caches start empty."""
 
     txn_type: TxnType
     payload: Any
@@ -58,6 +62,9 @@ class LedgerTransaction:
     author_signature: bytes
     timestamp: int
     txn_id: Digest
+    _payload_bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _id_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
+    _leaf: Digest | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def compute_id(txn_type: TxnType, payload: Any, author_did: str, timestamp: int) -> Digest:
@@ -90,13 +97,16 @@ class LedgerTransaction:
         )
 
     def verify_signature(self, verification_key: bytes) -> bool:
-        return verify(verification_key, canonicalize(self.payload), self.author_signature)
+        """Never cached: every node runs its own check on the shared record."""
+        if self._payload_bytes is None:
+            object.__setattr__(self, "_payload_bytes", canonicalize(self.payload))
+        return verify(verification_key, self._payload_bytes, self.author_signature)
 
     def id_recomputes(self) -> bool:
-        return (
-            self.compute_id(self.txn_type, self.payload, self.author_did, self.timestamp)
-            == self.txn_id
-        )
+        if self._id_ok is None:
+            recomputed = self.compute_id(self.txn_type, self.payload, self.author_did, self.timestamp)
+            object.__setattr__(self, "_id_ok", recomputed == self.txn_id)
+        return self._id_ok
 
     def to_dict(self) -> dict:
         return {
@@ -124,7 +134,9 @@ class LedgerTransaction:
 
     def leaf(self) -> Digest:
         """Merkle leaf: digest of the full canonical record, signature included."""
-        return digest_of(self.to_dict())
+        if self._leaf is None:
+            object.__setattr__(self, "_leaf", digest_of(self.to_dict()))
+        return self._leaf
 
 
 def merkle_root(leaves: Sequence[Digest]) -> Digest:

@@ -252,3 +252,40 @@ class TestSubmissionRules:
         sim = Simulation(config, net, faults, seed=47, horizon=0)
         assert "blood_type" in sim.nodes[0].state.denied_fields
         assert "name" not in sim.nodes[0].state.denied_fields
+
+
+class TestExecutionStall:
+    @pytest.mark.parametrize("advancing", [True, False])
+    def test_stall_vote_only_when_execution_stops(self, advancing):
+        sim = Simulation(FAST, seed=51, horizon=0)
+        node = sim.nodes[1]
+        node.instances[0].last_committed = 1000  # execution never catches up
+        for tick in range(1, 2 * FAST.stall_vote_after // FAST.monitor_interval + 1):
+            node.net.now = tick * FAST.monitor_interval
+            if advancing:
+                node.exec_cursor[0] = tick
+            node.on_monitor_tick()
+        assert bool(node.voted_epochs) is not advancing
+        assert (node.frozen_instance is None) is advancing
+
+
+class TestBurst:
+    def test_burst_lands_once_in_admission_order(self):
+        config = ConsensusConfig(f=1, batch_max=50, batch_timeout=50)
+        items = synthetic_did_workload(300, seed=61, start=0, interval=0)
+        workload = [dataclasses.replace(item, node=1 + i % 3) for i, item in enumerate(items)]
+        report, sim = run_simulation(config, None, None, workload, 0, seed=62)
+        ids = sorted(item.txn.txn_id.hex for item in workload)
+        for node in sim.nodes:
+            landed = [txn.txn_id.hex for block in node.chain.blocks for txn in block.txns]
+            assert sorted(landed) == ids
+        assert len({node.chain.digest().hex for node in sim.nodes}) == 1
+        for instance_id in (0, 1):
+            primary = sim.nodes[instance_id]
+            slots = primary.instances[instance_id].slots
+            batches = [slots[seq].batches[slots[seq].preprepare_digest] for seq in sorted(slots)]
+            assert all(len(batch.txns) <= config.batch_max for batch in batches)
+            proposed = [txn.txn_id.hex for batch in batches for txn in batch.txns]
+            assert len(proposed) == len(set(proposed))
+            chosen = set(proposed)
+            assert proposed == [tid for tid in primary.first_seen if tid in chosen]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Identity
+from ssiledger.consensus import Batch
 from ssiledger.crypto import Digest, ZERO_DIGEST, sha256
 from ssiledger.ledger import (
     Block,
@@ -24,7 +26,7 @@ from ssiledger.ledger import (
     verify_inclusion,
     write_chain,
 )
-from ssiledger.state import did_reg_payload
+from ssiledger.state import NodeState, did_reg_payload, verify_txn_signature
 
 
 def h(n: int) -> Digest:
@@ -268,3 +270,61 @@ class TestSerialization:
 
     def test_chain_digest_commits_to_content(self):
         assert _chain(3, start=0).digest() != _chain(3, start=50).digest()
+
+
+def _warm(txn: LedgerTransaction) -> LedgerTransaction:
+    """Fill every per-record cache: payload bytes, id check and leaf."""
+    assert txn.id_recomputes()
+    assert verify_txn_signature(NodeState(), txn)
+    txn.leaf()
+    return txn
+
+
+def _tamper(txn: LedgerTransaction, part: str) -> LedgerTransaction:
+    if part == "payload":
+        payload = json.loads(json.dumps(txn.payload))
+        payload["document"]["endpoint"] += "x"
+        return dataclasses.replace(txn, payload=payload)
+    if part == "author":
+        return dataclasses.replace(txn, author_did=txn.author_did + "x")
+    if part == "signature":
+        flipped = bytes([txn.author_signature[0] ^ 1]) + txn.author_signature[1:]
+        return dataclasses.replace(txn, author_signature=flipped)
+    return dataclasses.replace(txn, timestamp=txn.timestamp + 1)
+
+
+class TestRecordCaches:
+    @pytest.mark.parametrize("part", ["payload", "author", "signature", "timestamp"])
+    def test_tamper_after_warm_caches_is_caught(self, part):
+        chain = _chain(3)
+        for block in chain.blocks:
+            for txn in block.txns:
+                _warm(txn)
+        assert validate_chain(chain)
+        victim = chain.blocks[2]
+        tampered_txn = _tamper(victim.txns[0], part)
+        # the id covers everything but the signature; the signature covers the payload
+        assert tampered_txn.id_recomputes() is (part == "signature")
+        signed = verify_txn_signature(NodeState(), tampered_txn)
+        assert signed is (part not in ("payload", "signature"))
+        assert tampered_txn.leaf() != victim.txns[0].leaf()
+        tampered_block = dataclasses.replace(victim, txns=(tampered_txn,) + victim.txns[1:])
+        result = validate_chain(Chain(blocks=chain.blocks[:2] + (tampered_block,) + chain.blocks[3:]))
+        assert (result.ok, result.height, result.reason) == (False, 2, ChainFault.BAD_MERKLE)
+        assert victim.txns[0].id_recomputes() and verify_txn_signature(NodeState(), victim.txns[0])
+
+    def test_filled_caches_do_not_affect_equality(self):
+        warm = _warm(_txn(4))
+        cold = LedgerTransaction.from_dict(warm.to_dict())
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+
+    def test_batch_digest_binds_each_signature_bit(self):
+        txns = (_txn(1), _txn(2))
+        batch = Batch(0, 1, 5, txns)
+        flipped = _tamper(txns[1], "signature")
+        assert Batch(0, 1, 5, (txns[0], flipped)).digest_hex() != batch.digest_hex()
+        same = Batch(0, 1, 5, tuple(LedgerTransaction.from_dict(t.to_dict()) for t in txns))
+        assert same.digest_hex() == batch.digest_hex()
+        # a replaced batch (an equivocating primary's twin) gets its own digest
+        assert dataclasses.replace(batch, timestamp=6).digest_hex() != batch.digest_hex()
