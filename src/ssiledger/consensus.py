@@ -30,7 +30,7 @@ from typing import Any, Callable
 
 from .crypto import digest_of, sign, verify
 from .ledger import Chain, LedgerTransaction, build_block
-from .state import NodeState, apply, verify_txn_signature
+from .state import NodeState, apply_all, verify_txn_signature
 from .simnet import SimNetwork
 
 
@@ -327,7 +327,6 @@ class ConsensusNode:
             else NodeState(denied_fields=frozenset(config.denied_fields))
         )
         self.applied: set = set()
-        self.applied_at: dict[str, int] = {}
         self.pending: dict[str, LedgerTransaction] = {}
         self.first_seen: dict[str, int] = {}
 
@@ -744,27 +743,22 @@ class ConsensusNode:
         batch = slot.batches[slot.committed_digest]
         if batch.control is not None:
             return
-        accepted = []
+        fresh = []
         for txn in batch.txns:
             txn_id = txn.txn_id.hex
             if txn_id in self.applied:
                 continue
             self.applied.add(txn_id)
-            self.applied_at[txn_id] = self.net.now
             self.pending.pop(txn_id, None)
             for instance in self.instances.values():
                 instance.unproposed.pop(txn_id, None)
-            new_state, rejection = apply(self.state, txn)
-            if rejection is None:
-                self.state = new_state
-                accepted.append(txn)
-            else:
-                self.log(
-                    self.net.now,
-                    self.id,
-                    "txn_rejected",
-                    {"txn_id": txn_id, "reason": rejection.value},
-                )
+            fresh.append(txn)
+        self.state, rejections = apply_all(self.state, fresh)
+        accepted = [txn for txn, rejection in zip(fresh, rejections) if rejection is None]
+        for txn, rejection in zip(fresh, rejections):
+            if rejection is not None:
+                detail = {"txn_id": txn.txn_id.hex, "reason": rejection.value}
+                self.log(self.net.now, self.id, "txn_rejected", detail)
         if accepted:
             block = build_block(self.chain.head, accepted, batch.timestamp)
             self.chain = self.chain.append(block)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .canonical import canonicalize
+from .canonical import UnsupportedType, canonical_map, canonicalize
 from .crypto import Digest, ZERO_DIGEST, digest_of, sha256, sign, verify
 
 
@@ -48,13 +48,24 @@ class TxnType(str, enum.Enum):
     CONSENT_PROOF = "CONSENT_PROOF"
 
 
+def _id_members(txn_type: TxnType, payload: bytes, author_did: str, timestamp: int) -> dict[str, bytes]:
+    """A txn id's preimage as canonical member bytes, the payload already encoded."""
+    return {
+        "txn_type": canonicalize(txn_type.value),
+        "payload": payload,
+        "author_did": canonicalize(author_did),
+        "timestamp": canonicalize(timestamp),
+    }
+
+
 @dataclass(frozen=True, slots=True)
 class LedgerTransaction:
     """A typed public record, signed by its author over the canonical payload.
 
     Its payload bytes, id check and Merkle leaf are cached on first use, so the
     payload must never be mutated in place: derive a changed record with
-    ``dataclasses.replace``, whose caches start empty."""
+    ``dataclasses.replace``, whose caches start empty. The payload bytes are its
+    only full encoding: the signature covers them, the id and leaf frame them."""
 
     txn_type: TxnType
     payload: Any
@@ -68,14 +79,7 @@ class LedgerTransaction:
 
     @staticmethod
     def compute_id(txn_type: TxnType, payload: Any, author_did: str, timestamp: int) -> Digest:
-        return digest_of(
-            {
-                "txn_type": txn_type.value,
-                "payload": payload,
-                "author_did": author_did,
-                "timestamp": timestamp,
-            }
-        )
+        return sha256(canonical_map(_id_members(txn_type, canonicalize(payload), author_did, timestamp)))
 
     @classmethod
     def create(
@@ -96,16 +100,30 @@ class LedgerTransaction:
             txn_id=cls.compute_id(txn_type, payload, author_did, timestamp),
         )
 
-    def verify_signature(self, verification_key: bytes) -> bool:
-        """Never cached: every node runs its own check on the shared record."""
+    def _payload(self) -> bytes:
         if self._payload_bytes is None:
             object.__setattr__(self, "_payload_bytes", canonicalize(self.payload))
-        return verify(verification_key, self._payload_bytes, self.author_signature)
+        return self._payload_bytes
+
+    def _frame(self) -> None:
+        """Fill the id check and the leaf together: the leaf frames the id's members too."""
+        members = _id_members(self.txn_type, self._payload(), self.author_did, self.timestamp)
+        object.__setattr__(self, "_id_ok", sha256(canonical_map(members)) == self.txn_id)
+        members["author_signature"] = canonicalize(self.author_signature.hex())
+        members["txn_id"] = canonicalize(self.txn_id.hex)
+        object.__setattr__(self, "_leaf", sha256(canonical_map(members)))
+
+    def verify_signature(self, verification_key: bytes) -> bool:
+        """Never cached: every node runs its own check on the shared record."""
+        return verify(verification_key, self._payload(), self.author_signature)
 
     def id_recomputes(self) -> bool:
+        """Total: a record that cannot be encoded fails its id check."""
         if self._id_ok is None:
-            recomputed = self.compute_id(self.txn_type, self.payload, self.author_did, self.timestamp)
-            object.__setattr__(self, "_id_ok", recomputed == self.txn_id)
+            try:
+                self._frame()
+            except (UnsupportedType, UnicodeEncodeError):
+                object.__setattr__(self, "_id_ok", False)
         return self._id_ok
 
     def to_dict(self) -> dict:
@@ -135,7 +153,7 @@ class LedgerTransaction:
     def leaf(self) -> Digest:
         """Merkle leaf: digest of the full canonical record, signature included."""
         if self._leaf is None:
-            object.__setattr__(self, "_leaf", digest_of(self.to_dict()))
+            self._frame()
         return self._leaf
 
 
@@ -335,9 +353,9 @@ def validate_chain(chain: Chain) -> ChainValidation:
             if block.prev_hash != prev.block_hash:
                 return ChainValidation(False, i, ChainFault.BAD_LINK)
         if block.txns:
-            recomputed = merkle_root([txn.leaf() for txn in block.txns])
-            if recomputed != block.merkle_root or not all(
-                txn.id_recomputes() for txn in block.txns
+            # ids first: a record that cannot be encoded fails there, not in leaf()
+            if not all(txn.id_recomputes() for txn in block.txns) or (
+                merkle_root([txn.leaf() for txn in block.txns]) != block.merkle_root
             ):
                 return ChainValidation(False, i, ChainFault.BAD_MERKLE)
         elif i > 0 or block.merkle_root != ZERO_DIGEST:

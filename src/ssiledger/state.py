@@ -312,110 +312,115 @@ def get_schema(state: NodeState, schema_id: Digest) -> SchemaRecord | None:
     return state.schemas.get(schema_id.hex)
 
 
+def apply_all(
+    state: NodeState, txns: Iterable[LedgerTransaction]
+) -> tuple[NodeState, list[RejectReason | None]]:
+    """Fold committed transactions into the state in order: the new state, and per
+    txn None if it applied or the reason it was rejected. Never raises: unparseable
+    payloads reject as Malformed. The maps are copied once per call, and handlers
+    check before they write, so a rejected txn leaves no trace and the input state
+    is never mutated."""
+    work = replace(state, dids=dict(state.dids), schemas=dict(state.schemas), cred_defs=dict(state.cred_defs),
+                   registries=dict(state.registries), consent_proofs=list(state.consent_proofs))
+    reasons: list[RejectReason | None] = []
+    for txn in txns:
+        try:
+            private = privacy_lint(txn.payload, state.denied_fields) is not None
+            reasons.append(RejectReason.PRIVACY_VIOLATION if private else _HANDLERS[txn.txn_type](work, txn))
+        except (KeyError, ValueError, TypeError, AttributeError):
+            reasons.append(RejectReason.MALFORMED)
+    return replace(work, consent_proofs=tuple(work.consent_proofs)), reasons
+
+
 def apply(state: NodeState, txn: LedgerTransaction) -> tuple[NodeState, RejectReason | None]:
-    """Fold one committed transaction into the state.
-
-    Returns (new_state, None) on success or (state unchanged, reason) on
-    rejection. Never raises: unparseable payloads reject as Malformed.
-    """
-    try:
-        lint = privacy_lint(txn.payload, state.denied_fields)
-        if lint is not None:
-            return state, RejectReason.PRIVACY_VIOLATION
-        handler = _HANDLERS[txn.txn_type]
-        return handler(state, txn)
-    except (KeyError, ValueError, TypeError, AttributeError):
-        return state, RejectReason.MALFORMED
+    """Fold one committed transaction into the state: ``apply_all`` of one txn.
+    Returns (new_state, None), or (state unchanged, reason) on rejection."""
+    new_state, (reason,) = apply_all(state, (txn,))
+    return (new_state, None) if reason is None else (state, reason)
 
 
-def _apply_did_reg(state: NodeState, txn: LedgerTransaction) -> tuple[NodeState, RejectReason | None]:
+def _apply_did_reg(state: NodeState, txn: LedgerTransaction) -> RejectReason | None:
     payload = txn.payload
     did = payload["did"]
     document = DidDocument.from_dict(payload["document"])
     if did != derive_did(document.verification_key) or txn.author_did != did:
-        return state, RejectReason.MALFORMED
+        return RejectReason.MALFORMED
     if did in state.dids:
-        return state, RejectReason.DUPLICATE_DID
-    dids = dict(state.dids)
-    dids[did] = DidRecord(did=did, document=document)
-    return replace(state, dids=dids), None
+        return RejectReason.DUPLICATE_DID
+    state.dids[did] = DidRecord(did=did, document=document)
+    return None
 
 
-def _apply_schema(state: NodeState, txn: LedgerTransaction) -> tuple[NodeState, RejectReason | None]:
+def _apply_schema(state: NodeState, txn: LedgerTransaction) -> RejectReason | None:
     payload = txn.payload
     if txn.author_did not in state.dids:
-        return state, RejectReason.UNKNOWN_DID
+        return RejectReason.UNKNOWN_DID
     record = SchemaRecord.create(
         payload["schema_name"],
         payload["version"],
         [(attr, AttrType(attr_type)) for attr, attr_type in payload["attributes"]],
     )
     if record.schema_id.hex != payload["schema_id"]:
-        return state, RejectReason.MALFORMED
-    if record.schema_id.hex in state.schemas:
-        return state, None  # idempotent republish
-    schemas = dict(state.schemas)
-    schemas[record.schema_id.hex] = record
-    return replace(state, schemas=schemas), None
+        return RejectReason.MALFORMED
+    state.schemas.setdefault(record.schema_id.hex, record)  # republish is idempotent
+    return None
 
 
-def _apply_cred_def(state: NodeState, txn: LedgerTransaction) -> tuple[NodeState, RejectReason | None]:
+def _apply_cred_def(state: NodeState, txn: LedgerTransaction) -> RejectReason | None:
     payload = txn.payload
     schema_id = Digest.from_hex(payload["schema_id"])
     issuer_did = payload["issuer_did"]
     issuer_key = bytes.fromhex(payload["issuer_verification_key"])
     if schema_id.hex not in state.schemas:
-        return state, RejectReason.UNKNOWN_SCHEMA
+        return RejectReason.UNKNOWN_SCHEMA
     issuer = state.dids.get(issuer_did)
     if issuer is None:
-        return state, RejectReason.UNKNOWN_DID
+        return RejectReason.UNKNOWN_DID
     if txn.author_did != issuer_did or issuer.document.verification_key != issuer_key:
-        return state, RejectReason.UNAUTHORIZED_ISSUER
+        return RejectReason.UNAUTHORIZED_ISSUER
     record = CredDefRecord.create(schema_id, issuer_did, issuer_key)
     if record.cred_def_id.hex != payload["cred_def_id"]:
-        return state, RejectReason.MALFORMED
+        return RejectReason.MALFORMED
     if record.cred_def_id.hex in state.cred_defs:
-        return state, None  # idempotent republish
-    cred_defs = dict(state.cred_defs)
-    cred_defs[record.cred_def_id.hex] = record
+        return None  # idempotent republish
     registry = RevocationRegistryState(
         registry_id=registry_id_for(record.cred_def_id), cred_def_id=record.cred_def_id
     )
-    registries = dict(state.registries)
-    registries[registry.registry_id.hex] = registry
-    return replace(state, cred_defs=cred_defs, registries=registries), None
+    state.cred_defs[record.cred_def_id.hex] = record
+    state.registries[registry.registry_id.hex] = registry
+    return None
 
 
-def _apply_revoc_entry(state: NodeState, txn: LedgerTransaction) -> tuple[NodeState, RejectReason | None]:
+def _apply_revoc_entry(state: NodeState, txn: LedgerTransaction) -> RejectReason | None:
     payload = txn.payload
     cred_def_id = Digest.from_hex(payload["cred_def_id"])
     cred_def = state.cred_defs.get(cred_def_id.hex)
     if cred_def is None:
-        return state, RejectReason.UNKNOWN_CRED_DEF
+        return RejectReason.UNKNOWN_CRED_DEF
     if txn.author_did != cred_def.issuer_did:
-        return state, RejectReason.UNAUTHORIZED_ISSUER
+        return RejectReason.UNAUTHORIZED_ISSUER
     hashes = [Digest.from_hex(h) for h in payload["revoked"]]
     registry_key = registry_id_for(cred_def_id).hex
-    registries = dict(state.registries)
-    registries[registry_key] = registries[registry_key].with_revoked(hashes)
-    return replace(state, registries=registries), None
+    state.registries[registry_key] = state.registries[registry_key].with_revoked(hashes)
+    return None
 
 
-def _apply_consent_proof(state: NodeState, txn: LedgerTransaction) -> tuple[NodeState, RejectReason | None]:
+def _apply_consent_proof(state: NodeState, txn: LedgerTransaction) -> RejectReason | None:
     payload = txn.payload
     owner_did = payload["owner_did"]
     verifier_did = payload["verifier_did"]
     if owner_did not in state.dids or verifier_did not in state.dids:
-        return state, RejectReason.UNKNOWN_DID
+        return RejectReason.UNKNOWN_DID
     if txn.author_did not in (owner_did, verifier_did):
-        return state, RejectReason.UNAUTHORIZED_ISSUER
+        return RejectReason.UNAUTHORIZED_ISSUER
     record = ConsentProofRecord(
         receipt_hash=Digest.from_hex(payload["receipt_hash"]),
         owner_did=owner_did,
         verifier_did=verifier_did,
         timestamp=payload["timestamp"],
     )
-    return replace(state, consent_proofs=state.consent_proofs + (record,)), None
+    state.consent_proofs.append(record)
+    return None
 
 
 _HANDLERS = {
@@ -462,13 +467,10 @@ def consent_proof_payload(
 
 
 def fold_chain(chain) -> NodeState:
-    """Replay a committed chain into the state it produces. Transactions in
-    stored blocks were accepted at commit time, so rejections here only occur
-    for chains assembled outside consensus."""
-    state = NodeState()
-    for block in chain.blocks:
-        for txn in block.txns:
-            state, _ = apply(state, txn)
+    """Replay a committed chain into the state it produces, with one ``apply_all``
+    call. Transactions in stored blocks were accepted at commit time, so
+    rejections here only occur for chains assembled outside consensus."""
+    state, _ = apply_all(NodeState(), (txn for block in chain.blocks for txn in block.txns))
     return state
 
 

@@ -1,10 +1,11 @@
+import enum
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssiledger.canonical import UnsupportedType, canonical_json, canonicalize
+from ssiledger.canonical import UnsupportedType, canonical_json, canonical_map, canonicalize
 
 
 def test_key_order_independence():
@@ -30,6 +31,22 @@ def test_floats_rejected():
         canonicalize({"a": 1.5})
     with pytest.raises(UnsupportedType):
         canonicalize([1, [2, [3.0]]])
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (1.5, "float not allowed in canonical values at $"),
+        ([1, [2, [3.0]]], "float not allowed in canonical values at $[1][1][0]"),
+        ({"a": {"b": [0, 1.5]}}, "float not allowed in canonical values at $.a.b[1]"),
+        ({"x": [{1: "a"}]}, "non-string map key 1 at $.x[0]"),
+        ({"a": (None, b"raw")}, "unsupported type bytes at $.a[1]"),
+    ],
+)
+def test_rejection_names_the_path(value, message):
+    with pytest.raises(UnsupportedType) as caught:
+        canonicalize(value)
+    assert str(caught.value) == message
 
 
 def test_non_string_keys_rejected():
@@ -93,3 +110,43 @@ def test_no_collisions_over_ten_thousand_values():
         digest = hashlib.sha256(canonicalize(value)).digest()
         assert digest not in seen
         seen.add(digest)
+
+
+class Tag(str, enum.Enum):
+    PLAIN = "plain"
+    ESCAPED = 'q"\\\n\x00\u00e9\u2028'
+
+
+class Level(enum.IntEnum):
+    HIGH = 7
+
+
+tricky_text = st.text(max_size=12) | st.sampled_from(["\x00\x1f\x7f", '"\\/', "\u2028\u2029", "😀é"])
+scalars = st.none() | st.booleans() | st.integers() | tricky_text | st.sampled_from([*Tag, Level.HIGH])
+values_with_floats = st.recursive(
+    scalars | st.floats(allow_nan=False),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(tricky_text, children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _plain_json(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars)
+def test_scalar_fast_path_matches_json_dumps(value):
+    assert canonicalize(value) == _plain_json(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(tricky_text, values_with_floats, max_size=6))
+def test_framed_map_equals_canonicalize_of_plain_map(members):
+    try:
+        expected = canonicalize(members)
+    except UnsupportedType:
+        with pytest.raises(UnsupportedType):
+            canonical_map({key: canonicalize(value) for key, value in members.items()})
+        return
+    assert canonical_map({key: canonicalize(value) for key, value in members.items()}) == expected

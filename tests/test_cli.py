@@ -151,6 +151,17 @@ class TestCredentialFlow:
         )
         assert wrong.exit_code == 3
 
+    def test_float_in_ledger_file_reports_invalid_height(self, runner, workdir, issuer_setup):
+        _issue(runner, issuer_setup)
+        lines = Path("net.ledger.jsonl").read_text(encoding="utf-8").splitlines()
+        block = json.loads(lines[1])
+        block["txns"][1]["payload"]["document"]["endpoint"] = 1.5
+        lines[1] = json.dumps(block)
+        Path("net.ledger.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = invoke(runner, ["cred", "verify", "alice.cred.json", "--ledger", "net.ledger.jsonl"])
+        assert result.exit_code == 1
+        assert "invalid at height 1: BadMerkle" in result.output
+
     def test_issue_by_non_issuer_refused(self, runner, workdir, issuer_setup):
         result = invoke(
             runner,

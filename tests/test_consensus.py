@@ -2,10 +2,12 @@ import dataclasses
 
 import pytest
 
-from ssiledger.consensus import ConsensusConfig, FaultPlan, PerfMonitor
+from ssiledger.consensus import ConsensusConfig, FaultPlan, PerfMonitor, Request
+from ssiledger.crypto import sha256
 from ssiledger.simnet import NetworkConfig
 from ssiledger.simulation import (
     Simulation,
+    WorkloadItem,
     run_simulation,
     synthetic_did_workload,
 )
@@ -100,9 +102,15 @@ class TestHappyPath:
         workload = _workload(20, seed=5)
         report, sim = run_simulation(config, None, None, workload, 5000, seed=6)
         bound = 50 * 10 * config.n
+        applied_at = {node.id: {} for node in sim.nodes}  # node -> txn id -> ms
+        for event in sim.events:
+            if event["event_type"] == "ledger_append":
+                node = sim.nodes[event["node"]]
+                for txn in node.chain.blocks[event["detail"]["height"]].txns:
+                    applied_at[node.id][txn.txn_id.hex] = event["time"]
         for item in workload:
             for node in sim.nodes:
-                applied = node.applied_at.get(item.txn.txn_id.hex)
+                applied = applied_at[node.id].get(item.txn.txn_id.hex)
                 assert applied is not None, "transaction never applied"
                 assert applied - item.time <= bound
 
@@ -289,3 +297,26 @@ class TestBurst:
             assert len(proposed) == len(set(proposed))
             chosen = set(proposed)
             assert proposed == [tid for tid in primary.first_seen if tid in chosen]
+
+
+class TestUnencodableSubmission:
+    def test_float_payload_is_rejected_not_raised(self):
+        workload = _workload(6, seed=21)
+        good = workload[2].txn
+        bad = dataclasses.replace(
+            good, payload={**good.payload, "weight": 1.5}, txn_id=sha256(b"unencodable")
+        )
+        at = workload[2].time + 1
+        report, sim = run_simulation(
+            FAST, None, None, workload + [WorkloadItem(time=at, node=1, txn=bad)], 3000, seed=22
+        )
+        assert report.accepted == 6
+        assert [node.rejected_submissions for node in sim.nodes] == [0, 1, 0, 0]
+        rejected = [e for e in sim.events if e["event_type"] == "submit_rejected"]
+        assert rejected == [
+            {"time": at, "node": 1, "event_type": "submit_rejected", "detail": {"txn_id": bad.txn_id.hex}}
+        ]
+        assert all(node.chain.txn_count() == 6 for node in sim.nodes)
+        node = sim.nodes[2]
+        node.on_request(1, Request(bad))  # a peer's gossip is dropped the same way
+        assert bad.txn_id.hex not in node.first_seen and bad.txn_id.hex not in node.pending

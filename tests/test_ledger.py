@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Identity
+from ssiledger.canonical import UnsupportedType
 from ssiledger.consensus import Batch
-from ssiledger.crypto import Digest, ZERO_DIGEST, sha256
+from ssiledger.crypto import Digest, ZERO_DIGEST, digest_of, sha256
 from ssiledger.ledger import (
     Block,
     Chain,
@@ -328,3 +329,96 @@ class TestRecordCaches:
         assert same.digest_hex() == batch.digest_hex()
         # a replaced batch (an equivocating primary's twin) gets its own digest
         assert dataclasses.replace(batch, timestamp=6).digest_hex() != batch.digest_hex()
+
+
+class TestUnencodableRecords:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("endpoint", 1.5), ("endpoint", "\ud800"), ("author_did", 2.5), ("timestamp", 3.0)],
+    )
+    def test_hand_edited_file_reports_bad_merkle(self, tmp_path, field, value):
+        path = tmp_path / "net.ledger.jsonl"
+        write_chain(_chain(3), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        block = json.loads(lines[2])
+        record = block["txns"][1]
+        if field == "endpoint":
+            record["payload"]["document"]["endpoint"] = value
+        else:
+            record[field] = value
+        lines[2] = json.dumps(block)  # ASCII escapes carry a lone surrogate through the file
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        chain = read_chain(path)
+        assert not chain.blocks[2].txns[1].id_recomputes()
+        result = validate_chain(chain)
+        assert (result.ok, result.height, result.reason) == (False, 2, ChainFault.BAD_MERKLE)
+
+
+# what a hand-edited file can hold, plus str-enum members and floats
+scalar_fields = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text(max_size=8)
+    | st.sampled_from(list(TxnType))
+    | st.floats(allow_nan=False)
+)
+json_like = st.recursive(
+    scalar_fields,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8,
+)
+records = st.builds(
+    LedgerTransaction,
+    txn_type=st.sampled_from(list(TxnType)),
+    payload=json_like,
+    author_did=scalar_fields,
+    author_signature=st.binary(max_size=64),
+    timestamp=scalar_fields,
+    txn_id=st.binary(min_size=32, max_size=32).map(Digest),
+)
+
+
+def _plain_id(txn: LedgerTransaction) -> Digest:
+    return digest_of(
+        {
+            "txn_type": txn.txn_type.value,
+            "payload": txn.payload,
+            "author_did": txn.author_did,
+            "timestamp": txn.timestamp,
+        }
+    )
+
+
+def _assert_framed_matches_plain(txn: LedgerTransaction) -> None:
+    """The framed id and leaf equal the digests of the plain maps; a record
+    the plain encoding rejects fails its id check instead of raising."""
+    try:
+        expected_id = _plain_id(txn)
+    except UnsupportedType:
+        assert not txn.id_recomputes()
+        with pytest.raises(UnsupportedType):
+            LedgerTransaction.compute_id(txn.txn_type, txn.payload, txn.author_did, txn.timestamp)
+        return
+    assert LedgerTransaction.compute_id(txn.txn_type, txn.payload, txn.author_did, txn.timestamp) == expected_id
+    assert txn.id_recomputes() is (txn.txn_id == expected_id)
+    assert txn.leaf() == digest_of(txn.to_dict())
+
+
+class TestFramedEncoding:
+    @settings(max_examples=300, deadline=None)
+    @given(records, st.booleans())
+    def test_random_records(self, txn, consistent_id):
+        if consistent_id:
+            try:
+                txn = dataclasses.replace(txn, txn_id=_plain_id(txn))
+            except UnsupportedType:
+                pass
+        _assert_framed_matches_plain(txn)
+
+    @pytest.mark.parametrize("part", ["payload", "author", "signature", "timestamp"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_tampered_records(self, part, warm):
+        txn = _txn(5)
+        _assert_framed_matches_plain(txn)
+        _assert_framed_matches_plain(_tamper(_warm(txn) if warm else txn, part))

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Identity, must_apply
 from ssiledger.crypto import sha256
@@ -13,6 +16,7 @@ from ssiledger.state import (
     SchemaRecord,
     UnknownRegistry,
     apply,
+    apply_all,
     b58encode,
     cred_def_payload,
     derive_did,
@@ -393,3 +397,64 @@ def test_fold_chain_matches_incremental():
     folded = fold_chain(chain)
     assert issuer.did in folded.dids
     assert schema.schema_id.hex in folded.schemas
+
+
+@functools.cache
+def _txn_pool() -> tuple[LedgerTransaction, ...]:
+    """Records that apply, reject, or depend on one another in either order."""
+    owner, verifier = Identity.create("pool-owner"), Identity.create("pool-verifier")
+    schema = SchemaRecord.create("pool", "1.0", [("ref", AttrType.STRING)])
+    cred_def = CredDefRecord.create(schema.schema_id, owner.did, owner.signing_public)
+    consent = {
+        "receipt_hash": sha256(b"pool-receipt").hex,
+        "owner_did": owner.did,
+        "verifier_did": verifier.did,
+        "timestamp": 6,
+    }
+
+    def signed(txn_type, payload, timestamp, author=owner):
+        return LedgerTransaction.create(txn_type, payload, author.did, author.signing_private, timestamp)
+
+    return (
+        owner.registration_txn(),
+        signed(TxnType.SCHEMA, schema_payload(schema), 1),
+        owner.registration_txn(timestamp=2),  # duplicate DID
+        verifier.registration_txn(timestamp=3),
+        signed(TxnType.CRED_DEF, cred_def_payload(cred_def), 4),
+        signed(TxnType.REVOC_ENTRY, revoc_entry_payload(cred_def.cred_def_id, [sha256(b"c")]), 5),
+        signed(TxnType.CONSENT_PROOF, consent, 6),
+        signed(TxnType.SCHEMA, {"schema_name": "x", "email": "a@b"}, 7),  # privacy violation
+        signed(TxnType.CRED_DEF, {"schema_id": "zz"}, 8),  # malformed
+        signed(TxnType.CRED_DEF, cred_def_payload(cred_def), 9, author=verifier),  # not the issuer
+        signed(TxnType.REVOC_ENTRY, revoc_entry_payload(cred_def.cred_def_id, []), 10, author=verifier),
+    )
+
+
+def _one_by_one(state: NodeState, txns) -> tuple[NodeState, list]:
+    reasons = []
+    for txn in txns:
+        state, reason = apply(state, txn)
+        reasons.append(reason)
+    return state, reasons
+
+
+class TestApplyAll:
+    def test_batch_equals_one_txn_at_a_time(self):
+        base = must_apply(NodeState(), Identity.create("pool-earlier").registration_txn())
+        before = base.to_dict()
+        reg, schema, duplicate, verifier_reg = _txn_pool()[:4]
+        batch = [reg, schema, duplicate, verifier_reg]
+        state, reasons = apply_all(base, batch)
+        assert reasons == [None, None, RejectReason.DUPLICATE_DID, None]
+        assert (state, reasons) == _one_by_one(base, batch)
+        assert apply_all(base, [reg, schema, verifier_reg])[0] == state  # the rejection left no trace
+        assert base.to_dict() == before and len(base.dids) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=len(_txn_pool()) - 1), max_size=14))
+    def test_any_sequence_equals_one_txn_at_a_time(self, picks):
+        txns = [_txn_pool()[i] for i in picks]
+        base = NodeState()
+        state, reasons = apply_all(base, txns)
+        assert (state, reasons) == _one_by_one(base, txns)
+        assert base == NodeState()
