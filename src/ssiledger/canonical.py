@@ -15,7 +15,8 @@ import json
 from json.encoder import encode_basestring
 from typing import Any
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# no cycle check: ``_check`` walks every container first, and a cycle raises RecursionError there
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False)
 _SCALARS = (str, int, type(None))  # bool is an int
 
 
@@ -66,7 +67,11 @@ def canonicalize(value: Any) -> bytes:
     return canonical_json(value).encode("utf-8")
 
 
-def canonical_map(members: dict[str, bytes]) -> bytes:
-    """``canonicalize`` of a map whose member values are already canonical bytes."""
-    pairs = [f"{encode_basestring(key)}:".encode() + members[key] for key in sorted(members)]
-    return b"{" + b",".join(pairs) + b"}"
+def map_layout(*keys: str) -> bytes:
+    """The canonical encoding of a map with exactly these keys, as a ``bytes``
+    %-template: ``layout % members`` is ``canonicalize`` of the map, given the
+    members' canonical bytes in key order. The keys must come sorted."""
+    if list(keys) != sorted(set(keys)):
+        raise ValueError("map layout keys must be distinct and sorted")
+    members = [canonicalize(key).replace(b"%", b"%%") + b":%b" for key in keys]
+    return b"{" + b",".join(members) + b"}"

@@ -16,12 +16,13 @@ what consensus uses for deduplication.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .canonical import UnsupportedType, canonical_map, canonicalize
-from .crypto import Digest, ZERO_DIGEST, digest_of, sha256, sign, verify
+from .canonical import UnsupportedType, canonicalize, map_layout
+from .crypto import Digest, ZERO_DIGEST, digest_of, sign, verify
 
 
 class LedgerError(Exception):
@@ -48,14 +49,22 @@ class TxnType(str, enum.Enum):
     CONSENT_PROOF = "CONSENT_PROOF"
 
 
-def _id_members(txn_type: TxnType, payload: bytes, author_did: str, timestamp: int) -> dict[str, bytes]:
-    """A txn id's preimage as canonical member bytes, the payload already encoded."""
-    return {
-        "txn_type": canonicalize(txn_type.value),
-        "payload": payload,
-        "author_did": canonicalize(author_did),
-        "timestamp": canonicalize(timestamp),
-    }
+# The id preimage and the Merkle leaf are canonical maps with fixed keys, so each
+# has a fixed layout: constant key prefixes around the members' canonical bytes.
+_ID_LAYOUT = map_layout("author_did", "payload", "timestamp", "txn_type")
+_LEAF_LAYOUT = map_layout("author_did", "author_signature", "payload", "timestamp", "txn_id", "txn_type")
+_TYPE_BYTES = {txn_type: canonicalize(txn_type.value) for txn_type in TxnType}
+
+
+def _txn_id(txn_type: TxnType, payload: bytes, author_did: Any, timestamp: Any) -> Digest:
+    """The id: SHA-256 of the id's canonical map, the payload already encoded."""
+    preimage = _ID_LAYOUT % (canonicalize(author_did), payload, canonicalize(timestamp), _TYPE_BYTES[txn_type])
+    return Digest(hashlib.sha256(preimage).digest())
+
+
+def _quoted_hex(raw: bytes) -> bytes:
+    """``canonicalize`` of ``raw.hex()``: JSON escapes no hex digit."""
+    return b'"%s"' % raw.hex().encode()
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +88,7 @@ class LedgerTransaction:
 
     @staticmethod
     def compute_id(txn_type: TxnType, payload: Any, author_did: str, timestamp: int) -> Digest:
-        return sha256(canonical_map(_id_members(txn_type, canonicalize(payload), author_did, timestamp)))
+        return _txn_id(txn_type, canonicalize(payload), author_did, timestamp)
 
     @classmethod
     def create(
@@ -90,15 +99,19 @@ class LedgerTransaction:
         signing_private: bytes,
         timestamp: int,
     ) -> "LedgerTransaction":
-        """Build a transaction, signing the canonical payload."""
-        return cls(
+        """Build a transaction, signing the canonical payload. The payload is
+        encoded once: the signature, the id and the payload cache share it."""
+        payload_bytes = canonicalize(payload)
+        txn = cls(
             txn_type=txn_type,
             payload=payload,
             author_did=author_did,
-            author_signature=sign(signing_private, canonicalize(payload)),
+            author_signature=sign(signing_private, payload_bytes),
             timestamp=timestamp,
-            txn_id=cls.compute_id(txn_type, payload, author_did, timestamp),
+            txn_id=_txn_id(txn_type, payload_bytes, author_did, timestamp),
         )
+        object.__setattr__(txn, "_payload_bytes", payload_bytes)
+        return txn
 
     def _payload(self) -> bytes:
         if self._payload_bytes is None:
@@ -106,12 +119,15 @@ class LedgerTransaction:
         return self._payload_bytes
 
     def _frame(self) -> None:
-        """Fill the id check and the leaf together: the leaf frames the id's members too."""
-        members = _id_members(self.txn_type, self._payload(), self.author_did, self.timestamp)
-        object.__setattr__(self, "_id_ok", sha256(canonical_map(members)) == self.txn_id)
-        members["author_signature"] = canonicalize(self.author_signature.hex())
-        members["txn_id"] = canonicalize(self.txn_id.hex)
-        object.__setattr__(self, "_leaf", sha256(canonical_map(members)))
+        """Fill the id check and the leaf together: the leaf holds the id's members too."""
+        payload, did, timestamp = self._payload(), canonicalize(self.author_did), canonicalize(self.timestamp)
+        type_bytes = _TYPE_BYTES[self.txn_type]
+        txn_id = self.txn_id.value
+        id_ok = hashlib.sha256(_ID_LAYOUT % (did, payload, timestamp, type_bytes)).digest() == txn_id
+        signature = _quoted_hex(self.author_signature)
+        leaf = _LEAF_LAYOUT % (did, signature, payload, timestamp, _quoted_hex(txn_id), type_bytes)
+        object.__setattr__(self, "_id_ok", id_ok)
+        object.__setattr__(self, "_leaf", Digest(hashlib.sha256(leaf).digest()))
 
     def verify_signature(self, verification_key: bytes) -> bool:
         """Never cached: every node runs its own check on the shared record."""
@@ -165,9 +181,7 @@ def merkle_root(leaves: Sequence[Digest]) -> Digest:
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])
-        level = [
-            sha256(level[i] + level[i + 1]).value for i in range(0, len(level), 2)
-        ]
+        level = [hashlib.sha256(level[i] + level[i + 1]).digest() for i in range(0, len(level), 2)]
     return Digest(level[0])
 
 
@@ -186,7 +200,7 @@ def merkle_proof(leaves: Sequence[Digest], index: int) -> list[tuple[Digest, str
             level.append(level[-1])
         sibling = pos + 1 if pos % 2 == 0 else pos - 1
         proof.append((Digest(level[sibling]), "right" if pos % 2 == 0 else "left"))
-        level = [sha256(level[i] + level[i + 1]).value for i in range(0, len(level), 2)]
+        level = [hashlib.sha256(level[i] + level[i + 1]).digest() for i in range(0, len(level), 2)]
         pos //= 2
     return proof
 
@@ -196,9 +210,9 @@ def verify_inclusion(txn_id: Digest, proof: Iterable[tuple[Digest, str]], root: 
     current = txn_id.value
     for sibling, side in proof:
         if side == "left":
-            current = sha256(sibling.value + current).value
+            current = hashlib.sha256(sibling.value + current).digest()
         elif side == "right":
-            current = sha256(current + sibling.value).value
+            current = hashlib.sha256(current + sibling.value).digest()
         else:
             return False
     return current == root.value

@@ -15,12 +15,13 @@ suite runs over serialized ledgers and states.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable
 
 from .canonical import canonicalize
-from .crypto import Digest, digest_of, sha256
+from .crypto import Digest, digest_of
 from .ledger import LedgerTransaction, TxnType
 
 DID_PREFIX = "did:sample:"
@@ -41,28 +42,24 @@ DEFAULT_DENIED_FIELDS = frozenset(
 )
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
+_B58_PAIRS = [high + low for high in _B58_ALPHABET for low in _B58_ALPHABET]
 
 
 def b58encode(data: bytes) -> str:
-    """Base58 (Bitcoin alphabet) without checksum."""
+    """Base58 (Bitcoin alphabet) without checksum: two digits per ``divmod``."""
     num = int.from_bytes(data, "big")
     encoded = ""
-    while num > 0:
-        num, rem = divmod(num, 58)
-        encoded = _B58_ALPHABET[rem] + encoded
-    pad = 0
-    for byte in data:
-        if byte == 0:
-            pad += 1
-        else:
-            break
-    return "1" * pad + encoded
+    while num:
+        num, rem = divmod(num, 58 * 58)
+        encoded = _B58_PAIRS[rem] + encoded
+    # the top pair may start with a zero digit; each leading zero byte is one "1"
+    return "1" * (len(data) - len(data.lstrip(b"\0"))) + encoded.lstrip("1")
 
 
 def derive_did(verification_key: bytes) -> str:
     """DID string for a verification key: method prefix plus base58 of the
     first 16 bytes of the key's SHA-256."""
-    return DID_PREFIX + b58encode(sha256(verification_key).value[:16])
+    return DID_PREFIX + b58encode(hashlib.sha256(verification_key).digest()[:16])
 
 
 class UnknownRegistry(KeyError):
@@ -194,14 +191,12 @@ def registry_id_for(cred_def_id: Digest) -> Digest:
 @dataclass(frozen=True)
 class RevocationRegistryState:
     """Hash-set accumulator of revoked credentials for one credential
-    definition. Append-only: entries are never removed."""
+    definition. Append-only: entries are never removed. Inside ``apply_all``
+    a registry it touched holds a working ``set``, frozen again at the end."""
 
     registry_id: Digest
     cred_def_id: Digest
     revoked: frozenset[Digest] = frozenset()
-
-    def with_revoked(self, hashes: Iterable[Digest]) -> "RevocationRegistryState":
-        return replace(self, revoked=self.revoked | frozenset(hashes))
 
 
 @dataclass(frozen=True)
@@ -317,9 +312,9 @@ def apply_all(
 ) -> tuple[NodeState, list[RejectReason | None]]:
     """Fold committed transactions into the state in order: the new state, and per
     txn None if it applied or the reason it was rejected. Never raises: unparseable
-    payloads reject as Malformed. The maps are copied once per call, and handlers
-    check before they write, so a rejected txn leaves no trace and the input state
-    is never mutated."""
+    payloads reject as Malformed. The maps, and the revoked set of each registry a
+    txn touches, are copied once per call, and handlers check before they write, so
+    a rejected txn leaves no trace and the input state is never mutated."""
     work = replace(state, dids=dict(state.dids), schemas=dict(state.schemas), cred_defs=dict(state.cred_defs),
                    registries=dict(state.registries), consent_proofs=list(state.consent_proofs))
     reasons: list[RejectReason | None] = []
@@ -329,7 +324,11 @@ def apply_all(
             reasons.append(RejectReason.PRIVACY_VIOLATION if private else _HANDLERS[txn.txn_type](work, txn))
         except (KeyError, ValueError, TypeError, AttributeError):
             reasons.append(RejectReason.MALFORMED)
-    return replace(work, consent_proofs=tuple(work.consent_proofs)), reasons
+    registries = {
+        key: replace(registry, revoked=frozenset(registry.revoked)) if isinstance(registry.revoked, set) else registry
+        for key, registry in work.registries.items()
+    }
+    return replace(work, registries=registries, consent_proofs=tuple(work.consent_proofs)), reasons
 
 
 def apply(state: NodeState, txn: LedgerTransaction) -> tuple[NodeState, RejectReason | None]:
@@ -401,7 +400,10 @@ def _apply_revoc_entry(state: NodeState, txn: LedgerTransaction) -> RejectReason
         return RejectReason.UNAUTHORIZED_ISSUER
     hashes = [Digest.from_hex(h) for h in payload["revoked"]]
     registry_key = registry_id_for(cred_def_id).hex
-    state.registries[registry_key] = state.registries[registry_key].with_revoked(hashes)
+    registry = state.registries[registry_key]
+    if not isinstance(registry.revoked, set):  # first touch in this apply_all call
+        registry = state.registries[registry_key] = replace(registry, revoked=set(registry.revoked))
+    registry.revoked.update(hashes)
     return None
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssiledger.canonical import UnsupportedType, canonical_json, canonical_map, canonicalize
+from ssiledger.canonical import UnsupportedType, canonical_json, canonicalize, map_layout
 
 
 def test_key_order_independence():
@@ -57,6 +57,13 @@ def test_non_string_keys_rejected():
 def test_unsupported_leaf_rejected():
     with pytest.raises(UnsupportedType):
         canonicalize({"a": b"bytes"})
+
+
+def test_cycle_rejected_before_encoding():
+    looped: dict = {"a": []}
+    looped["a"].append(looped)
+    with pytest.raises(RecursionError):
+        canonicalize(looped)
 
 
 def test_bool_and_int_stay_distinct():
@@ -143,10 +150,17 @@ def test_scalar_fast_path_matches_json_dumps(value):
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(tricky_text, values_with_floats, max_size=6))
 def test_framed_map_equals_canonicalize_of_plain_map(members):
+    keys = sorted(members)
     try:
         expected = canonicalize(members)
     except UnsupportedType:
         with pytest.raises(UnsupportedType):
-            canonical_map({key: canonicalize(value) for key, value in members.items()})
+            [canonicalize(members[key]) for key in keys]
         return
-    assert canonical_map({key: canonicalize(value) for key, value in members.items()}) == expected
+    assert map_layout(*keys) % tuple(canonicalize(members[key]) for key in keys) == expected
+
+
+@pytest.mark.parametrize("keys", [("b", "a"), ("a", "a")])
+def test_map_layout_needs_distinct_sorted_keys(keys):
+    with pytest.raises(ValueError):
+        map_layout(*keys)

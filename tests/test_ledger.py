@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Identity
-from ssiledger.canonical import UnsupportedType
+from ssiledger import ledger
+from ssiledger.canonical import UnsupportedType, canonicalize
 from ssiledger.consensus import Batch
 from ssiledger.crypto import Digest, ZERO_DIGEST, digest_of, sha256
 from ssiledger.ledger import (
@@ -58,6 +59,27 @@ class TestMerkle:
     def test_deterministic(self):
         leaves = [h(i) for i in range(7)]
         assert merkle_root(leaves) == merkle_root(leaves)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=33), st.data())
+    def test_matches_hashlib_oracle(self, raw, data):
+        leaves = [Digest(value) for value in raw]
+        levels = [raw]  # plain hashlib: each level up pairs an odd last node with itself
+        while len(levels[-1]) > 1:
+            level = levels[-1] + levels[-1][-1:] * (len(levels[-1]) % 2)
+            levels.append([hashlib.sha256(level[i] + level[i + 1]).digest() for i in range(0, len(level), 2)])
+        root = Digest(levels[-1][0])
+        assert merkle_root(leaves) == root
+        index = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        proof = merkle_proof(leaves, index)
+        expected = []
+        for depth, level in enumerate(levels[:-1]):
+            pos = index >> depth
+            sibling = min(pos ^ 1, len(level) - 1)
+            expected.append((Digest(level[sibling]), "left" if pos % 2 else "right"))
+        assert proof == expected
+        assert verify_inclusion(leaves[index], proof, root)
+        assert not verify_inclusion(leaves[index], proof, Digest(hashlib.sha256(root.value).digest()))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=2, max_value=16), st.randoms(use_true_random=False))
@@ -319,6 +341,24 @@ class TestRecordCaches:
         cold = LedgerTransaction.from_dict(warm.to_dict())
         assert warm == cold
         assert repr(warm) == repr(cold)
+
+    def test_create_encodes_the_payload_once(self, monkeypatch):
+        identity = Identity.create("encode-once")
+        payload = did_reg_payload(identity.did, identity.document)
+        encoded = []
+
+        def counting(value):
+            encoded.append(value)
+            return canonicalize(value)
+
+        monkeypatch.setattr(ledger, "canonicalize", counting)
+        txn = LedgerTransaction.create(TxnType.DID_REG, payload, identity.did, identity.signing_private, 7)
+        assert verify_txn_signature(NodeState(), txn) and txn.id_recomputes()
+        leaf = txn.leaf()
+        assert [value is payload for value in encoded].count(True) == 1
+        monkeypatch.undo()
+        assert txn.txn_id == _plain_id(txn)
+        assert leaf == digest_of(txn.to_dict())
 
     def test_batch_digest_binds_each_signature_bit(self):
         txns = (_txn(1), _txn(2))

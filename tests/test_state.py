@@ -2,11 +2,12 @@ import dataclasses
 import functools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Identity, must_apply
-from ssiledger.crypto import sha256
+from test_acceptance import Budget
+from ssiledger.crypto import ZERO_DIGEST, sha256
 from ssiledger.ledger import LedgerTransaction, TxnType
 from ssiledger.state import (
     AttrType,
@@ -43,6 +44,32 @@ class TestDidDerivation:
 
     def test_distinct_keys_distinct_dids(self):
         assert Identity.create("a").did != Identity.create("b").did
+
+
+_B58 = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
+
+
+def _b58_one_digit_at_a_time(data: bytes) -> str:
+    num = int.from_bytes(data, "big")
+    encoded = ""
+    while num > 0:
+        num, rem = divmod(num, 58)
+        encoded = _B58[rem] + encoded
+    pad = 0
+    for byte in data:
+        if byte == 0:
+            pad += 1
+        else:
+            break
+    return "1" * pad + encoded
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=4).map(lambda zeros: bytes(len(zeros))), st.binary(max_size=40))
+@example(b"", b"")
+@example(b"\0\0", b"")
+def test_b58_matches_one_digit_at_a_time(zeros, data):
+    assert b58encode(zeros + data) == _b58_one_digit_at_a_time(zeros + data)
 
 
 class TestDidRegistry:
@@ -142,6 +169,12 @@ class TestSchemaAndCredDef:
         assert again.digest() == state.digest()
 
 
+def _revocation(cred_def_id, author_did: str, revoked: list[str], timestamp: int) -> LedgerTransaction:
+    """An unsigned REVOC_ENTRY record: ``apply`` checks no signatures."""
+    payload = {"cred_def_id": cred_def_id.hex, "revoked": revoked}
+    return LedgerTransaction(TxnType.REVOC_ENTRY, payload, author_did, b"", timestamp, ZERO_DIGEST)
+
+
 class TestRevocation:
     def test_revoke_and_query(self):
         issuer = Identity.create("issuer")
@@ -186,6 +219,36 @@ class TestRevocation:
             ),
         )
         assert rejection == RejectReason.UNAUTHORIZED_ISSUER
+
+    def test_one_call_equals_one_txn_at_a_time(self):
+        issuer = Identity.create("issuer")
+        state, _, cred_def = _published(issuer)
+        before = state.to_dict()
+        entries = [
+            _revocation(cred_def.cred_def_id, issuer.did, [sha256(b"a").hex, sha256(b"b").hex], 4),
+            _revocation(cred_def.cred_def_id, issuer.did, [sha256(b"b").hex], 5),  # already revoked
+            _revocation(cred_def.cred_def_id, "did:sample:nobody", [sha256(b"c").hex], 6),  # not the issuer
+            _revocation(cred_def.cred_def_id, issuer.did, [sha256(b"d").hex, "zz"], 7),  # malformed
+            _revocation(cred_def.cred_def_id, issuer.did, [], 8),
+            _revocation(cred_def.cred_def_id, issuer.did, [sha256(b"e").hex], 9),
+        ]
+        folded, reasons = apply_all(state, entries)
+        stepped, stepped_reasons = _one_by_one(state, entries)
+        assert folded.digest() == stepped.digest() and reasons == stepped_reasons
+        assert reasons == [None, None, RejectReason.UNAUTHORIZED_ISSUER, RejectReason.MALFORMED, None, None]
+        assert all(type(reg.revoked) is frozenset for reg in folded.registries.values())
+        assert state.to_dict() == before
+
+    def test_many_single_hash_revocations_fold_in_linear_time(self):
+        issuer = Identity.create("issuer")
+        state, _, cred_def = _published(issuer)
+        hashes = [sha256(i.to_bytes(4, "big")) for i in range(20_000)]
+        entries = [_revocation(cred_def.cred_def_id, issuer.did, [h.hex], i) for i, h in enumerate(hashes)]
+        with Budget("20k single-hash revocations, one apply_all call", 2.0):
+            folded, reasons = apply_all(state, entries)
+        assert reasons == [None] * len(entries)
+        registry = folded.registries[registry_id_for(cred_def.cred_def_id).hex]
+        assert registry.revoked == frozenset(hashes)
 
     def test_revocation_is_monotonic_and_idempotent(self):
         issuer = Identity.create("issuer")
