@@ -785,22 +785,24 @@ class ConsensusNode:
             self.on_monitor_tick()
 
     def on_message(self, src: int, message: Any) -> None:
+        handler = _HANDLERS.get(type(message))
+        if handler is None:
+            return
         instance = getattr(message, "instance", None)
         if instance is not None and instance not in self.instances:
             return
-        if isinstance(message, Request):
-            self.on_request(src, message)
-        elif isinstance(message, PrePrepare):
-            self.on_preprepare(src, message)
-        elif isinstance(message, Prepare):
-            self.on_prepare(src, message)
-        elif isinstance(message, Commit):
-            self.on_commit(src, message)
-        elif isinstance(message, ExecReady):
-            self.on_exec_ready(src, message)
-        elif isinstance(message, InstanceChangeVote):
-            self.on_vote(src, message)
-        elif isinstance(message, FetchBatch):
-            self.on_fetch(src, message)
-        elif isinstance(message, BatchReply):
-            self.on_batch_reply(src, message)
+        getattr(self, handler)(src, message)
+
+
+# message type -> the ConsensusNode method that handles it, looked up by name
+# on each call so that a handler patched on the class or the node is honoured
+_HANDLERS = {
+    Request: "on_request",
+    PrePrepare: "on_preprepare",
+    Prepare: "on_prepare",
+    Commit: "on_commit",
+    ExecReady: "on_exec_ready",
+    InstanceChangeVote: "on_vote",
+    FetchBatch: "on_fetch",
+    BatchReply: "on_batch_reply",
+}

@@ -71,10 +71,14 @@ def _quoted_hex(raw: bytes) -> bytes:
 class LedgerTransaction:
     """A typed public record, signed by its author over the canonical payload.
 
-    Its payload bytes, id check and Merkle leaf are cached on first use, so the
-    payload must never be mutated in place: derive a changed record with
+    Its payload bytes, id check and Merkle leaf are cached on first use, and so
+    is a DID_REG's self-certification (``_did_document``: the parsed document
+    whose key derives the registered DID, or False when it does not; filled by
+    ``state``, never from a payload that fails to parse). So the payload must
+    never be mutated in place: derive a changed record with
     ``dataclasses.replace``, whose caches start empty. The payload bytes are its
-    only full encoding: the signature covers them, the id and leaf frame them."""
+    only full encoding: the signature covers them, the id and leaf frame them.
+    No signature verdict is cached: every node verifies for itself."""
 
     txn_type: TxnType
     payload: Any
@@ -85,6 +89,7 @@ class LedgerTransaction:
     _payload_bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _id_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
     _leaf: Digest | None = field(default=None, init=False, repr=False, compare=False)
+    _did_document: Any = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def compute_id(txn_type: TxnType, payload: Any, author_did: str, timestamp: int) -> Digest:

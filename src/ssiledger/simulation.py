@@ -93,18 +93,19 @@ class Simulation:
             processed += 1
             if processed > MAX_EVENTS:
                 raise RuntimeError("event budget exceeded; simulation is not settling")
-            node = self.nodes[event.node]
-            if event.kind == DELIVER:
-                node.on_message(event.src, event.payload)
-            elif event.kind == TIMER:
-                node.on_timer(event.payload)
-            elif event.kind == SUBMIT:
+            _, _, kind, node_id, payload, src = event
+            node = self.nodes[node_id]
+            if kind == DELIVER:
+                node.on_message(src, payload)
+            elif kind == TIMER:
+                node.on_timer(payload)
+            elif kind == SUBMIT:
                 self.submitted += 1
-                if node.on_submit(event.payload):
+                if node.on_submit(payload):
                     self.accepted += 1
-            elif event.kind == CONTROL and event.payload == "crash":
+            elif kind == CONTROL and payload == "crash":
                 node.crashed = True
-                self._log(self.now, event.node, "crash", {})
+                self._log(self.now, node_id, "crash", {})
 
     def settle(self, txn: LedgerTransaction, node: int = 0) -> bool:
         """Scenario helper: submit now, run to quiescence, report whether the

@@ -338,11 +338,23 @@ def apply(state: NodeState, txn: LedgerTransaction) -> tuple[NodeState, RejectRe
     return (new_state, None) if reason is None else (state, reason)
 
 
+def _self_certified(txn: LedgerTransaction) -> DidDocument | None:
+    """A DID_REG's document if the DID it registers derives from the document's
+    key, else None. Checked once per record: the outcome is cached on the txn,
+    while a payload that does not parse raises, uncached, on every call."""
+    document = txn._did_document
+    if document is None:
+        document = DidDocument.from_dict(txn.payload["document"])
+        if txn.payload["did"] != derive_did(document.verification_key):
+            document = False
+        object.__setattr__(txn, "_did_document", document)
+    return document or None
+
+
 def _apply_did_reg(state: NodeState, txn: LedgerTransaction) -> RejectReason | None:
-    payload = txn.payload
-    did = payload["did"]
-    document = DidDocument.from_dict(payload["document"])
-    if did != derive_did(document.verification_key) or txn.author_did != did:
+    document = _self_certified(txn)
+    did = txn.payload["did"]
+    if document is None or txn.author_did != did:
         return RejectReason.MALFORMED
     if did in state.dids:
         return RejectReason.DUPLICATE_DID
@@ -484,11 +496,9 @@ def verify_txn_signature(state: NodeState, txn: LedgerTransaction) -> bool:
     """
     try:
         if txn.txn_type == TxnType.DID_REG:
-            document = DidDocument.from_dict(txn.payload["document"])
-            if txn.payload["did"] != derive_did(document.verification_key):
-                return False
-            return txn.verify_signature(document.verification_key)
-        document = resolve_did(state, txn.author_did)
+            document = _self_certified(txn)
+        else:
+            document = resolve_did(state, txn.author_did)
         if document is None:
             return False
         return txn.verify_signature(document.verification_key)

@@ -286,6 +286,48 @@ class TestSimCommand:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "network",
+        [
+            {"min_latency_ms": 5.5},
+            {"max_latency_ms": 15.5},
+            {"min_latency_ms": "5"},
+            {"min_latency_ms": True},
+            {"min_latency_ms": -50, "max_latency_ms": -40},
+            {"max_latency_ms": -1},
+            {"drop_prob": 1.5},
+            {"drop_prob": -0.1},
+            {"drop_prob": float("nan")},
+            {"drop_prob": "0.1"},
+            {"slow_nodes": {"0": -2.0}},
+            {"slow_nodes": {"0": float("inf")}},
+            {"slow_nodes": {"0": float("nan")}},
+        ],
+    )
+    def test_bad_link_settings_exit_1(self, runner, workdir, network):
+        Path("c.json").write_text(json.dumps({"consensus": {"f": 1}, "network": network}))
+        self._workload(Path("w.json"))
+        result = invoke(
+            runner,
+            ["sim", "run", "--config", "c.json", "--seed", "1", "--workload", "w.json",
+             "--out", "r.json", "--horizon", "2000"],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert not Path("r.json").exists()
+
+    def test_max_latency_below_min_is_the_min(self, runner, workdir):
+        network = {"min_latency_ms": 12, "max_latency_ms": 3}
+        Path("c.json").write_text(json.dumps({"consensus": {"f": 1}, "network": network}))
+        self._workload(Path("w.json"))
+        result = invoke(
+            runner,
+            ["sim", "run", "--config", "c.json", "--seed", "1", "--workload", "w.json",
+             "--out", "r.json", "--horizon", "2000"],
+        )
+        assert result.exit_code == 0
+        assert json.loads(Path("r.json").read_text())["honest_chains_agree"] is True
+
     def test_safety_violation_exit_2(self, runner, workdir, monkeypatch):
         # a violating run cannot be produced honestly, so fake the report
         import dataclasses

@@ -1,3 +1,8 @@
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ssiledger.simnet import LinkProfile, NetworkConfig, Partition, SimNetwork
 
 
@@ -82,3 +87,44 @@ class TestFaults:
         by_payload = {e.payload: e.time for e in events}
         assert by_payload["fast"] == 10
         assert by_payload["slow"] == 100
+
+
+latencies = st.integers(min_value=0, max_value=40)
+links = st.builds(
+    LinkProfile,
+    latencies,
+    latencies,  # max below min, equal to it, or above it
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    default=links,
+    override=links,
+    slow=st.dictionaries(st.integers(0, 2), st.floats(min_value=0.0, max_value=5.0), max_size=3),
+    sends=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=40),
+)
+def test_latency_draws_match_the_randint_oracle(seed, default, override, slow, sends):
+    config = NetworkConfig(n=3, default_link=default, link_overrides={(0, 1): override}, slow_nodes=slow)
+    net = SimNetwork(config, seed)
+    for i, (src, dst) in enumerate(sends):
+        net.send(src, dst, i)
+
+    # the oracle: one random() per send on a lossy link, then randint over the band
+    rng = random.Random(seed)
+    expected, dropped = [], 0
+    for i, (src, dst) in enumerate(sends):
+        link = config.link_overrides.get((src, dst), config.default_link)
+        low, high = link.min_latency, link.max_latency
+        if slow.get(src):
+            low, high = int(low * slow[src]), int(high * slow[src])
+        if link.drop_prob > 0 and rng.random() < link.drop_prob:
+            dropped += 1
+            continue
+        expected.append((rng.randint(low, max(low, high)), i))
+
+    assert [(e.time, e.payload) for e in _drain(net)] == sorted(expected)
+    assert net.dropped == dropped
+    assert net.rng.getstate() == rng.getstate()

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import Identity, must_apply
 from test_acceptance import Budget
+import ssiledger.ledger as ledger_mod
+from ssiledger.consensus import ConsensusConfig
 from ssiledger.crypto import ZERO_DIGEST, sha256
 from ssiledger.ledger import LedgerTransaction, TxnType
+from ssiledger.simulation import Simulation, run_simulation, synthetic_did_workload
 from ssiledger.state import (
     AttrType,
     CredDefRecord,
@@ -437,6 +440,76 @@ class TestSubmissionGate:
             0,
         )
         assert not verify_txn_signature(NodeState(), txn)
+
+
+class TestDidSelfCheckCache:
+    """A DID_REG's DID-from-key check runs once per record and its outcome is
+    cached on the record; every use must still give the uncached verdict."""
+
+    @staticmethod
+    def _mismatched() -> LedgerTransaction:
+        identity = Identity.create("alice")
+        imposter = Identity.create("imposter")
+        # signed by the key it registers, but the DID is another key's
+        return LedgerTransaction.create(
+            TxnType.DID_REG,
+            did_reg_payload(imposter.did, identity.document),
+            imposter.did,
+            identity.signing_private,
+            0,
+        )
+
+    def test_mismatch_refused_at_admission_every_time(self):
+        txn = self._mismatched()
+        sim = Simulation(ConsensusConfig(f=1), seed=3, horizon=0)
+        for at, node in ((5, 1), (6, 1), (7, 2)):
+            sim.submit_at(at, node, txn)
+        sim.run()
+        rejected = [(e["time"], e["node"]) for e in sim.events if e["event_type"] == "submit_rejected"]
+        assert rejected == [(5, 1), (6, 1), (7, 2)]
+        assert sim.accepted == 0 and all(node.chain.height == 0 for node in sim.nodes)
+        # the outcome cached at admission is the one apply_all reads
+        _, reasons = apply_all(NodeState(), [txn, txn])
+        assert reasons == [RejectReason.MALFORMED, RejectReason.MALFORMED]
+
+    def test_mismatch_malformed_in_apply_all_every_time(self):
+        txn = self._mismatched()
+        for _ in range(2):
+            _, reasons = apply_all(NodeState(), [txn, txn])
+            assert reasons == [RejectReason.MALFORMED, RejectReason.MALFORMED]
+            assert not verify_txn_signature(NodeState(), txn)
+
+    def test_replace_starts_with_an_empty_cache(self):
+        identity = Identity.create("alice")
+        txn = identity.registration_txn()
+        assert verify_txn_signature(NodeState(), txn) and txn._did_document is not None
+        forged = dataclasses.replace(txn, payload={**txn.payload, "did": Identity.create("bob").did})
+        assert forged._did_document is None
+        assert not verify_txn_signature(NodeState(), forged)
+        assert apply(NodeState(), forged)[1] == RejectReason.MALFORMED
+        assert must_apply(NodeState(), txn).dids[identity.did].document == identity.document
+
+    def test_unparseable_document_is_never_cached(self):
+        identity = Identity.create("alice")
+        txn = LedgerTransaction.create(
+            TxnType.DID_REG, {"did": identity.did, "document": "junk"}, identity.did, identity.signing_private, 0
+        )
+        for _ in range(2):
+            assert not verify_txn_signature(NodeState(), txn)
+            assert apply(NodeState(), txn)[1] == RejectReason.MALFORMED
+            assert txn._did_document is None
+
+    def test_every_node_verifies_every_did_reg(self, monkeypatch):
+        calls = []
+        real_verify = ledger_mod.verify
+        monkeypatch.setattr(ledger_mod, "verify", lambda *args: calls.append(1) or real_verify(*args))
+        config = ConsensusConfig(f=1, batch_max=5, batch_timeout=50)
+        workload = synthetic_did_workload(6, seed=9, start=10, interval=40, node=1)
+        for _ in range(2):  # the second run finds every record's caches warm
+            calls.clear()
+            _, sim = run_simulation(config, None, None, workload, 2000, seed=10)
+            assert all(node.chain.txn_count() == 6 for node in sim.nodes)
+            assert len(calls) == config.n * 6
 
 
 def test_fold_chain_matches_incremental():
