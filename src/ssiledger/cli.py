@@ -29,6 +29,7 @@ from .credentials import (
     Presentation,
     VerifiableCredential,
     issue,
+    ledger_reads,
     present,
     record_consent,
     revoke,
@@ -39,6 +40,7 @@ from .crypto import Digest
 from .ledger import (
     Chain,
     LedgerTransaction,
+    MalformedRecord,
     TxnType,
     build_block,
     read_chain,
@@ -46,7 +48,7 @@ from .ledger import (
     write_chain,
 )
 from .scenarios import SCENARIOS, run_scenario
-from .simulation import parse_config, run_simulation, synthetic_did_workload, WorkloadItem
+from .simulation import parse_config, parse_workload, run_simulation
 from .state import (
     AttrType,
     CredDefRecord,
@@ -107,7 +109,7 @@ def _open_wallet(path: str) -> Wallet:
     return wallet
 
 
-def _ledger_state(path: str) -> tuple[Chain, NodeState]:
+def _valid_chain(path: str) -> Chain:
     try:
         chain = read_chain(path)
     except Exception as exc:
@@ -116,6 +118,11 @@ def _ledger_state(path: str) -> tuple[Chain, NodeState]:
     check = validate_chain(chain)
     if not check.ok:
         _fail(f"ledger {path} is invalid at height {check.height}: {check.reason.value}")
+    return chain
+
+
+def _ledger_state(path: str) -> tuple[Chain, NodeState]:
+    chain = _valid_chain(path)
     return chain, fold_chain(chain)
 
 
@@ -467,18 +474,19 @@ def cred_verify(
     as_json: bool,
     record_file: str,
 ) -> None:
-    """Verify a credential or presentation file against a ledger."""
-    _, state = _ledger_state(ledger_path)
+    """Verify a credential or presentation file against a ledger. Every record
+    of the ledger is read and hash-checked; only those the verdict can depend
+    on are folded."""
+    chain = _valid_chain(ledger_path)
     data = _read_json(record_file)
     try:
         if "holder_signature" in data:
-            result = verify_presentation(
-                Presentation.from_dict(data), state, _now(now_override), expected_audience=audience
-            )
+            presentation = Presentation.from_dict(data)
+            state = fold_chain(chain, ledger_reads(presentation))
+            result = verify_presentation(presentation, state, _now(now_override), expected_audience=audience)
         else:
-            result = verify_credential(
-                VerifiableCredential.from_dict(data), state, _now(now_override)
-            )
+            credential = VerifiableCredential.from_dict(data)
+            result = verify_credential(credential, fold_chain(chain, ledger_reads(credential)), _now(now_override))
     except (KeyError, ValueError, TypeError) as exc:
         result = None
         _fail(f"unreadable record: {exc}", EXIT_VERIFY)
@@ -724,30 +732,9 @@ def sim_run(
 ) -> None:
     try:
         config, net_config, faults = parse_config(_read_json(config_path))
-    except ValueError as exc:
+        workload = parse_workload(_read_json(workload_path), seed, config.n)
+    except (ValueError, MalformedRecord) as exc:
         _fail(str(exc))
-        return
-    workload_raw = _read_json(workload_path)
-    if "synthetic_registrations" in workload_raw:
-        params = workload_raw["synthetic_registrations"]
-        workload = synthetic_did_workload(
-            count=params.get("count", 50),
-            seed=params.get("seed", seed),
-            start=params.get("start_ms", 10),
-            interval=params.get("interval_ms", 40),
-            node=params.get("node", 0),
-        )
-    elif "txns" in workload_raw:
-        workload = [
-            WorkloadItem(
-                time=item["time"],
-                node=item.get("node", 0),
-                txn=LedgerTransaction.from_dict(item["txn"]),
-            )
-            for item in workload_raw["txns"]
-        ]
-    else:
-        _fail("workload file needs 'synthetic_registrations' or 'txns'")
         return
     report, simulation = run_simulation(config, net_config, faults, workload, horizon, seed)
     Path(out_path).write_text(report.to_json() + "\n", encoding="utf-8")

@@ -57,10 +57,16 @@ class ConsensusConfig:
         return 2 * self.f + 1
 
     def validate(self) -> None:
+        for name in ("f", "window", "batch_max", "batch_timeout", "monitor_interval", "stall_vote_after",
+                     "genesis_timestamp"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.f < 1:
             raise ValueError("fault bound f must be >= 1")
-        if self.delta <= 1:
+        if type(self.delta) not in (int, float) or not self.delta > 1:
             raise ValueError("degradation threshold delta must be > 1")
+        if min(self.batch_timeout, self.stall_vote_after) < 0 or self.monitor_interval < 1:
+            raise ValueError("timeouts must be >= 0 ms and the monitor interval >= 1 ms")
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
         if self.window < 1:

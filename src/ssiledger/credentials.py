@@ -337,6 +337,20 @@ def verify_presentation(
     return VALID
 
 
+def ledger_reads(record: Presentation | VerifiableCredential) -> set[str]:
+    """The state keys ``verify_presentation`` or ``verify_credential`` reads for
+    a record, as ``fold_chain`` takes them: each credential's cred def (its
+    schema and issuer follow from the cred def's record) and a presentation's
+    holder DID. A holder DID that is not a string is never registered, so it
+    is left out: the verifier rejects it on the full state as well."""
+    if isinstance(record, VerifiableCredential):
+        return {record.cred_def_id.hex}
+    reads = {cred.cred_def_id.hex for cred in record.credentials}
+    if isinstance(record.holder_did, str):
+        reads.add(record.holder_did)
+    return reads
+
+
 @dataclass(frozen=True)
 class ConsentReceipt:
     """Dual-signed record of a data-sharing agreement. Carries attribute names

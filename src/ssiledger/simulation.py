@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 from .canonical import canonical_json, canonicalize
 from .consensus import ConsensusConfig, ConsensusNode, FaultPlan
@@ -284,10 +284,22 @@ def run_simulation(
     return sim.report(), sim
 
 
-def parse_config(raw: dict) -> tuple[ConsensusConfig, NetworkConfig, FaultPlan]:
-    """Decode the JSON configuration format used by the command line."""
+def parse_config(raw: Any) -> tuple[ConsensusConfig, NetworkConfig, FaultPlan]:
+    """Decode the JSON configuration format used by the command line. Total:
+    whatever does not decode to a configuration raises ValueError."""
+    try:
+        return _parse_config(raw)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed config: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_config(raw: dict) -> tuple[ConsensusConfig, NetworkConfig, FaultPlan]:
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     consensus_raw = raw.get("consensus", {})
     denied = raw.get("privacy", {}).get("denied_fields")
+    if denied is not None and not (isinstance(denied, list) and all(isinstance(d, str) for d in denied)):
+        raise ValueError("privacy.denied_fields must be a list of field names")
     config = ConsensusConfig(
         f=consensus_raw.get("f", 1),
         window=consensus_raw.get("window", 10),
@@ -303,6 +315,7 @@ def parse_config(raw: dict) -> tuple[ConsensusConfig, NetworkConfig, FaultPlan]:
     declared_n = raw.get("n", consensus_raw.get("n"))
     if declared_n is not None and declared_n != config.n:
         raise ValueError(f"n={declared_n} is not 3f+1 for f={config.f} (need {config.n})")
+    n = config.n
     network_raw = raw.get("network", {})
     default_link = LinkProfile(
         min_latency=network_raw.get("min_latency_ms", 5),
@@ -311,22 +324,58 @@ def parse_config(raw: dict) -> tuple[ConsensusConfig, NetworkConfig, FaultPlan]:
     )
     partitions = [
         Partition(
-            start=p["start"],
-            end=p["end"],
-            group_a=frozenset(p["group_a"]),
-            group_b=frozenset(p["group_b"]),
+            start=_int(p["start"], "partition start"),
+            end=_int(p["end"], "partition end"),
+            group_a=frozenset(_int(node, "partition member", n) for node in p["group_a"]),
+            group_b=frozenset(_int(node, "partition member", n) for node in p["group_b"]),
         )
         for p in network_raw.get("partitions", [])
     ]
     net_config = NetworkConfig(
-        n=config.n,
+        n=n,
         default_link=default_link,
-        slow_nodes={int(k): float(v) for k, v in network_raw.get("slow_nodes", {}).items()},
+        slow_nodes={_int(int(k), "slow node", n): float(v) for k, v in network_raw.get("slow_nodes", {}).items()},
         partitions=partitions,
     )
     faults_raw = raw.get("faults", {})
     faults = FaultPlan(
-        crash={int(k): int(v) for k, v in faults_raw.get("crash", {}).items()},
-        equivocate={int(k): int(v) for k, v in faults_raw.get("equivocate", {}).items()},
+        crash={_int(int(k), "crashed node", n): int(v) for k, v in faults_raw.get("crash", {}).items()},
+        equivocate={_int(int(k), "equivocating node", n): int(v) for k, v in faults_raw.get("equivocate", {}).items()},
     )
     return config, net_config, faults
+
+
+def _int(value: Any, what: str, end: int | None = None) -> int:
+    """``value`` if it is an integer, non-negative and below ``end`` when given."""
+    if type(value) is not int or value < 0 or (end is not None and value >= end):
+        bound = f" below {end}" if end is not None else ""
+        raise ValueError(f"{what} must be a non-negative integer{bound}, got {value!r}")
+    return value
+
+
+def parse_workload(raw: Any, seed: int, n: int) -> list[WorkloadItem]:
+    """Decode the JSON workload format used by the command line for a network
+    of ``n`` nodes: ``{"synthetic_registrations": {...}}`` or ``{"txns": [...]}``.
+    Raises ValueError for a malformed workload and MalformedRecord for a txn
+    record that does not parse."""
+    if isinstance(raw, dict) and "synthetic_registrations" in raw:
+        params = raw["synthetic_registrations"]
+        if not isinstance(params, dict):
+            raise ValueError("synthetic_registrations must be a JSON object")
+        return synthetic_did_workload(
+            count=_int(params.get("count", 50), "count"),
+            seed=params.get("seed", seed),
+            start=_int(params.get("start_ms", 10), "start_ms"),
+            interval=_int(params.get("interval_ms", 40), "interval_ms"),
+            node=_int(params.get("node", 0), "node", n),
+        )
+    if isinstance(raw, dict) and isinstance(raw.get("txns"), list):
+        items = []
+        for item in raw["txns"]:
+            if not isinstance(item, dict) or "txn" not in item:
+                raise ValueError(f"workload txn item must be an object with a txn, got {item!r}")
+            time = _int(item.get("time"), "workload txn time")
+            node = _int(item.get("node", 0), "node", n)
+            items.append(WorkloadItem(time=time, node=node, txn=LedgerTransaction.from_dict(item["txn"])))
+        return items
+    raise ValueError("workload file needs 'synthetic_registrations' or a list of 'txns'")

@@ -445,6 +445,19 @@ _HANDLERS = {
     TxnType.CONSENT_PROOF: _apply_consent_proof,
 }
 
+# Per txn type: (the one state key its handler can write, the keys it reads
+# besides that one), each parsed as the handler parses it, so that ids in
+# upper-case hex or with spaces map to the key the handler writes. A cred def
+# key also stands for its revocation registry. A CONSENT_PROOF writes no key a
+# verifier reads. Where a key cannot be derived or hashed, the handler raises
+# before it writes.
+_KEYS = {
+    TxnType.DID_REG: lambda p, author: (p["did"], ()),
+    TxnType.SCHEMA: lambda p, author: (p["schema_id"], (author,)),
+    TxnType.CRED_DEF: lambda p, author: (p["cred_def_id"], (Digest.from_hex(p["schema_id"]).hex, p["issuer_did"])),
+    TxnType.REVOC_ENTRY: lambda p, author: (Digest.from_hex(p["cred_def_id"]).hex, ()),
+}
+
 
 def did_reg_payload(did: str, document: DidDocument) -> dict:
     return {"did": did, "document": document.to_dict()}
@@ -480,12 +493,47 @@ def consent_proof_payload(
     }
 
 
-def fold_chain(chain) -> NodeState:
+def fold_chain(chain, reads: set[str] | None = None) -> NodeState:
     """Replay a committed chain into the state it produces, with one ``apply_all``
     call. Transactions in stored blocks were accepted at commit time, so
-    rejections here only occur for chains assembled outside consensus."""
-    state, _ = apply_all(NodeState(), (txn for block in chain.blocks for txn in block.txns))
+    rejections here only occur for chains assembled outside consensus.
+
+    With ``reads``, a set of state keys (DIDs, schema ids, cred def ids), only
+    the records that can write a key in their closure are applied: the closure
+    grows by the keys those records' handlers read until nothing is added. The
+    result then equals the full fold on every key of the closure, and may lack
+    anything else."""
+    txns = [txn for block in chain.blocks for txn in block.txns]
+    if reads is not None:
+        txns = _writers_of(txns, reads)[1]
+    state, _ = apply_all(NodeState(), txns)
     return state
+
+
+def _writers_of(
+    txns: list[LedgerTransaction], reads: set[str]
+) -> tuple[set[str], list[LedgerTransaction]]:
+    """The closure of ``reads`` over the records' apply-time reads, and the
+    records that can write a key in it, in chain order."""
+    writers: dict[str, list[tuple[int, frozenset]]] = {}
+    for index, txn in enumerate(txns):
+        keys = _KEYS.get(txn.txn_type)
+        if keys is None:
+            continue
+        try:
+            key, needs = keys(txn.payload, txn.author_did)
+            writers.setdefault(key, []).append((index, frozenset(needs)))
+        except (KeyError, ValueError, TypeError, AttributeError):
+            continue  # the handler rejects it without writing
+    closure, todo, picked = set(), list(reads), set()
+    while todo:
+        key = todo.pop()
+        if key not in closure:
+            closure.add(key)
+            for index, needs in writers.get(key, ()):
+                picked.add(index)
+                todo.extend(needs)
+    return closure, [txns[index] for index in sorted(picked)]
 
 
 def verify_txn_signature(state: NodeState, txn: LedgerTransaction) -> bool:

@@ -4,9 +4,16 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import ssiledger.state as state_mod
+from conftest import Identity
 from ssiledger.cli import main
+from ssiledger.credentials import Presentation, issue
+from ssiledger.crypto import digest_of, sign
+from ssiledger.ledger import Chain, LedgerTransaction, TxnType, build_block, write_chain
+from ssiledger.state import AttrType, CredDefRecord, SchemaRecord, cred_def_payload, schema_payload
 
 SECRET = {"WALLET_SECRET": "cli-test-secret"}
+UNREADABLE = "error: unreadable record: "
 
 
 @pytest.fixture
@@ -162,6 +169,40 @@ class TestCredentialFlow:
         assert result.exit_code == 1
         assert "invalid at height 1: BadMerkle" in result.output
 
+    @pytest.mark.parametrize(
+        "record, audience, output",
+        [
+            (lambda pres, cred: 5, None, UNREADABLE + "argument of type 'int' is not iterable"),
+            (lambda pres, cred: [1], None, UNREADABLE + "list indices must be integers or slices, not str"),
+            (lambda pres, cred: "x", None, UNREADABLE + "string indices must be integers, not 'str'"),
+            (lambda pres, cred: {**pres, "credentials": 5}, None, UNREADABLE + "'int' object is not iterable"),
+            (
+                lambda pres, cred: {**pres, "holder_signature": "zz"},
+                None,
+                UNREADABLE + "non-hexadecimal number found in fromhex() arg at position 0",
+            ),
+            (lambda pres, cred: {**cred, "cred_def_id": "abcd"}, None, UNREADABLE + "digest must be exactly 32 bytes"),
+            (lambda pres, cred: {**pres, "holder_did": ["a"]}, None, UNREADABLE + "unhashable type: 'list'"),
+            (lambda pres, cred: {**pres, "holder_did": ["a"]}, "did:sample:acme", UNREADABLE + "unhashable type: 'list'"),
+            # the audience is checked before the holder is looked up
+            (lambda pres, cred: {**pres, "holder_did": ["a"]}, "did:sample:other", "invalid: WrongAudience"),
+        ],
+    )
+    def test_malformed_record_exit_3(self, runner, workdir, issuer_setup, record, audience, output):
+        _issue(runner, issuer_setup)
+        assert invoke(
+            runner,
+            ["cred", "present", "--wallet", "holder.wallet.json", "--relation", "employer",
+             "--audience", "did:sample:acme", "--out", "p.pres.json", "--now", "160",
+             "alice.cred.json"],
+        ).exit_code == 0
+        pres = json.loads(Path("p.pres.json").read_text())
+        cred = json.loads(Path("alice.cred.json").read_text())
+        Path("x.json").write_text(json.dumps(record(pres, cred)))
+        args = ["cred", "verify", "x.json", "--ledger", "net.ledger.jsonl"]
+        result = invoke(runner, args + (["--audience", audience] if audience else []))
+        assert (result.exit_code, result.output) == (3, output + "\n")
+
     def test_issue_by_non_issuer_refused(self, runner, workdir, issuer_setup):
         result = invoke(
             runner,
@@ -171,6 +212,51 @@ class TestCredentialFlow:
              "--attr", "year=2019", "--out", "x.json"],
         )
         assert result.exit_code == 1
+
+
+class TestVerifyFoldsWhatItReads:
+    @staticmethod
+    def _write_ledger(unrelated: int) -> None:
+        """A ledger with ``unrelated`` DID_REGs around one issuer's schema and
+        cred def and one holder, plus the holder's credential and presentation."""
+        issuer, holder = Identity.create("reads-issuer"), Identity.create("reads-holder")
+        schema = SchemaRecord.create("reads", "1.0", [("ref", AttrType.STRING)])
+        cred_def = CredDefRecord.create(schema.schema_id, issuer.did, issuer.signing_public)
+        others = [Identity.create(f"reads-other-{i}").registration_txn(2) for i in range(unrelated)]
+        records = [
+            issuer.registration_txn(1),
+            *others[: unrelated // 2],
+            LedgerTransaction.create(TxnType.SCHEMA, schema_payload(schema), issuer.did, issuer.signing_private, 3),
+            LedgerTransaction.create(TxnType.CRED_DEF, cred_def_payload(cred_def), issuer.did, issuer.signing_private, 4),
+            *others[unrelated // 2 :],
+            holder.registration_txn(5),
+        ]
+        chain = Chain.new()
+        write_chain(chain.append(build_block(chain.head, records, 6)), "net.ledger.jsonl")
+        credential = issue(issuer.signing_private, cred_def, schema, holder.did, {"ref": "r"}, 7)
+        body = Presentation.body([credential], holder.did, "did:sample:acme", 8)
+        signature = sign(holder.signing_private, digest_of(body).value)
+        presentation = Presentation((credential,), holder.did, "did:sample:acme", 8, signature)
+        Path("c.json").write_text(json.dumps(credential.to_dict()))
+        Path("p.json").write_text(json.dumps(presentation.to_dict()))
+
+    @pytest.mark.parametrize("unrelated", [0, 8, 40])
+    def test_records_folded_do_not_grow_with_the_ledger(self, runner, workdir, monkeypatch, unrelated):
+        self._write_ledger(unrelated)
+        folded = []
+        real_apply_all = state_mod.apply_all
+
+        def counting(state, txns):
+            txns = list(txns)
+            folded.append(len(txns))
+            return real_apply_all(state, txns)
+
+        monkeypatch.setattr(state_mod, "apply_all", counting)
+        for record, count in (("p.json", 4), ("c.json", 3)):
+            folded.clear()
+            result = invoke(runner, ["cred", "verify", record, "--ledger", "net.ledger.jsonl"])
+            assert (result.exit_code, result.output) == (0, "valid\n")
+            assert folded == [count]  # the issuer's and holder's DID_REGs, the schema, the cred def
 
 
 class TestConsentCommand:
@@ -307,6 +393,36 @@ class TestSimCommand:
     def test_bad_link_settings_exit_1(self, runner, workdir, network):
         Path("c.json").write_text(json.dumps({"consensus": {"f": 1}, "network": network}))
         self._workload(Path("w.json"))
+        result = invoke(
+            runner,
+            ["sim", "run", "--config", "c.json", "--seed", "1", "--workload", "w.json",
+             "--out", "r.json", "--horizon", "2000"],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ") and result.output.count("\n") == 1
+        assert not Path("r.json").exists()
+
+    @pytest.mark.parametrize(
+        "config, workload",
+        [
+            ({"network": {"partitions": [{"start": 0, "group_a": [0], "group_b": [1]}]}}, None),
+            ({"network": {"partitions": [{"start": 0, "end": 9, "group_a": [0], "group_b": 7}]}}, None),
+            ({"network": {"slow_nodes": {"0": [2]}}}, None),
+            ([{"consensus": {"f": 1}}], None),
+            ({"consensus": {"f": "x"}}, None),
+            ({"faults": {"crash": {"9": 100}}}, None),
+            ({"consensus": {"f": 1, "monitor_interval_ms": 0}}, None),
+            (None, {"txns": [{"node": 0, "txn": {}}]}),
+            (None, {"synthetic_registrations": {"count": "x"}}),
+            (None, {"txns": [{"time": 10, "txn": {"txn_type": "DID_REG"}}]}),
+        ],
+    )
+    def test_malformed_input_exit_1(self, runner, workdir, config, workload):
+        Path("c.json").write_text(json.dumps({"consensus": {"f": 1}} if config is None else config))
+        if workload is None:
+            self._workload(Path("w.json"))
+        else:
+            Path("w.json").write_text(json.dumps(workload))
         result = invoke(
             runner,
             ["sim", "run", "--config", "c.json", "--seed", "1", "--workload", "w.json",

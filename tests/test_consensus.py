@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssiledger.consensus import ConsensusConfig, FaultPlan, PerfMonitor, Request
 from ssiledger.crypto import sha256
@@ -8,6 +10,7 @@ from ssiledger.simnet import NetworkConfig
 from ssiledger.simulation import (
     Simulation,
     WorkloadItem,
+    parse_config,
     run_simulation,
     synthetic_did_workload,
 )
@@ -32,6 +35,55 @@ class TestConfig:
             ConsensusConfig(delta=1.0).validate()
         with pytest.raises(ValueError):
             ConsensusConfig(batch_max=0).validate()
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_node_maps = st.dictionaries(st.sampled_from(["0", "3", "4", "9", "-1", "x"]), _json | st.integers(-1, 5), max_size=3)
+_partitions = st.lists(
+    st.dictionaries(
+        st.sampled_from(["start", "end", "group_a", "group_b"]),
+        st.integers(-1, 9) | st.lists(st.integers(-1, 5), max_size=3) | _json,
+        max_size=4,
+    ),
+    max_size=2,
+)
+_values = _json | st.integers(-2, 12) | st.floats(-2, 12) | _node_maps | _partitions
+
+
+def _section(*keys: str):
+    return _json | st.dictionaries(st.sampled_from(keys), _values, max_size=len(keys))
+
+
+_configs = _json | st.fixed_dictionaries(
+    {},
+    optional={
+        "n": _values,
+        "consensus": _section(
+            "f", "n", "window", "delta", "batch_max", "batch_timeout_ms", "monitor_interval_ms",
+            "stall_vote_after_ms", "genesis_timestamp",
+        ),
+        "privacy": _section("denied_fields"),
+        "network": _section("min_latency_ms", "max_latency_ms", "drop_prob", "slow_nodes", "partitions"),
+        "faults": _section("crash", "equivocate"),
+    },
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_configs)
+def test_parse_config_is_total(raw):
+    """Any JSON value decodes to a configuration a simulation runs on, or
+    raises ValueError; nothing else escapes."""
+    try:
+        config, net, faults = parse_config(raw)
+    except ValueError:
+        return
+    if config.n <= 10:
+        Simulation(config, net, faults, seed=1, horizon=0).run()
 
 
 class TestPerfMonitor:

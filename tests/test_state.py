@@ -9,8 +9,9 @@ from conftest import Identity, must_apply
 from test_acceptance import Budget
 import ssiledger.ledger as ledger_mod
 from ssiledger.consensus import ConsensusConfig
-from ssiledger.crypto import ZERO_DIGEST, sha256
-from ssiledger.ledger import LedgerTransaction, TxnType
+from ssiledger.credentials import Presentation, issue, ledger_reads, verify_credential, verify_presentation
+from ssiledger.crypto import ZERO_DIGEST, digest_of, sha256, sign
+from ssiledger.ledger import Chain, LedgerTransaction, TxnType, build_block
 from ssiledger.simulation import Simulation, run_simulation, synthetic_did_workload
 from ssiledger.state import (
     AttrType,
@@ -33,6 +34,7 @@ from ssiledger.state import (
     revoc_entry_payload,
     schema_payload,
     verify_txn_signature,
+    _writers_of,
 )
 
 
@@ -594,3 +596,150 @@ class TestApplyAll:
         state, reasons = apply_all(base, txns)
         assert (state, reasons) == _one_by_one(base, txns)
         assert base == NodeState()
+
+
+# --- folding only what a verdict reads --------------------------------------------
+
+_ID_FORMS = (str, str.upper, lambda h: " ".join(h[i : i + 2] for i in range(0, len(h), 2)))
+
+
+@functools.cache
+def _reads_universe():
+    """Three parties, two schemas, a cred def for each (schema, issuer) with
+    parties 0 and 1 issuing, and a credential for each (cred def, subject):
+    cred def ``c`` is issued by party ``c % 2`` over schema ``c // 2``, and
+    its credential to party ``h`` is ``credentials[3 * c + h]``."""
+    parties = tuple(Identity.create(f"reads-{i}") for i in range(3))
+    schemas = (
+        SchemaRecord.create("reads-a", "1.0", [("ref", AttrType.STRING)]),
+        SchemaRecord.create("reads-b", "1.0", [("ref", AttrType.STRING), ("year", AttrType.INTEGER)]),
+    )
+    cred_defs = tuple(
+        CredDefRecord.create(schemas[c // 2].schema_id, parties[c % 2].did, parties[c % 2].signing_public)
+        for c in range(4)
+    )
+    attributes = ({"ref": "r"}, {"ref": "r", "year": 2019})
+    credentials = tuple(
+        issue(parties[c % 2].signing_private, cred_defs[c], schemas[c // 2], holder.did, attributes[c // 2], 5)
+        for c in range(4)
+        for holder in parties
+    )
+    return parties, schemas, cred_defs, credentials
+
+
+def _adversarial_record(op: tuple[int, int, int, int, int], timestamp: int) -> LedgerTransaction:
+    """An unsigned record (``apply`` checks no signatures) from five small ints:
+    (kind, a, b, id form, variant). Variant 1 swaps in party b's DID as the
+    author, 2 adds a private field, 3 wraps the payload in a list, 4 gives a
+    DID_REG party b's document and writes a cred def's own id in the chosen
+    form; any other variant is honest. Forms are lower-case, upper-case and
+    spaced hex."""
+    kind, a, b, form, variant = op
+    parties, schemas, cred_defs, credentials = _reads_universe()
+    other = parties[b % 3].did
+    as_form = _ID_FORMS[form]
+    if kind == 0:  # DID_REG of party a
+        party = parties[a % 3]
+        txn_type, author = TxnType.DID_REG, party.did
+        document = parties[b % 3].document if variant == 4 else party.document
+        payload = did_reg_payload(party.did, document)
+    elif kind == 1:  # SCHEMA, by any party, so possibly by an unregistered one
+        schema = schemas[a % 2]
+        txn_type, author = TxnType.SCHEMA, other
+        payload = {**schema_payload(schema), "schema_id": as_form(schema.schema_id.hex)}
+    elif kind == 2:  # CRED_DEF, possibly before its schema or its issuer's DID
+        cred_def = cred_defs[a % 4]
+        txn_type, author = TxnType.CRED_DEF, cred_def.issuer_did
+        payload = {**cred_def_payload(cred_def), "schema_id": as_form(cred_def.schema_id.hex)}
+        if variant == 4:
+            payload["cred_def_id"] = as_form(cred_def.cred_def_id.hex)
+    elif kind == 3:  # REVOC_ENTRY of the credentials of the holders in bit mask b
+        c = a % 4
+        txn_type, author = TxnType.REVOC_ENTRY, cred_defs[c].issuer_did
+        revoked = [credentials[3 * c + h].credential_hash for h in range(3) if b >> h & 1]
+        payload = revoc_entry_payload(cred_defs[c].cred_def_id, revoked)
+        payload["cred_def_id"] = as_form(payload["cred_def_id"])
+    elif kind == 4:  # CONSENT_PROOF
+        txn_type, author = TxnType.CONSENT_PROOF, parties[a % 3].did
+        payload = {"receipt_hash": sha256(bytes([b])).hex, "owner_did": author, "verifier_did": other, "timestamp": 1}
+    else:  # a record of any type with a junk payload
+        txn_type, author, payload = list(TxnType)[a % 5], other, [None, "x", 7, {}][b % 4]
+    if variant == 1:
+        author = other
+    elif variant == 2 and isinstance(payload, dict):
+        payload = {**payload, "email": "e@x"}
+    elif variant == 3:
+        payload = [payload]
+    return LedgerTransaction(txn_type, payload, author, b"", timestamp, ZERO_DIGEST)
+
+
+def _chain_of(txns: list[LedgerTransaction]) -> Chain:
+    chain = Chain.new()
+    for start in range(0, len(txns), 3):
+        chain = chain.append(build_block(chain.head, txns[start : start + 3], start + 1))
+    return chain
+
+
+def _on(state: NodeState, keys: set[str]) -> tuple:
+    """The part of a state a fold over ``keys`` must agree on."""
+    return (
+        {k: v for k, v in state.dids.items() if k in keys},
+        {k: v for k, v in state.schemas.items() if k in keys},
+        {k: v for k, v in state.cred_defs.items() if k in keys},
+        {k: v for k, v in state.registries.items() if v.cred_def_id.hex in keys},
+    )
+
+
+# the honest records: three DID_REGs, two schemas and four cred defs
+_HONEST = [(0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 2, 0, 0, 0), (1, 0, 0, 0, 0), (1, 1, 0, 0, 0)] + [
+    (2, c, 0, 0, 0) for c in range(4)
+]
+_revocations = st.tuples(st.just(3), st.integers(0, 3), st.integers(1, 7), st.integers(0, 2), st.just(0))
+_ops = st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 7), st.integers(0, 2), st.integers(0, 6))
+# the honest records less at most one, revocations and any others, in any
+# order: a record's dependencies may come before or after it
+_ledgers = st.tuples(
+    st.integers(0, len(_HONEST)), st.lists(_revocations, max_size=4), st.lists(_ops, max_size=10)
+).flatmap(lambda drawn: st.permutations(_HONEST[: drawn[0]] + _HONEST[drawn[0] + 1 :] + drawn[1] + drawn[2]))
+# an honest issuer and holder, then a revocation that names its cred def in upper-case hex
+_UPPER_CASE_REVOCATION = [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (2, 0, 0, 0, 0), (0, 1, 0, 0, 0), (3, 0, 2, 1, 0)]
+# the same issuer and holder, with a cred def that names its schema in upper-case hex
+_UPPER_CASE_SCHEMA = [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (2, 0, 0, 1, 0), (0, 1, 0, 0, 0)]
+
+
+class TestReadSetFold:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_ledgers, holder=st.integers(0, 2), cred_defs=st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    @example(ops=_UPPER_CASE_REVOCATION, holder=1, cred_defs=[0])
+    @example(ops=_UPPER_CASE_SCHEMA, holder=1, cred_defs=[0])
+    def test_verdicts_and_read_keys_equal_the_full_fold(self, ops, holder, cred_defs):
+        txns = [_adversarial_record(op, t) for t, op in enumerate(ops)]
+        chain = _chain_of(txns)
+        full = fold_chain(chain)
+        parties, _, _, credentials = _reads_universe()
+        presented = tuple(credentials[3 * c + holder] for c in cred_defs)
+        body = Presentation.body(presented, parties[holder].did, "did:sample:audience", 9)
+        presentation = Presentation(
+            presented, parties[holder].did, "did:sample:audience", 9,
+            sign(parties[holder].signing_private, digest_of(body).value),
+        )
+        for record in (presentation, *presented):
+            verify = verify_presentation if isinstance(record, Presentation) else verify_credential
+            reads = ledger_reads(record)
+            closure = _writers_of(txns, reads)[0]
+            partial = fold_chain(chain, reads)
+            assert verify(record, partial) == verify(record, full)
+            assert reads <= closure
+            assert _on(partial, closure) == _on(full, closure)
+            assert _on(partial, closure) == (partial.dids, partial.schemas, partial.cred_defs, partial.registries)
+
+    def test_upper_case_revocation_is_folded(self):
+        _, _, _, credentials = _reads_universe()
+        chain = _chain_of([_adversarial_record(op, t) for t, op in enumerate(_UPPER_CASE_REVOCATION)])
+        credential = credentials[1]
+        assert verify_credential(credential, fold_chain(chain)).reason == "Revoked"
+        assert verify_credential(credential, fold_chain(chain, ledger_reads(credential))).reason == "Revoked"
+
+    def test_no_reads_fold_nothing(self):
+        txns = [_adversarial_record(op, t) for t, op in enumerate(_UPPER_CASE_REVOCATION)]
+        assert fold_chain(_chain_of(txns), set()) == NodeState()
