@@ -12,11 +12,17 @@ unambiguous and injective.
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Any
 
 # no cycle check: ``_check`` walks every container first, and a cycle raises RecursionError there
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False)
+# the C encoder that ``_ENCODER.encode`` builds on every call, with the same arguments, built once
+_ENCODE = (
+    c_make_encoder(None, _ENCODER.default, encode_basestring, None, ":", ",", True, False, True)
+    if c_make_encoder is not None
+    else lambda value, _level: [_ENCODER.encode(value)]
+)
 _SCALARS = (str, int, type(None))  # bool is an int
 
 
@@ -45,6 +51,29 @@ def _check(value: Any) -> tuple[str, str] | None:
     return f"unsupported type {type(value).__name__}", ""
 
 
+def _float_screen() -> tuple[dict, list[str]]:
+    """``json.loads`` keyword hooks that log the text of every float they
+    decode, and the log.
+
+    The rule: JSON text decodes to str-keyed maps, lists, strings, ints, bools,
+    None and floats (``NaN`` and ``Infinity`` included), and of these ``_check``
+    rejects the floats alone. So a value decoded while the log did not grow
+    passes ``_check``, and ``_encode_checked`` gives its canonical bytes."""
+    floats: list[str] = []
+
+    def hook(text: str) -> float:
+        floats.append(text)
+        return float(text)  # the value json.loads would give, NaN and the infinities too
+
+    return {"parse_float": hook, "parse_constant": hook}, floats
+
+
+def _encode_checked(value: Any) -> bytes:
+    """``canonicalize`` of a value known to pass ``_check``, without the walk.
+    A lone surrogate still raises ``UnicodeEncodeError``."""
+    return "".join(_ENCODE(value, 0)).encode("utf-8")
+
+
 def canonical_json(value: Any) -> str:
     """Render a structured value as its canonical JSON string.
 
@@ -59,7 +88,7 @@ def canonical_json(value: Any) -> str:
         return int.__repr__(value)
     if bad := _check(value):
         raise UnsupportedType(f"{bad[0]} at ${bad[1]}")
-    return _ENCODER.encode(value)
+    return "".join(_ENCODE(value, 0))
 
 
 def canonicalize(value: Any) -> bytes:

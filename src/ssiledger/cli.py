@@ -23,7 +23,7 @@ from pathlib import Path
 
 import click
 
-from .auth import ChallengeVerifier, issue_challenge
+from .auth import Challenge, ChallengeVerifier, issue_challenge
 from .canonical import canonical_json
 from .credentials import (
     Presentation,
@@ -88,6 +88,17 @@ def _read_json(path: str | Path) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         _fail(f"cannot read {path}: {exc}")
+        raise AssertionError  # unreachable
+
+
+def _parse(parse, path: str, code: int = EXIT_VERIFY):
+    """``parse`` of the JSON in ``path``: one ``error:`` line and exit ``code``
+    where the value does not fit."""
+    data = _read_json(path)
+    try:
+        return parse(data)
+    except (KeyError, ValueError, TypeError, AttributeError, MalformedRecord) as exc:
+        _fail(f"unreadable record {path}: {exc}", code)
         raise AssertionError  # unreachable
 
 
@@ -271,7 +282,7 @@ def ledger_append(ledger_path: str, now_override: int | None, txn_files: tuple[s
     chain, state = _ledger_state(ledger_path)
     accepted = []
     for txn_file in txn_files:
-        txn = LedgerTransaction.from_dict(_read_json(txn_file))
+        txn = _parse(LedgerTransaction.from_dict, txn_file)
         if not txn.id_recomputes() or not verify_txn_signature(state, txn):
             _fail(f"{txn_file}: transaction signature does not verify", EXIT_VERIFY)
         state, rejection = apply_txn(state, txn)
@@ -513,7 +524,7 @@ def cred_revoke(
     """Publish a revocation entry for a credential you issued."""
     w = _open_wallet(wallet_path)
     identity = w.identity(relation)
-    credential = VerifiableCredential.from_dict(_read_json(cred_file))
+    credential = _parse(VerifiableCredential.from_dict, cred_file)
     _, state = _ledger_state(ledger_path)
     cred_def = get_cred_def(state, credential.cred_def_id)
     if cred_def is None:
@@ -549,7 +560,7 @@ def cred_present(
     cred_files: tuple[str, ...],
 ) -> None:
     w = _open_wallet(wallet_path)
-    credentials = [VerifiableCredential.from_dict(_read_json(f)) for f in cred_files]
+    credentials = [_parse(VerifiableCredential.from_dict, f) for f in cred_files]
     try:
         presentation = present(w, relation, credentials, audience, _now(now_override))
     except Exception as exc:
@@ -682,21 +693,8 @@ def auth_respond(wallet_path: str, relation: str, out_path: str, challenge_file:
 @click.option("--now", "now_override", type=int, default=None)
 @click.argument("response_file", type=click.Path(exists=True))
 def auth_check(state_path: str, now_override: int | None, response_file: str) -> None:
-    state = _read_json(state_path)
-    response = bytes.fromhex(_read_json(response_file)["response"])
-    verifier = ChallengeVerifier()
-    if state.get("consumed"):
-        verifier.consumed.add(bytes.fromhex(state["nonce"]))
-    else:
-        from .auth import Challenge
-
-        verifier.pending[bytes.fromhex(state["nonce"])] = Challenge(
-            nonce=bytes.fromhex(state["nonce"]),
-            issued_at=state["issued_at"],
-            ttl=state["ttl"],
-            ciphertext=b"",
-            subject_did=state.get("subject_did", ""),
-        )
+    state, verifier = _parse(lambda data: (data, _challenge_verifier(data)), state_path, EXIT_USAGE)
+    response = _parse(lambda data: bytes.fromhex(data["response"]), response_file)
     result = verifier.check(response, _now(now_override))
     state["consumed"] = True
     _write(state_path, state)
@@ -705,6 +703,21 @@ def auth_check(state_path: str, now_override: int | None, response_file: str) ->
         sys.exit(EXIT_OK)
     click.echo(f"rejected: {result.reason}")
     sys.exit(EXIT_AUTH)
+
+
+def _challenge_verifier(state: dict) -> ChallengeVerifier:
+    """The verifier side of one challenge, from the state file ``auth challenge`` wrote."""
+    canonical_json(state)  # it is written back: a value the encoding rejects raises here, not after the check
+    verifier = ChallengeVerifier()
+    nonce = bytes.fromhex(state["nonce"])
+    if state.get("consumed"):
+        verifier.consumed.add(nonce)
+        return verifier
+    issued_at, ttl = state["issued_at"], state["ttl"]
+    if type(issued_at) is not int or type(ttl) is not int:
+        raise TypeError("issued_at and ttl must be integers")
+    verifier.pending[nonce] = Challenge(nonce, issued_at, ttl, b"", state.get("subject_did", ""))
+    return verifier
 
 
 # --- sim ------------------------------------------------------------------------
@@ -745,7 +758,7 @@ def sim_run(
         f"honest chains agree: {report.honest_chains_agree}; "
         f"instance changes: {report.instance_change_count}"
     )
-    if report.safety_violations > 0 or not report.honest_chains_agree:
+    if report.safety_violations > 0 or simulation.honest_chains_fork():
         click.echo("CONSENSUS SAFETY VIOLATION DETECTED", err=True)
         sys.exit(EXIT_SAFETY)
 

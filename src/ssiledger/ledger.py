@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .canonical import UnsupportedType, canonicalize, map_layout
+from .canonical import UnsupportedType, _encode_checked, _float_screen, canonicalize, map_layout
 from .crypto import Digest, ZERO_DIGEST, digest_of, sign, verify
 
 
@@ -54,6 +56,7 @@ class TxnType(str, enum.Enum):
 _ID_LAYOUT = map_layout("author_did", "payload", "timestamp", "txn_type")
 _LEAF_LAYOUT = map_layout("author_did", "author_signature", "payload", "timestamp", "txn_id", "txn_type")
 _TYPE_BYTES = {txn_type: canonicalize(txn_type.value) for txn_type in TxnType}
+_TXN_TYPES = {txn_type.value: txn_type for txn_type in TxnType}
 
 
 def _txn_id(txn_type: TxnType, payload: bytes, author_did: Any, timestamp: Any) -> Digest:
@@ -71,8 +74,9 @@ def _quoted_hex(raw: bytes) -> bytes:
 class LedgerTransaction:
     """A typed public record, signed by its author over the canonical payload.
 
-    Its payload bytes, id check and Merkle leaf are cached on first use, and so
-    is a DID_REG's self-certification (``_did_document``: the parsed document
+    Its payload bytes, id check and Merkle leaf are cached on first use (the
+    bytes at decode, for a record read from a float-free line), and so is a
+    DID_REG's self-certification (``_did_document``: the parsed document
     whose key derives the registered DID, or False when it does not; filled by
     ``state``, never from a payload that fails to parse). So the payload must
     never be mutated in place: derive a changed record with
@@ -88,7 +92,7 @@ class LedgerTransaction:
     txn_id: Digest
     _payload_bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _id_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
-    _leaf: Digest | None = field(default=None, init=False, repr=False, compare=False)
+    _leaf: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _did_document: Any = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -124,15 +128,19 @@ class LedgerTransaction:
         return self._payload_bytes
 
     def _frame(self) -> None:
-        """Fill the id check and the leaf together: the leaf holds the id's members too."""
-        payload, did, timestamp = self._payload(), canonicalize(self.author_did), canonicalize(self.timestamp)
+        """Fill the id check and the leaf together: the leaf holds the id's members too.
+        A plain ``str`` DID and ``int`` timestamp are rendered here; anything else,
+        str-enum and bool members included, goes through ``canonicalize``."""
+        payload, did, timestamp = self._payload(), self.author_did, self.timestamp
+        did = encode_basestring(did).encode() if type(did) is str else canonicalize(did)
+        timestamp = b"%d" % timestamp if type(timestamp) is int else canonicalize(timestamp)
         type_bytes = _TYPE_BYTES[self.txn_type]
         txn_id = self.txn_id.value
         id_ok = hashlib.sha256(_ID_LAYOUT % (did, payload, timestamp, type_bytes)).digest() == txn_id
         signature = _quoted_hex(self.author_signature)
         leaf = _LEAF_LAYOUT % (did, signature, payload, timestamp, _quoted_hex(txn_id), type_bytes)
         object.__setattr__(self, "_id_ok", id_ok)
-        object.__setattr__(self, "_leaf", Digest(hashlib.sha256(leaf).digest()))
+        object.__setattr__(self, "_leaf", hashlib.sha256(leaf).digest())
 
     def verify_signature(self, verification_key: bytes) -> bool:
         """Never cached: every node runs its own check on the shared record."""
@@ -159,35 +167,65 @@ class LedgerTransaction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LedgerTransaction":
-        try:
-            return cls(
-                txn_type=TxnType(data["txn_type"]),
-                payload=data["payload"],
-                author_did=data["author_did"],
-                author_signature=bytes.fromhex(data["author_signature"]),
-                timestamp=data["timestamp"],
-                txn_id=Digest.from_hex(data["txn_id"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise MalformedRecord(f"bad transaction record: {exc}") from exc
+        return _txn_from_dict(data, screened=False)
 
     def leaf(self) -> Digest:
         """Merkle leaf: digest of the full canonical record, signature included."""
+        return Digest(self._leaf_bytes())
+
+    def _leaf_bytes(self) -> bytes:
         if self._leaf is None:
             self._frame()
         return self._leaf
+
+
+# one store per slot, in field order: a decoded record skips the frozen init's setattr calls
+_SLOT_STORES = tuple(LedgerTransaction.__dict__[f.name].__set__ for f in fields(LedgerTransaction))
+
+
+def _txn_from_dict(data: dict, screened: bool) -> LedgerTransaction:
+    """``LedgerTransaction.from_dict``. ``screened``: ``data`` was decoded from
+    JSON text with no float (see ``canonical._float_screen``), so the payload
+    passes the canonical check and is encoded here without it. A payload that
+    still fails to encode, a lone surrogate, keeps an empty slot: its id check
+    then fails as for any record."""
+    try:
+        kind = data["txn_type"]
+        txn_type = (type(kind) is str and _TXN_TYPES.get(kind)) or TxnType(kind)  # the call raises the enum's error
+        payload = data["payload"]
+        author_did = data["author_did"]
+        signature = bytes.fromhex(data["author_signature"])
+        timestamp = data["timestamp"]
+        txn_id = Digest(bytes.fromhex(data["txn_id"]))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise MalformedRecord(f"bad transaction record: {exc}") from exc
+    payload_bytes = None
+    if screened:
+        try:
+            payload_bytes = _encode_checked(payload)
+        except UnicodeEncodeError:
+            pass
+    txn = object.__new__(LedgerTransaction)
+    values = (txn_type, payload, author_did, signature, timestamp, txn_id, payload_bytes, None, None, None)
+    for store, value in zip(_SLOT_STORES, values):
+        store(txn, value)
+    return txn
 
 
 def merkle_root(leaves: Sequence[Digest]) -> Digest:
     """Binary Merkle root; an odd node at any level is paired with itself."""
     if not leaves:
         raise EmptyLeaves("cannot compute a Merkle root of zero leaves")
-    level = [leaf.value for leaf in leaves]
+    return Digest(_root([leaf.value for leaf in leaves]))
+
+
+def _root(level: list[bytes]) -> bytes:
+    """``merkle_root`` of raw leaves, at least one; extends ``level``."""
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])
         level = [hashlib.sha256(level[i] + level[i + 1]).digest() for i in range(0, len(level), 2)]
-    return Digest(level[0])
+    return level[0]
 
 
 def merkle_proof(leaves: Sequence[Digest], index: int) -> list[tuple[Digest, str]]:
@@ -268,14 +306,15 @@ class Block:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Block":
+    def from_dict(cls, data: dict, *, screened: bool = False) -> "Block":
+        """``screened``: decoded from JSON text with no float (see ``_txn_from_dict``)."""
         try:
             return cls(
                 height=data["height"],
                 prev_hash=Digest.from_hex(data["prev_hash"]),
                 merkle_root=Digest.from_hex(data["merkle_root"]),
                 timestamp=data["timestamp"],
-                txns=tuple(LedgerTransaction.from_dict(t) for t in data["txns"]),
+                txns=tuple(_txn_from_dict(t, screened) for t in data["txns"]),
                 block_hash=Digest.from_hex(data["block_hash"]),
             )
         except (KeyError, ValueError, TypeError) as exc:
@@ -288,7 +327,7 @@ def build_block(prev: Block, txns: Sequence[LedgerTransaction], timestamp: int) 
     if not txns:
         raise EmptyBlock("a block must contain at least one transaction")
     txns = tuple(txns)
-    root = merkle_root([txn.leaf() for txn in txns])
+    root = Digest(_root([txn._leaf_bytes() for txn in txns]))
     height = prev.height + 1
     return Block(
         height=height,
@@ -372,34 +411,47 @@ def validate_chain(chain: Chain) -> ChainValidation:
             if block.prev_hash != prev.block_hash:
                 return ChainValidation(False, i, ChainFault.BAD_LINK)
         if block.txns:
-            # ids first: a record that cannot be encoded fails there, not in leaf()
+            # ids first: a record that cannot be encoded fails there; a record whose id recomputes has its leaf
             if not all(txn.id_recomputes() for txn in block.txns) or (
-                merkle_root([txn.leaf() for txn in block.txns]) != block.merkle_root
+                _root([txn._leaf for txn in block.txns]) != block.merkle_root.value
             ):
                 return ChainValidation(False, i, ChainFault.BAD_MERKLE)
         elif i > 0 or block.merkle_root != ZERO_DIGEST:
             return ChainValidation(False, i, ChainFault.BAD_MERKLE)
-        if (
-            Block.compute_hash(block.height, block.prev_hash, block.merkle_root, block.timestamp)
-            != block.block_hash
-        ):
+        try:
+            hash_ok = Block.compute_hash(block.height, block.prev_hash, block.merkle_root, block.timestamp) == block.block_hash
+        except (UnsupportedType, UnicodeEncodeError):
+            hash_ok = False  # a hand-edited header: a float height or timestamp, a lone surrogate
+        if not hash_ok:
             return ChainValidation(False, i, ChainFault.BAD_HASH)
         prev = block
     return VALID
 
 
 def write_chain(chain: Chain, path: str | Path) -> None:
-    """Persist as JSON lines: one canonical-JSON block per line, height order."""
+    """Persist as JSON lines: one canonical-JSON block per line, height order,
+    each ended by "\n". Other line breaks (U+2028, U+2029, U+0085) stay raw
+    inside strings."""
     Path(path).write_text("\n".join(chain.to_lines()) + "\n", encoding="utf-8")
 
 
 def read_chain(path: str | Path) -> Chain:
-    import json
-
+    """Read a ``write_chain`` file one line at a time. Lines end at "\n" only
+    ("\r\n" is read as well); blank lines are skipped. A line decoded with no
+    float has its payloads encoded while it is decoded."""
+    hooks, floats = _float_screen()
     blocks = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            blocks.append(Block.from_dict(json.loads(line)))
+    try:
+        with open(path, encoding="utf-8", newline="\n") as lines:
+            for line in lines:
+                line = line.rstrip("\r\n")  # the line end, which json.loads would report inside a string
+                if line.strip():
+                    seen = len(floats)
+                    data = json.loads(line, **hooks)
+                    blocks.append(Block.from_dict(data, screened=len(floats) == seen))
+    except UnicodeDecodeError:
+        Path(path).read_text(encoding="utf-8")  # raises with the offset in the file, not in a read buffer
+        raise
     if not blocks:
         raise MalformedRecord(f"no blocks in {path}")
     return Chain(blocks=tuple(blocks))

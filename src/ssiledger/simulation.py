@@ -145,6 +145,13 @@ class Simulation:
                     violations += 1
         return violations
 
+    def honest_chains_fork(self) -> bool:
+        """Whether two honest chains diverge: neither one's block hashes are a
+        prefix of the other's. A chain that only lags behind is a prefix."""
+        chains = [[block.block_hash for block in node.chain.blocks] for node in self.honest_nodes()]
+        longest = max(chains, key=len, default=[])
+        return any(chain != longest[: len(chain)] for chain in chains)
+
     def report(self) -> "SimReport":
         per_node = []
         for node in self.nodes:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -182,6 +183,11 @@ class CredDefRecord:
             issuer_did=issuer_did,
             issuer_verification_key=issuer_verification_key,
         )
+
+    @cached_property
+    def registry_key(self) -> str:
+        """``registry_id_for(self.cred_def_id).hex``, computed once per record."""
+        return registry_id_for(self.cred_def_id).hex
 
 
 def registry_id_for(cred_def_id: Digest) -> Digest:
@@ -411,7 +417,7 @@ def _apply_revoc_entry(state: NodeState, txn: LedgerTransaction) -> RejectReason
     if txn.author_did != cred_def.issuer_did:
         return RejectReason.UNAUTHORIZED_ISSUER
     hashes = [Digest.from_hex(h) for h in payload["revoked"]]
-    registry_key = registry_id_for(cred_def_id).hex
+    registry_key = cred_def.registry_key
     registry = state.registries[registry_key]
     if not isinstance(registry.revoked, set):  # first touch in this apply_all call
         registry = state.registries[registry_key] = replace(registry, revoked=set(registry.revoked))
@@ -515,14 +521,15 @@ def _writers_of(
 ) -> tuple[set[str], list[LedgerTransaction]]:
     """The closure of ``reads`` over the records' apply-time reads, and the
     records that can write a key in it, in chain order."""
-    writers: dict[str, list[tuple[int, frozenset]]] = {}
+    writers: dict[str, list[tuple[int, tuple]]] = {}
     for index, txn in enumerate(txns):
         keys = _KEYS.get(txn.txn_type)
         if keys is None:
             continue
         try:
             key, needs = keys(txn.payload, txn.author_did)
-            writers.setdefault(key, []).append((index, frozenset(needs)))
+            hash(needs)  # an unhashable read: the handler raises on it before it writes
+            writers.setdefault(key, []).append((index, needs))
         except (KeyError, ValueError, TypeError, AttributeError):
             continue  # the handler rejects it without writing
     closure, todo, picked = set(), list(reads), set()

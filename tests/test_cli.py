@@ -169,6 +169,41 @@ class TestCredentialFlow:
         assert result.exit_code == 1
         assert "invalid at height 1: BadMerkle" in result.output
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_line_break_in_a_record_keeps_the_ledger_readable(self, runner, workdir, issuer_setup, char):
+        assert invoke(
+            runner,
+            ["did", "new", "--wallet", "holder.wallet.json", "--relation", "shop",
+             "--endpoint", f"sim://a{char}", "--txn-out", "odd.txn.json", "--now", "135"],
+        ).exit_code == 0
+        appended = invoke(runner, ["ledger", "append", "--ledger", "net.ledger.jsonl", "--now", "136", "odd.txn.json"])
+        assert (appended.exit_code, appended.output) == (0, "appended block 4 with 1 txn(s)\n")
+        assert char.encode() in Path("net.ledger.jsonl").read_bytes()
+        assert _issue(runner, issuer_setup).exit_code == 0  # reads the ledger
+        verified = invoke(runner, ["cred", "verify", "alice.cred.json", "--ledger", "net.ledger.jsonl"])
+        assert (verified.exit_code, verified.output) == (0, "valid\n")
+        state = invoke(runner, ["ledger", "state", "--ledger", "net.ledger.jsonl"])
+        assert state.exit_code == 0
+        assert f"sim://a{char}" in [doc["endpoint"] for doc in json.loads(state.output)["dids"].values()]
+        assert invoke(
+            runner,
+            ["did", "new", "--wallet", "holder.wallet.json", "--relation", "shop2",
+             "--txn-out", "next.txn.json", "--now", "137"],
+        ).exit_code == 0
+        appended = invoke(runner, ["ledger", "append", "--ledger", "net.ledger.jsonl", "--now", "138", "next.txn.json"])
+        assert (appended.exit_code, appended.output) == (0, "appended block 5 with 1 txn(s)\n")
+
+    @pytest.mark.parametrize("field, value", [("timestamp", 1.5), ("height", 1.0), ("timestamp", "\ud800")])
+    def test_hand_edited_header_reports_bad_hash(self, runner, workdir, issuer_setup, field, value):
+        _issue(runner, issuer_setup)
+        lines = Path("net.ledger.jsonl").read_text(encoding="utf-8").splitlines()
+        block = json.loads(lines[1])
+        block[field] = value
+        lines[1] = json.dumps(block)
+        Path("net.ledger.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = invoke(runner, ["cred", "verify", "alice.cred.json", "--ledger", "net.ledger.jsonl"])
+        assert (result.exit_code, result.output) == (1, "error: ledger net.ledger.jsonl is invalid at height 1: BadHash\n")
+
     @pytest.mark.parametrize(
         "record, audience, output",
         [
@@ -212,6 +247,62 @@ class TestCredentialFlow:
              "--attr", "year=2019", "--out", "x.json"],
         )
         assert result.exit_code == 1
+
+
+class TestUnreadableInput:
+    @pytest.fixture
+    def files(self, runner, workdir):
+        assert invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "o"]).exit_code == 0
+        assert invoke(runner, ["did", "new", "--wallet", "w.json", "--relation", "public", "--seed", "cc"]).exit_code == 0
+        assert invoke(runner, ["ledger", "init", "--out", "l.jsonl"]).exit_code == 0
+        state = {"subject_did": "did:sample:x", "nonce": "00" * 32, "issued_at": 0, "ttl": 10, "consumed": False}
+        Path("state.json").write_text(json.dumps(state))
+        Path("resp.json").write_text(json.dumps({"response": "00" * 32}))
+
+    COMMANDS = {
+        "ledger append": (["ledger", "append", "--ledger", "l.jsonl", "x.json"], 3, "bad transaction record: "),
+        "cred present": (
+            ["cred", "present", "--wallet", "w.json", "--relation", "public", "--audience", "did:sample:a",
+             "--out", "p.json", "x.json"],
+            3,
+            "",
+        ),
+        "cred revoke": (["cred", "revoke", "--wallet", "w.json", "--relation", "public", "--ledger", "l.jsonl", "x.json"], 3, ""),
+        "auth check response": (["auth", "check", "--state", "state.json", "x.json"], 3, ""),
+        "auth check state": (["auth", "check", "--state", "x.json", "resp.json"], 1, ""),
+    }
+    CONTENTS = {
+        "5": "'int' object is not subscriptable",
+        "[1]": "list indices must be integers or slices, not str",
+        "{}": None,  # the first missing key
+    }
+    MISSING = {"ledger append": "'txn_type'", "auth check state": "'nonce'", "auth check response": "'response'"}
+
+    @pytest.mark.parametrize("content", sorted(CONTENTS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_error_line(self, runner, files, command, content):
+        args, code, prefix = self.COMMANDS[command]
+        Path("x.json").write_text(content)
+        reason = self.CONTENTS[content] or self.MISSING.get(command, "'cred_def_id'")
+        result = invoke(runner, args)
+        assert (result.exit_code, result.output) == (code, f"error: unreadable record x.json: {prefix}{reason}\n")
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"nonce": "00" * 32, "issued_at": "0", "ttl": 10},
+            {"nonce": "00" * 32, "issued_at": 0, "ttl": [10]},
+            {"nonce": "zz", "consumed": True},
+            {"nonce": "00" * 32, "consumed": True, "note": 1.5},
+        ],
+    )
+    def test_auth_state_that_does_not_fit_exit_1(self, runner, files, state):
+        Path("x.json").write_text(json.dumps(state))
+        before = Path("x.json").read_bytes()
+        result = invoke(runner, ["auth", "check", "--state", "x.json", "resp.json"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: unreadable record x.json: ") and result.output.count("\n") == 1
+        assert Path("x.json").read_bytes() == before
 
 
 class TestVerifyFoldsWhatItReads:
@@ -443,6 +534,42 @@ class TestSimCommand:
         )
         assert result.exit_code == 0
         assert json.loads(Path("r.json").read_text())["honest_chains_agree"] is True
+
+    def test_lagging_node_is_no_safety_violation(self, runner, workdir):
+        network = {"partitions": [{"start": 0, "end": 100_000, "group_a": [3], "group_b": [0, 1, 2]}]}
+        Path("c.json").write_text(json.dumps({"consensus": {"f": 1, "batch_max": 5, "batch_timeout_ms": 50}, "network": network}))
+        self._workload(Path("w.json"))
+        result = invoke(
+            runner,
+            ["sim", "run", "--config", "c.json", "--seed", "1", "--workload", "w.json",
+             "--out", "r.json", "--horizon", "2000"],
+        )
+        assert result.exit_code == 0
+        assert "honest chains agree: False" in result.output
+        assert "SAFETY VIOLATION" not in result.output
+        report = json.loads(Path("r.json").read_text())
+        assert (report["honest_chains_agree"], report["safety_violations"]) == (False, 0)
+
+    def test_forked_honest_chains_exit_2(self, runner, workdir, monkeypatch):
+        import ssiledger.cli as cli_mod
+        from ssiledger.ledger import Chain as LedgerChain
+        from ssiledger.simulation import run_simulation as real_run
+
+        def forked(*args, **kwargs):
+            report, sim = real_run(*args, **kwargs)
+            sim.nodes[2].chain = LedgerChain.new(genesis_timestamp=1)  # a different genesis: no prefix of the others
+            return report, sim
+
+        monkeypatch.setattr(cli_mod, "run_simulation", forked)
+        self._config(Path("c.json"))
+        self._workload(Path("w.json"))
+        result = invoke(
+            runner,
+            ["sim", "run", "--config", "c.json", "--seed", "1", "--workload", "w.json",
+             "--out", "r.json", "--horizon", "2000"],
+        )
+        assert result.exit_code == 2
+        assert "CONSENSUS SAFETY VIOLATION DETECTED" in result.output
 
     def test_safety_violation_exit_2(self, runner, workdir, monkeypatch):
         # a violating run cannot be produced honestly, so fake the report

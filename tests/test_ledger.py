@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Identity
-from ssiledger import ledger
+from ssiledger import canonical, ledger
 from ssiledger.canonical import UnsupportedType, canonicalize
 from ssiledger.consensus import Batch
 from ssiledger.crypto import Digest, ZERO_DIGEST, digest_of, sha256
@@ -19,6 +19,7 @@ from ssiledger.ledger import (
     EmptyBlock,
     EmptyLeaves,
     LedgerTransaction,
+    MalformedRecord,
     TxnType,
     build_block,
     merkle_proof,
@@ -28,7 +29,7 @@ from ssiledger.ledger import (
     verify_inclusion,
     write_chain,
 )
-from ssiledger.state import NodeState, did_reg_payload, verify_txn_signature
+from ssiledger.state import AttrType, NodeState, SchemaRecord, did_reg_payload, schema_payload, verify_txn_signature
 
 
 def h(n: int) -> Digest:
@@ -462,3 +463,165 @@ class TestFramedEncoding:
         txn = _txn(5)
         _assert_framed_matches_plain(txn)
         _assert_framed_matches_plain(_tamper(_warm(txn) if warm else txn, part))
+
+
+class TestLineFraming:
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_line_breaks_inside_strings_round_trip(self, tmp_path, char):
+        identity = Identity.create(f"framing-{ord(char)}")
+        document = dataclasses.replace(identity.document, endpoint=f"sim://a{char}b")
+        payload = did_reg_payload(identity.did, document)
+        txn = LedgerTransaction.create(TxnType.DID_REG, payload, identity.did, identity.signing_private, 1)
+        chain = Chain.new()
+        chain = chain.append(build_block(chain.head, [txn, _txn(2)], timestamp=3))
+        path = tmp_path / "net.ledger.jsonl"
+        write_chain(chain, path)
+        assert char.encode() in path.read_bytes()  # written raw, inside a string
+        reread = read_chain(path)
+        assert reread == chain and validate_chain(reread)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_line_cut_inside_a_string_is_unterminated(self, tmp_path, end):
+        lines = _chain(2).to_lines()
+        cut = lines[1].index("sim://") + 3
+        lines[1] = lines[1][:cut] + end + lines[1][cut:]
+        path = tmp_path / "net.ledger.jsonl"
+        path.write_bytes("\n".join(lines).encode() + b"\n")
+        with pytest.raises(json.JSONDecodeError, match="^Unterminated string starting at: line 1 column"):
+            read_chain(path)
+
+    def test_crlf_line_ends_are_read(self, tmp_path):
+        chain = _chain(3)
+        path = tmp_path / "net.ledger.jsonl"
+        path.write_bytes(b"".join(line.encode() + b"\r\n" for line in chain.to_lines()) + b"\r\n")
+        reread = read_chain(path)
+        assert reread == chain and validate_chain(reread)
+
+
+def _base_lines() -> list[dict]:
+    """A valid chain's lines, decoded: DID_REGs and a SCHEMA, whose payload holds lists."""
+    author = Identity.create("screen-author")
+    schema = SchemaRecord.create("screen", "1.0", [("ref", AttrType.STRING), ("year", AttrType.INTEGER)])
+    chain = _chain(2)
+    records = [_txn(7, author), LedgerTransaction.create(TxnType.SCHEMA, schema_payload(schema), author.did, author.signing_private, 8)]
+    chain = chain.append(build_block(chain.head, records, timestamp=9))
+    return [json.loads(line) for line in chain.to_lines()]
+
+
+BASE_LINES = _base_lines()
+
+
+def _leaves(value, prefix=()) -> list[tuple]:
+    """The key path of every scalar in a decoded value: header fields, record
+    fields and the payloads' members."""
+    if isinstance(value, dict):
+        return [path for key, item in value.items() for path in _leaves(item, prefix + (key,))]
+    if isinstance(value, list):
+        return [path for index, item in enumerate(value) for path in _leaves(item, prefix + (index,))]
+    return [prefix]
+
+
+def _shuffled(value, rng: random.Random):
+    """The same value with every map's keys in a random order."""
+    if isinstance(value, dict):
+        keys = list(value)
+        rng.shuffle(keys)
+        return {key: _shuffled(value[key], rng) for key in keys}
+    if isinstance(value, list):
+        return [_shuffled(item, rng) for item in value]
+    return value
+
+
+UPPER = "upper"  # the edit upper-cases the string there: hex ids and digests, DIDs, keys' values
+edit_values = st.sampled_from(
+    [1.5, 2.0, -0.0, 1e300, float("nan"), float("inf"), float("-inf"), "\ud800", "a\udfffb", UPPER, 7]
+) | st.floats()
+
+
+def _read(path, read_line):
+    """(the chain or the error read_chain raises, its verdict) for a file read line by line."""
+    try:
+        chain = read_line(path)
+    except MalformedRecord as exc:
+        return str(exc), None
+    try:
+        result = validate_chain(chain)
+    except Exception as exc:  # noqa: BLE001 - the two reads must fail alike
+        return chain, type(exc)
+    return chain, (result.ok, result.height, result.reason)
+
+
+def _plain_read(path) -> Chain:
+    """The unscreened read: plain ``json.loads`` and ``Block.from_dict`` per
+    line, so each payload is checked and encoded when first framed."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    return Chain(blocks=tuple(Block.from_dict(json.loads(line)) for line in lines if line.strip()))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (UnsupportedType, UnicodeEncodeError) as exc:
+        return type(exc)
+
+
+class TestScreenedRead:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_screened_read_equals_plain_read(self, tmp_path_factory, data):
+        rng = data.draw(st.randoms(use_true_random=False))
+        lines = []
+        for base in BASE_LINES:
+            block = json.loads(json.dumps(base))
+            for path, new in data.draw(st.lists(st.tuples(st.sampled_from(_leaves(block)), edit_values), max_size=3)):
+                *outer, last = path
+                container = block
+                for key in outer:
+                    container = container[key]
+                old = container[last]
+                if new == UPPER:
+                    new = old.upper() if isinstance(old, str) else old
+                container[last] = new
+            separators = data.draw(st.sampled_from([(",", ":"), (", ", ": "), (" , ", " :  ")]))
+            lines.append(json.dumps(_shuffled(block, rng), separators=separators))
+        path = tmp_path_factory.mktemp("screen") / "net.ledger.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        (screened, verdict), (plain, plain_verdict) = _read(path, read_chain), _read(path, _plain_read)
+        assert verdict == plain_verdict
+        if isinstance(plain, str):
+            assert screened == plain  # the same MalformedRecord message
+            return
+        pairs = [(a, b) for x, y in zip(screened.blocks, plain.blocks) for a, b in zip(x.txns, y.txns)]
+        assert len(pairs) == sum(len(block.txns) for block in plain.blocks)
+        for fast, reference in pairs:
+            assert fast.id_recomputes() is reference.id_recomputes()
+            assert _outcome(fast.leaf) == _outcome(reference.leaf)
+
+    @pytest.mark.parametrize("edit", [None, 1.5, float("nan")])
+    def test_float_free_lines_skip_the_check_walk(self, tmp_path, monkeypatch, edit):
+        lines = [json.loads(json.dumps(line)) for line in BASE_LINES]
+        if edit is not None:
+            lines[2]["txns"][0]["payload"]["document"]["metadata"] = {"x": edit}
+        path = tmp_path / "net.ledger.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n", encoding="utf-8")
+        checked = []
+        real_check = canonical._check
+
+        def counting(value):
+            checked.append(value)
+            return real_check(value)
+
+        monkeypatch.setattr(canonical, "_check", counting)
+        chain = read_chain(path)
+        result = validate_chain(chain)
+        header_keys = {"height", "merkle_root", "prev_hash", "timestamp"}
+        headers = [value for value in checked if isinstance(value, dict) and set(value) == header_keys]
+        records = [value for value in checked if not any(value is header for header in headers)]
+        if edit is None:
+            assert result.ok
+            assert len(headers) == len(chain.blocks) and records == []  # the block hashes alone
+        else:
+            # the flagged line's payloads take the checked encoding; its float fails the id check
+            assert (result.ok, result.height, result.reason) == (False, 2, ChainFault.BAD_MERKLE)
+            assert any(value is chain.blocks[2].txns[0].payload for value in records)

@@ -740,6 +740,21 @@ class TestReadSetFold:
         assert verify_credential(credential, fold_chain(chain)).reason == "Revoked"
         assert verify_credential(credential, fold_chain(chain, ledger_reads(credential))).reason == "Revoked"
 
+    def test_records_with_unhashable_reads_are_skipped(self):
+        # a SCHEMA authored by a list and a CRED_DEF issued by one: their handlers raise before they write
+        txns = [_adversarial_record(op, t) for t, op in enumerate(_UPPER_CASE_SCHEMA)]
+        schema = next(txn for txn in txns if txn.txn_type == TxnType.SCHEMA)
+        cred_def = next(txn for txn in txns if txn.txn_type == TxnType.CRED_DEF)
+        odd = [
+            dataclasses.replace(schema, author_did=["x"]),
+            dataclasses.replace(cred_def, payload={**cred_def.payload, "issuer_did": ["x"]}),
+        ]
+        chain = _chain_of(odd + txns)
+        reads = {schema.payload["schema_id"], cred_def.payload["cred_def_id"]}
+        closure, picked = _writers_of(odd + txns, reads)
+        assert not any(txn in picked for txn in odd)
+        assert _on(fold_chain(chain, reads), closure) == _on(fold_chain(chain), closure)
+
     def test_no_reads_fold_nothing(self):
         txns = [_adversarial_record(op, t) for t, op in enumerate(_UPPER_CASE_REVOCATION)]
         assert fold_chain(_chain_of(txns), set()) == NodeState()
