@@ -63,7 +63,7 @@ from .state import (
     schema_payload,
     verify_txn_signature,
 )
-from .wallet import Wallet
+from .wallet import MalformedWallet, PairwiseIdentity, UnknownRelation, Wallet
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,15 +109,31 @@ def _secret() -> bytes:
     return secret.encode()
 
 
+def _load_wallet(path: str) -> Wallet:
+    try:
+        return Wallet.load(path)
+    except (MalformedWallet, OSError) as exc:
+        _fail(f"cannot read wallet: {exc}")
+        raise AssertionError  # unreachable
+
+
 def _open_wallet(path: str) -> Wallet:
     if not Path(path).exists():
         _fail(f"wallet file {path} does not exist")
-    wallet = Wallet.load(path)
+    wallet = _load_wallet(path)
     try:
         wallet.unlock(_secret())
     except Exception as exc:
         _fail(f"cannot unlock wallet: {exc}", EXIT_AUTH)
     return wallet
+
+
+def _identity(wallet: Wallet, relation: str) -> PairwiseIdentity:
+    try:
+        return wallet.identity(relation)
+    except UnknownRelation:
+        _fail(f"wallet has no relation {relation!r}")
+        raise AssertionError  # unreachable
 
 
 def _valid_chain(path: str) -> Chain:
@@ -182,7 +198,7 @@ def wallet_unlock(wallet_path: str) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def wallet_list(wallet_path: str, as_json: bool) -> None:
     """List relations and held credentials (no secrets required)."""
-    w = Wallet.load(wallet_path)
+    w = _load_wallet(wallet_path)
     data = w.to_dict()
     listing = {
         "owner": w.owner_label,
@@ -333,7 +349,7 @@ def schema_publish(
     now_override: int | None,
 ) -> None:
     w = _open_wallet(wallet_path)
-    identity = w.identity(relation)
+    identity = _identity(w, relation)
     try:
         parsed = [(a.split(":", 1)[0], AttrType(a.split(":", 1)[1])) for a in attrs]
         record = SchemaRecord.create(schema_name, version, parsed)
@@ -370,7 +386,7 @@ def creddef_publish(
     now_override: int | None,
 ) -> None:
     w = _open_wallet(wallet_path)
-    identity = w.identity(relation)
+    identity = _identity(w, relation)
     _, state = _ledger_state(ledger_path)
     schema_record = get_schema(state, Digest.from_hex(schema_id_hex))
     if schema_record is None:
@@ -438,7 +454,7 @@ def cred_issue(
     now_override: int | None,
 ) -> None:
     w = _open_wallet(wallet_path)
-    identity = w.identity(relation)
+    identity = _identity(w, relation)
     _, state = _ledger_state(ledger_path)
     cred_def = get_cred_def(state, Digest.from_hex(cred_def_hex))
     if cred_def is None:
@@ -523,7 +539,7 @@ def cred_revoke(
 ) -> None:
     """Publish a revocation entry for a credential you issued."""
     w = _open_wallet(wallet_path)
-    identity = w.identity(relation)
+    identity = _identity(w, relation)
     credential = _parse(VerifiableCredential.from_dict, cred_file)
     _, state = _ledger_state(ledger_path)
     cred_def = get_cred_def(state, credential.cred_def_id)
@@ -601,7 +617,8 @@ def consent_record(
 ) -> None:
     owner = _open_wallet(owner_wallet)
     verifier = _open_wallet(verifier_wallet)
-    verifier_identity = verifier.identity(verifier_relation)
+    verifier_identity = _identity(verifier, verifier_relation)
+    _identity(owner, owner_relation)  # record_consent signs with it
     try:
         shared = [(a.split(":", 1)[0], AttrType(a.split(":", 1)[1])) for a in shared_attrs]
     except (IndexError, ValueError) as exc:

@@ -23,14 +23,16 @@ are out of scope.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Callable
 
+from .canonical import canonicalize, map_layout
 from .crypto import digest_of, sign, verify
-from .ledger import Chain, LedgerTransaction, build_block
-from .state import NodeState, apply_all, verify_txn_signature
+from .ledger import Chain, LedgerTransaction, _quoted_hex, build_block
+from .state import NodeState, fold_into, verify_txn_signature
 from .simnet import SimNetwork
 
 
@@ -84,10 +86,15 @@ class FaultPlan:
 # --- protocol messages -----------------------------------------------------
 
 
+_BATCH_LAYOUT = map_layout("control", "instance", "seq", "timestamp", "txns")
+
+
 @dataclass(frozen=True, slots=True)
 class Batch:
     """One instance's proposal. Its digest, computed once per object, commits
-    to the Merkle leaves of its txns, which hash each whole signed record."""
+    to the Merkle leaves of its txns, which hash each whole signed record: it
+    is ``digest_of`` the map {instance, seq, timestamp, txns: the leaves in
+    hex, control}, framed by its fixed layout."""
 
     instance: int
     seq: int
@@ -98,14 +105,10 @@ class Batch:
 
     def digest_hex(self) -> str:
         if self._digest is None:
-            body = {
-                "instance": self.instance,
-                "seq": self.seq,
-                "timestamp": self.timestamp,
-                "txns": [txn.leaf().hex for txn in self.txns],
-                "control": self.control,
-            }
-            object.__setattr__(self, "_digest", digest_of(body).hex)
+            leaves = b",".join([_quoted_hex(txn._leaf_bytes()) for txn in self.txns])
+            members = (self.control, self.instance, self.seq, self.timestamp)
+            body = _BATCH_LAYOUT % (*map(canonicalize, members), b"[%b]" % leaves)
+            object.__setattr__(self, "_digest", hashlib.sha256(body).hexdigest())
         return self._digest
 
 
@@ -292,9 +295,10 @@ class InstanceState:
     last_committed: int = 0  # highest contiguous committed seq
 
     def slot(self, seq: int) -> Slot:
-        if seq not in self.slots:
-            self.slots[seq] = Slot()
-        return self.slots[seq]
+        slot = self.slots.get(seq)
+        if slot is None:
+            slot = self.slots[seq] = Slot()
+        return slot
 
     def bump_committed(self) -> None:
         while (slot := self.slots.get(self.last_committed + 1)) is not None and slot.committed:
@@ -325,6 +329,7 @@ class ConsensusNode:
         self.log = log
         self.horizon = horizon
         self.peers = [n for n in sorted(node_keys) if n != node_id]
+        self.quorum = config.quorum
 
         self.chain = Chain.new(config.genesis_timestamp)
         self.state = (
@@ -376,7 +381,7 @@ class ConsensusNode:
             return False
         if not txn.id_recomputes() or not verify_txn_signature(self.state, txn):
             self.rejected_submissions += 1
-            self.log(self.net.now, self.id, "submit_rejected", {"txn_id": txn.txn_id.hex})
+            self.log(self.net.now, self.id, "submit_rejected", {"txn_id": txn.id_hex})
             return False
         self._admit(txn)
         return True
@@ -385,14 +390,14 @@ class ConsensusNode:
         if self.crashed:
             return
         txn = request.txn
-        if txn.txn_id.hex in self.first_seen:
+        if txn.id_hex in self.first_seen:
             return
         if not txn.id_recomputes() or not verify_txn_signature(self.state, txn):
             return
         self._admit(txn)
 
     def _admit(self, txn: LedgerTransaction) -> None:
-        txn_id = txn.txn_id.hex
+        txn_id = txn.id_hex
         if txn_id in self.first_seen:
             return
         self.first_seen[txn_id] = self.net.now
@@ -427,7 +432,7 @@ class ConsensusNode:
         seq = instance.next_seq
         instance.next_seq += 1
         for txn in candidates:
-            del instance.unproposed[txn.txn_id.hex]
+            del instance.unproposed[txn.id_hex]
         batch = Batch(instance_id, seq, self.net.now, tuple(candidates))
         if self.is_equivocating() and len(self.peers) >= 2:
             # same seq, conflicting content, to disjoint halves of the peers
@@ -467,53 +472,46 @@ class ConsensusNode:
             slot.preprepare_digest = digest
             slot.prepares[self.id] = digest
             self._broadcast(Prepare(instance_id, seq, digest))
-            self._check_prepared(instance_id, seq)
+            self._check_prepared(instance_id, seq, slot)
 
     def on_prepare(self, src: int, msg: Prepare) -> None:
         if self.crashed:
             return
         slot = self.instances[msg.instance].slot(msg.seq)
         slot.prepares.setdefault(src, msg.digest)
-        self._check_prepared(msg.instance, msg.seq)
+        self._check_prepared(msg.instance, msg.seq, slot)
 
-    def _check_prepared(self, instance_id: int, seq: int) -> None:
-        slot = self.instances[instance_id].slot(seq)
+    def _check_prepared(self, instance_id: int, seq: int, slot: Slot) -> None:
         if slot.commit_sent or slot.preprepare_digest is None:
             return
         digest = slot.preprepare_digest
-        matching = sum(1 for d in slot.prepares.values() if d == digest)
-        if matching >= self.config.quorum:
+        if list(slot.prepares.values()).count(digest) >= self.quorum:
             slot.commit_sent = True
             slot.commits[self.id] = digest
             self._broadcast(Commit(instance_id, seq, digest))
-            self._check_committed(instance_id, seq)
+            self._check_committed(instance_id, seq, slot, digest)
 
     def on_commit(self, src: int, msg: Commit) -> None:
         if self.crashed:
             return
         slot = self.instances[msg.instance].slot(msg.seq)
         slot.commits.setdefault(src, msg.digest)
-        self._check_committed(msg.instance, msg.seq)
+        self._check_committed(msg.instance, msg.seq, slot, msg.digest)
 
-    def _check_committed(self, instance_id: int, seq: int) -> None:
-        slot = self.instances[instance_id].slot(seq)
-        if slot.committed:
+    def _check_committed(self, instance_id: int, seq: int, slot: Slot, digest: str) -> None:
+        """Commit the slot if ``digest``, the one whose commits or body just
+        arrived, holds a commit quorum. Each node's first commit counts once,
+        so two digests can never both reach 2f+1 of 3f+1."""
+        if slot.committed or list(slot.commits.values()).count(digest) < self.quorum:
             return
-        counts: dict[str, int] = {}
-        for digest in slot.commits.values():
-            counts[digest] = counts.get(digest, 0) + 1
-        for digest, count in counts.items():
-            if count < self.config.quorum:
-                continue
-            if digest in slot.batches:
-                self._commit(instance_id, seq, digest)
-            elif not slot.fetch_requested:
-                # commit certificate without the body: fetch it from a committer
-                slot.fetch_requested = True
-                holders = sorted(n for n, d in slot.commits.items() if d == digest and n != self.id)
-                if holders:
-                    self.net.send(self.id, holders[0], FetchBatch(instance_id, seq, digest))
-            return
+        if digest in slot.batches:
+            self._commit(instance_id, seq, digest)
+        elif not slot.fetch_requested:
+            # commit certificate without the body: fetch it from a committer
+            slot.fetch_requested = True
+            holders = sorted(n for n, d in slot.commits.items() if d == digest and n != self.id)
+            if holders:
+                self.net.send(self.id, holders[0], FetchBatch(instance_id, seq, digest))
 
     def on_fetch(self, src: int, msg: FetchBatch) -> None:
         if self.crashed:
@@ -529,8 +527,9 @@ class ConsensusNode:
         # keyed by the batch's actual digest: a wrong body can never satisfy
         # the commit certificate it was fetched for
         slot = self.instances[msg.instance].slot(msg.seq)
-        slot.batches[msg.batch.digest_hex()] = msg.batch
-        self._check_committed(msg.instance, msg.seq)
+        digest = msg.batch.digest_hex()
+        slot.batches[digest] = msg.batch
+        self._check_committed(msg.instance, msg.seq, slot, digest)
 
     def _commit(self, instance_id: int, seq: int, digest: str) -> None:
         instance = self.instances[instance_id]
@@ -556,18 +555,24 @@ class ConsensusNode:
         self.try_execute()
 
     def _batch_latency(self, batch: Batch) -> float:
-        times = [
-            self.net.now - self.first_seen.get(txn.txn_id.hex, batch.timestamp)
-            for txn in batch.txns
-        ]
-        return sum(times) / len(times) if times else float(self.net.now - batch.timestamp)
+        """Mean ms from first sight to now over the batch's txns: the integer
+        sum of the latencies over their count."""
+        count = len(batch.txns)
+        if not count:
+            return float(self.net.now - batch.timestamp)
+        first_seen, default = self.first_seen, batch.timestamp
+        seen = sum([first_seen.get(txn.id_hex, default) for txn in batch.txns])
+        return (self.net.now * count - seen) / count
 
     def on_exec_ready(self, src: int, msg: ExecReady) -> None:
         if self.crashed:
             return
         slot = self.instances[msg.instance].slot(msg.seq)
         slot.exec_readies.setdefault(src, msg.digest)
-        self.try_execute()
+        # every handler leaves execution at its fixed point, so only the
+        # master's next slot can have become executable
+        if msg.instance == self.master_instance and msg.seq == self.exec_cursor[msg.instance] + 1:
+            self.try_execute()
 
     # -- instance change
 
@@ -648,13 +653,13 @@ class ConsensusNode:
         batch ordered through its own instance."""
         epoch = self.epoch + 1
         votes = self.votes.get(epoch, {})
-        if len(votes) < self.config.quorum or epoch in self.cert_proposed_epochs:
+        if len(votes) < self.quorum or epoch in self.cert_proposed_epochs:
             return
         new_master = self._backup_id()
         instance = self.instances[new_master]
         if instance.primary != self.id or self.crashed:
             return
-        chosen = sorted(votes)[: self.config.quorum]
+        chosen = sorted(votes)[: self.quorum]
         cert_votes = [votes[v] for v in chosen]
         cutover = max(v.last_committed for v in cert_votes)
         self.cert_proposed_epochs.add(epoch)
@@ -677,7 +682,7 @@ class ConsensusNode:
             if control["epoch"] != self.epoch + 1:
                 return False
             votes = [InstanceChangeVote.from_dict(v) for v in control["votes"]]
-            if len({v.voter for v in votes}) < self.config.quorum:
+            if len({v.voter for v in votes}) < self.quorum:
                 return False
             for vote in votes:
                 if vote.epoch != control["epoch"] or vote.new_master != control["new_master"]:
@@ -707,8 +712,7 @@ class ConsensusNode:
     # -- execution
 
     def _exec_ready_quorum(self, slot: Slot) -> bool:
-        digest = slot.committed_digest
-        return sum(1 for d in slot.exec_readies.values() if d == digest) >= self.config.quorum
+        return list(slot.exec_readies.values()).count(slot.committed_digest) >= self.quorum
 
     def try_execute(self) -> None:
         progress = True
@@ -749,21 +753,24 @@ class ConsensusNode:
         batch = slot.batches[slot.committed_digest]
         if batch.control is not None:
             return
+        applied, pending = self.applied, self.pending
+        pools = [instance.unproposed for instance in self.instances.values() if instance.unproposed]
         fresh = []
         for txn in batch.txns:
-            txn_id = txn.txn_id.hex
-            if txn_id in self.applied:
+            txn_id = txn.id_hex
+            if txn_id in applied:
                 continue
-            self.applied.add(txn_id)
-            self.pending.pop(txn_id, None)
-            for instance in self.instances.values():
-                instance.unproposed.pop(txn_id, None)
+            applied.add(txn_id)
+            pending.pop(txn_id, None)
+            for pool in pools:
+                pool.pop(txn_id, None)
             fresh.append(txn)
-        self.state, rejections = apply_all(self.state, fresh)
-        accepted = [txn for txn, rejection in zip(fresh, rejections) if rejection is None]
-        for txn, rejection in zip(fresh, rejections):
-            if rejection is not None:
-                detail = {"txn_id": txn.txn_id.hex, "reason": rejection.value}
+        accepted = []
+        for txn, rejection in zip(fresh, fold_into(self.state, fresh)):
+            if rejection is None:
+                accepted.append(txn)
+            else:
+                detail = {"txn_id": txn.id_hex, "reason": rejection.value}
                 self.log(self.net.now, self.id, "txn_rejected", detail)
         if accepted:
             block = build_block(self.chain.head, accepted, batch.timestamp)
@@ -791,24 +798,28 @@ class ConsensusNode:
             self.on_monitor_tick()
 
     def on_message(self, src: int, message: Any) -> None:
-        handler = _HANDLERS.get(type(message))
-        if handler is None:
+        kind = type(message)
+        if kind is Request and message.txn.id_hex in self.first_seen:
+            return  # a Request for a txn already seen, most of the gossip: ``on_request`` would drop it
+        entry = _HANDLERS.get(kind)
+        if entry is None:
             return
-        instance = getattr(message, "instance", None)
-        if instance is not None and instance not in self.instances:
+        handler, per_instance = entry
+        if per_instance and message.instance not in self.instances:
             return
         getattr(self, handler)(src, message)
 
 
-# message type -> the ConsensusNode method that handles it, looked up by name
-# on each call so that a handler patched on the class or the node is honoured
+# message type -> (the ConsensusNode method that handles it, whether the message
+# names an instance). The method is looked up by name on each call, so that a
+# handler patched on the class or the node is honoured.
 _HANDLERS = {
-    Request: "on_request",
-    PrePrepare: "on_preprepare",
-    Prepare: "on_prepare",
-    Commit: "on_commit",
-    ExecReady: "on_exec_ready",
-    InstanceChangeVote: "on_vote",
-    FetchBatch: "on_fetch",
-    BatchReply: "on_batch_reply",
+    Request: ("on_request", False),
+    PrePrepare: ("on_preprepare", True),
+    Prepare: ("on_prepare", True),
+    Commit: ("on_commit", True),
+    ExecReady: ("on_exec_ready", True),
+    InstanceChangeVote: ("on_vote", False),
+    FetchBatch: ("on_fetch", True),
+    BatchReply: ("on_batch_reply", True),
 }

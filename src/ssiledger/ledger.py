@@ -70,19 +70,31 @@ def _quoted_hex(raw: bytes) -> bytes:
     return b'"%s"' % raw.hex().encode()
 
 
+def _hex_field(text: Any) -> bytes:
+    """The bytes of a stored hex field, which must be exactly their ``hex()``:
+    the hashes render these fields in lower case, so an upper-case digit or a
+    space that ``bytes.fromhex`` would accept must not reach them."""
+    raw = bytes.fromhex(text)
+    if raw.hex() != text:
+        raise ValueError(f"hex field {text!r} is not lower-case hex")
+    return raw
+
+
 @dataclass(frozen=True, slots=True)
 class LedgerTransaction:
     """A typed public record, signed by its author over the canonical payload.
 
-    Its payload bytes, id check and Merkle leaf are cached on first use (the
-    bytes at decode, for a record read from a float-free line), and so is a
-    DID_REG's self-certification (``_did_document``: the parsed document
-    whose key derives the registered DID, or False when it does not; filled by
-    ``state``, never from a payload that fails to parse). So the payload must
-    never be mutated in place: derive a changed record with
-    ``dataclasses.replace``, whose caches start empty. The payload bytes are its
-    only full encoding: the signature covers them, the id and leaf frame them.
-    No signature verdict is cached: every node verifies for itself."""
+    Its payload bytes, id check, id hex and Merkle leaf are cached on first use
+    (the bytes at decode, for a record read from a float-free line), and so are
+    two facts ``state`` derives from the payload: a DID_REG's self-certification
+    (``_did_document``: the parsed document whose key derives the registered
+    DID, or False when it does not; never from a payload that fails to parse)
+    and the payload's map-key names (``_key_names``, which the privacy lint
+    tests against each node's own deny list). So the payload must never be
+    mutated in place: derive a changed record with ``dataclasses.replace``,
+    whose caches start empty. The payload bytes are its only full encoding: the
+    signature covers them, the id and leaf frame them. No verdict is cached:
+    every node verifies for itself."""
 
     txn_type: TxnType
     payload: Any
@@ -94,6 +106,8 @@ class LedgerTransaction:
     _id_ok: bool | None = field(default=None, init=False, repr=False, compare=False)
     _leaf: bytes | None = field(default=None, init=False, repr=False, compare=False)
     _did_document: Any = field(default=None, init=False, repr=False, compare=False)
+    _key_names: frozenset | None = field(default=None, init=False, repr=False, compare=False)
+    _id_hex: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def compute_id(txn_type: TxnType, payload: Any, author_did: str, timestamp: int) -> Digest:
@@ -121,6 +135,13 @@ class LedgerTransaction:
         )
         object.__setattr__(txn, "_payload_bytes", payload_bytes)
         return txn
+
+    @property
+    def id_hex(self) -> str:
+        """``txn_id.hex``, rendered once per record."""
+        if self._id_hex is None:
+            object.__setattr__(self, "_id_hex", self.txn_id.value.hex())
+        return self._id_hex
 
     def _payload(self) -> bytes:
         if self._payload_bytes is None:
@@ -194,9 +215,9 @@ def _txn_from_dict(data: dict, screened: bool) -> LedgerTransaction:
         txn_type = (type(kind) is str and _TXN_TYPES.get(kind)) or TxnType(kind)  # the call raises the enum's error
         payload = data["payload"]
         author_did = data["author_did"]
-        signature = bytes.fromhex(data["author_signature"])
+        signature = _hex_field(data["author_signature"])
         timestamp = data["timestamp"]
-        txn_id = Digest(bytes.fromhex(data["txn_id"]))
+        txn_id = Digest(_hex_field(data["txn_id"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedRecord(f"bad transaction record: {exc}") from exc
     payload_bytes = None
@@ -206,7 +227,7 @@ def _txn_from_dict(data: dict, screened: bool) -> LedgerTransaction:
         except UnicodeEncodeError:
             pass
     txn = object.__new__(LedgerTransaction)
-    values = (txn_type, payload, author_did, signature, timestamp, txn_id, payload_bytes, None, None, None)
+    values = (txn_type, payload, author_did, signature, timestamp, txn_id, payload_bytes, None, None, None, None, None)
     for store, value in zip(_SLOT_STORES, values):
         store(txn, value)
     return txn
@@ -311,11 +332,11 @@ class Block:
         try:
             return cls(
                 height=data["height"],
-                prev_hash=Digest.from_hex(data["prev_hash"]),
-                merkle_root=Digest.from_hex(data["merkle_root"]),
+                prev_hash=Digest(_hex_field(data["prev_hash"])),
+                merkle_root=Digest(_hex_field(data["merkle_root"])),
                 timestamp=data["timestamp"],
                 txns=tuple(_txn_from_dict(t, screened) for t in data["txns"]),
-                block_hash=Digest.from_hex(data["block_hash"]),
+                block_hash=Digest(_hex_field(data["block_hash"])),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedRecord(f"bad block record: {exc}") from exc
@@ -361,26 +382,49 @@ class ChainValidation:
 VALID = ChainValidation(ok=True)
 
 
-@dataclass(frozen=True)
 class Chain:
-    """An immutable sequence of blocks; append returns a new chain value."""
+    """A sequence of blocks used as a value: ``append`` returns a new chain and
+    leaves this one as it was. Chains made by appending share one block list,
+    so appending at its end costs O(1); appending to a chain that is no longer
+    at the end of its list copies its blocks first."""
 
-    blocks: tuple[Block, ...]
+    __slots__ = ("_list", "_length", "_tuple")
+
+    def __init__(self, blocks: Iterable[Block]):
+        self._tuple = blocks if type(blocks) is tuple else None
+        self._list = list(blocks)
+        self._length = len(self._list)
 
     @classmethod
     def new(cls, genesis_timestamp: int = 0) -> "Chain":
         return cls(blocks=(Block.genesis(genesis_timestamp),))
 
     @property
+    def blocks(self) -> tuple[Block, ...]:
+        if self._tuple is None:
+            self._tuple = tuple(self._list[: self._length])
+        return self._tuple
+
+    @property
     def head(self) -> Block:
-        return self.blocks[-1]
+        return self._list[self._length - 1]
 
     @property
     def height(self) -> int:
         return self.head.height
 
     def append(self, block: Block) -> "Chain":
-        return Chain(blocks=self.blocks + (block,))
+        blocks = self._list if len(self._list) == self._length else self._list[: self._length]
+        blocks.append(block)
+        chain = object.__new__(Chain)
+        chain._list, chain._length, chain._tuple = blocks, self._length + 1, None
+        return chain
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Chain) and self.blocks == other.blocks
+
+    def __repr__(self) -> str:
+        return f"Chain(blocks={self.blocks!r})"
 
     def txn_count(self) -> int:
         return sum(len(block.txns) for block in self.blocks)

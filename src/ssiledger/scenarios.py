@@ -156,6 +156,7 @@ class ScenarioRunner:
     # -- ledger interaction
 
     def ledger_view(self):
+        """Node 0's live state: later commits change it in place, so read it now."""
         return self.sim.nodes[0].state
 
     def _commit(self, actor: str, action: str, txn: LedgerTransaction, detail: dict | None = None) -> bool:

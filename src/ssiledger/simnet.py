@@ -1,15 +1,18 @@
 """Deterministic in-process network simulation.
 
 Simulated time is integer milliseconds. Every message delivery, timer, and
-injected event sits in one priority queue ordered by (time, sequence counter),
-and all latency/drop sampling comes from a single seeded RNG, so a run is a
-pure function of (seed, configuration, injected events).
+injected event is popped in (time, sequence counter) order, and all
+latency/drop sampling comes from a single seeded RNG, so a run is a pure
+function of (seed, configuration, injected events). Injected events, often a
+whole workload scheduled ahead, wait in a heap of their own, so the heap that
+every message and timer goes through holds only what is in flight.
 
 A send makes exactly the draws of ``rng.random() < drop_prob`` (on a lossy
 link only) and ``rng.randint(lo, max(lo, hi))``: its latency is ``lo`` plus
-``rng._randbelow(width)``, the one draw ``randint`` makes. Each link's band,
-scaled by its sender's slow factor, is worked out once, when the network is
-built.
+the one draw ``randint`` makes, ``rng._randbelow(width)``, which is inlined:
+``getrandbits(width.bit_length())`` until the result is below ``width``. Each
+link's band, scaled by its sender's slow factor, is worked out once, when the
+network is built.
 
 Per-link latency profiles, drop probabilities, outbound slow-down factors and
 partition windows are the fault-injection surface the consensus tests drive.
@@ -66,7 +69,8 @@ class Partition:
 
 class SimEvent(NamedTuple):
     """A queued event, and its own heap entry: ``seq`` is unique, so the heap
-    orders by (time, seq) and never compares payloads."""
+    orders by (time, seq) and never compares payloads. Entries are built with
+    ``tuple.__new__``, which skips the Python-level ``__new__`` and its defaults."""
 
     time: int
     seq: int
@@ -99,16 +103,22 @@ class NetworkConfig:
         return profile.drop_prob, low, max(low, high) - low + 1
 
 
+_entry = tuple.__new__  # _entry(SimEvent, fields): a SimEvent heap entry
+
+
 class SimNetwork:
     """Event queue plus link model. The network owns simulated time."""
 
     def __init__(self, config: NetworkConfig, seed: int):
         self.config = config
         self.rng = random.Random(seed)
-        self._randbelow = self.rng._randbelow  # the one draw randint(lo, hi) makes
-        self._bands = [[config.band(src, dst) for dst in range(config.n)] for src in range(config.n)]
+        self._getrandbits = self.rng.getrandbits
+        bands = [[config.band(src, dst) for dst in range(config.n)] for src in range(config.n)]
+        # each band with the bits of one draw below its width
+        self._bands = [[(*band, band[2].bit_length()) for band in row] for row in bands]
         self.now = 0
-        self._queue: list[SimEvent] = []
+        self._queue: list[SimEvent] = []  # messages and timers
+        self._injected: list[SimEvent] = []
         self._counter = 0
         self.sent = 0
         self.dropped = 0
@@ -121,12 +131,15 @@ class SimNetwork:
             if partition.blocks(now, src, dst):
                 self.dropped += 1
                 return
-        drop_prob, low, width = self._bands[src][dst]
+        drop_prob, low, width, bits = self._bands[src][dst]
         if drop_prob > 0 and self.rng.random() < drop_prob:
             self.dropped += 1
             return
+        draw = self._getrandbits(bits)
+        while draw >= width:
+            draw = self._getrandbits(bits)
         self._counter += 1
-        heappush(self._queue, SimEvent(now + low + self._randbelow(width), self._counter, DELIVER, dst, message, src))
+        heappush(self._queue, _entry(SimEvent, (now + low + draw, self._counter, DELIVER, dst, message, src)))
 
     def broadcast(self, src: int, peers: Iterable[int], message: Any) -> None:
         for dst in peers:
@@ -134,19 +147,24 @@ class SimNetwork:
 
     def timer(self, node: int, delay: int, payload: Any) -> None:
         self._counter += 1
-        heappush(self._queue, SimEvent(self.now + delay, self._counter, TIMER, node, payload))
+        heappush(self._queue, _entry(SimEvent, (self.now + delay, self._counter, TIMER, node, payload, -1)))
 
     def inject(self, at: int, kind: str, node: int, payload: Any) -> None:
         """Schedule an external event (client submission, fault activation)."""
         self._counter += 1
-        heappush(self._queue, SimEvent(max(at, self.now), self._counter, kind, node, payload))
+        heappush(self._injected, _entry(SimEvent, (max(at, self.now), self._counter, kind, node, payload, -1)))
 
     def pop(self) -> SimEvent | None:
-        if not self._queue:
+        """The earliest event of the two heaps: seqs are unique, so no two entries tie."""
+        queue, injected = self._queue, self._injected
+        if injected and (not queue or injected[0] < queue[0]):
+            event = heappop(injected)
+        elif queue:
+            event = heappop(queue)
+        else:
             return None
-        event = heappop(self._queue)
         self.now = event.time
         return event
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self._queue) + len(self._injected)

@@ -85,16 +85,17 @@ class Simulation:
     def run(self) -> None:
         """Drain the event queue. Recurring timers stop at the horizon, so
         this terminates once all in-flight work settles."""
+        network, nodes = self.network, self.nodes
         processed = 0
         while True:
-            event = self.network.pop()
+            event = network.pop()
             if event is None:
                 return
             processed += 1
             if processed > MAX_EVENTS:
                 raise RuntimeError("event budget exceeded; simulation is not settling")
             _, _, kind, node_id, payload, src = event
-            node = self.nodes[node_id]
+            node = nodes[node_id]
             if kind == DELIVER:
                 node.on_message(src, payload)
             elif kind == TIMER:

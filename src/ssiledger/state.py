@@ -2,9 +2,9 @@
 
 Committed transactions fold into a ``NodeState``: the DID registry, published
 schemas and credential definitions, revocation registries, and consent-proof
-records. ``apply`` is total and deterministic — every (state, txn) pair yields
-either a new state or an unchanged state plus a rejection reason — so nodes
-that execute the same committed sequence hold byte-identical state.
+records. ``fold_into`` is total and deterministic — every txn either applies
+or leaves no trace and yields a rejection reason — so nodes that execute the
+same committed sequence hold byte-identical state.
 
 Write rules enforce the privacy constraint: nothing private goes on the
 ledger, not even hashed. ``privacy_lint`` is a deny-list tripwire over payload
@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -197,8 +197,9 @@ def registry_id_for(cred_def_id: Digest) -> Digest:
 @dataclass(frozen=True)
 class RevocationRegistryState:
     """Hash-set accumulator of revoked credentials for one credential
-    definition. Append-only: entries are never removed. Inside ``apply_all``
-    a registry it touched holds a working ``set``, frozen again at the end."""
+    definition. Append-only: entries are never removed. A ``frozenset`` may be
+    shared between states; a fold that touches the registry gives its state a
+    working ``set``, which ``NodeState.copy`` and ``apply_all`` freeze again."""
 
     registry_id: Digest
     cred_def_id: Digest
@@ -240,16 +241,68 @@ def privacy_lint(payload: Any, denied_fields: frozenset[str] = DEFAULT_DENIED_FI
     return None
 
 
-@dataclass(frozen=True)
+def _map_keys(value: Any, keys: set) -> set:
+    """``keys`` plus every map key at any depth of ``value``: the names ``privacy_lint`` tests."""
+    if isinstance(value, dict):
+        keys.update(value)
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return keys
+    for item in value:
+        if isinstance(item, (dict, list, tuple)):
+            _map_keys(item, keys)
+    return keys
+
+
+# one shared object per distinct key set, so a record's cached names cost one pointer
+_shared_key_set = lru_cache(maxsize=256)(lambda keys: keys)
+
+
+def _key_names(txn: LedgerTransaction) -> frozenset:
+    """The map keys of a record's payload, walked once per record and cached
+    on it: a payload is never mutated in place. ``privacy_lint`` of the payload
+    is not None exactly when they meet the denied fields or hold
+    ``attributes_values``."""
+    keys = txn._key_names
+    if keys is None:
+        keys = _shared_key_set(frozenset(_map_keys(txn.payload, set())))
+        object.__setattr__(txn, "_key_names", keys)
+    return keys
+
+
+def _frozen(registries: dict) -> dict:
+    """The registries, each working ``set`` of revoked hashes frozen."""
+    return {
+        key: replace(registry, revoked=frozenset(registry.revoked)) if isinstance(registry.revoked, set) else registry
+        for key, registry in registries.items()
+    }
+
+
+@dataclass
 class NodeState:
-    """Immutable snapshot of the replicated state. ``apply`` returns new values."""
+    """The replicated state. A consensus node owns one and folds each executed
+    batch into it in place (``fold_into``), so a node's state is live: it is
+    not a snapshot, and a reader that must keep a value takes ``copy()``.
+    ``apply_all`` and ``apply`` fold into a copy and leave their input as it was."""
 
     dids: dict = field(default_factory=dict)
     schemas: dict = field(default_factory=dict)
     cred_defs: dict = field(default_factory=dict)
     registries: dict = field(default_factory=dict)
-    consent_proofs: tuple[ConsentProofRecord, ...] = ()
+    consent_proofs: list[ConsentProofRecord] = field(default_factory=list)
     denied_fields: frozenset[str] = DEFAULT_DENIED_FIELDS
+
+    def copy(self) -> "NodeState":
+        """An independent copy: new maps, and each registry's revoked set
+        frozen, so folding into either state leaves the other as it was."""
+        return NodeState(
+            dict(self.dids),
+            dict(self.schemas),
+            dict(self.cred_defs),
+            _frozen(self.registries),
+            list(self.consent_proofs),
+            self.denied_fields,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -313,33 +366,36 @@ def get_schema(state: NodeState, schema_id: Digest) -> SchemaRecord | None:
     return state.schemas.get(schema_id.hex)
 
 
-def apply_all(
-    state: NodeState, txns: Iterable[LedgerTransaction]
-) -> tuple[NodeState, list[RejectReason | None]]:
-    """Fold committed transactions into the state in order: the new state, and per
-    txn None if it applied or the reason it was rejected. Never raises: unparseable
-    payloads reject as Malformed. The maps, and the revoked set of each registry a
-    txn touches, are copied once per call, and handlers check before they write, so
-    a rejected txn leaves no trace and the input state is never mutated."""
-    work = replace(state, dids=dict(state.dids), schemas=dict(state.schemas), cred_defs=dict(state.cred_defs),
-                   registries=dict(state.registries), consent_proofs=list(state.consent_proofs))
+def fold_into(state: NodeState, txns: Iterable[LedgerTransaction]) -> list[RejectReason | None]:
+    """Fold committed transactions into ``state`` in place, in order: per txn
+    None if it applied or the reason it was rejected. Never raises: unparseable
+    payloads reject as Malformed. Handlers check before they write, so a
+    rejected txn leaves no trace."""
+    lint = state.denied_fields | {"attributes_values"}
     reasons: list[RejectReason | None] = []
     for txn in txns:
         try:
-            private = privacy_lint(txn.payload, state.denied_fields) is not None
-            reasons.append(RejectReason.PRIVACY_VIOLATION if private else _HANDLERS[txn.txn_type](work, txn))
+            private = not _key_names(txn).isdisjoint(lint)
+            reasons.append(RejectReason.PRIVACY_VIOLATION if private else _HANDLERS[txn.txn_type](state, txn))
         except (KeyError, ValueError, TypeError, AttributeError):
             reasons.append(RejectReason.MALFORMED)
-    registries = {
-        key: replace(registry, revoked=frozenset(registry.revoked)) if isinstance(registry.revoked, set) else registry
-        for key, registry in work.registries.items()
-    }
-    return replace(work, registries=registries, consent_proofs=tuple(work.consent_proofs)), reasons
+    return reasons
+
+
+def apply_all(
+    state: NodeState, txns: Iterable[LedgerTransaction]
+) -> tuple[NodeState, list[RejectReason | None]]:
+    """``fold_into`` a copy of ``state``, for callers that keep their input:
+    the new state, its registries frozen, and the per-txn reasons."""
+    work = state.copy()
+    reasons = fold_into(work, txns)
+    work.registries = _frozen(work.registries)
+    return work, reasons
 
 
 def apply(state: NodeState, txn: LedgerTransaction) -> tuple[NodeState, RejectReason | None]:
-    """Fold one committed transaction into the state: ``apply_all`` of one txn.
-    Returns (new_state, None), or (state unchanged, reason) on rejection."""
+    """Fold one committed transaction into a copy of the state: ``apply_all`` of
+    one txn. Returns (new_state, None), or (state unchanged, reason) on rejection."""
     new_state, (reason,) = apply_all(state, (txn,))
     return (new_state, None) if reason is None else (state, reason)
 
@@ -419,7 +475,7 @@ def _apply_revoc_entry(state: NodeState, txn: LedgerTransaction) -> RejectReason
     hashes = [Digest.from_hex(h) for h in payload["revoked"]]
     registry_key = cred_def.registry_key
     registry = state.registries[registry_key]
-    if not isinstance(registry.revoked, set):  # first touch in this apply_all call
+    if not isinstance(registry.revoked, set):  # first touch in this state: the frozenset may be shared
         registry = state.registries[registry_key] = replace(registry, revoked=set(registry.revoked))
     registry.revoked.update(hashes)
     return None

@@ -66,6 +66,10 @@ class UnknownRelation(WalletError):
     pass
 
 
+class MalformedWallet(WalletError):
+    """A wallet file whose content does not decode into a wallet."""
+
+
 class CredentialNotStored(WalletError):
     """Credential failed verification at storage time."""
 
@@ -348,5 +352,11 @@ class Wallet:
 
     @classmethod
     def load(cls, path: str | Path) -> "Wallet":
-        """Read a wallet file; the result is locked until ``unlock``."""
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a wallet file; the result is locked until ``unlock``. Content
+        that does not decode into a wallet raises ``MalformedWallet``."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            canonical_json(data)  # ``save`` wrote it: a value the encoding rejects is a hand edit
+            return cls.from_dict(data)
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+            raise MalformedWallet(f"{path} is not a wallet file: {type(exc).__name__}: {exc}") from exc

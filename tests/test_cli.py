@@ -617,3 +617,80 @@ class TestScenarioCommand:
         second = invoke(runner, ["scenario", "run", "medical", "--seed", "2", "--json"])
         assert first.exit_code == 0
         assert first.output == second.output
+
+
+class TestUnknownRelation:
+    """A relation the wallet does not hold: one ``error:`` line, exit 1, and
+    the ledger file untouched."""
+
+    def _commands(self, setup):
+        wallet = ["--wallet", "issuer.wallet.json", "--relation", "nobody", "--ledger", "net.ledger.jsonl"]
+        consent = ["consent", "record", "--owner-wallet", "holder.wallet.json", "--verifier-wallet", "issuer.wallet.json",
+                   "--ledger", "net.ledger.jsonl", "--shared", "degree:string", "--purpose", "hiring", "--out", "c.json"]
+        return {
+            "schema publish": ["schema", "publish", *wallet, "--name", "n", "--attr", "a:string"],
+            "creddef publish": ["creddef", "publish", *wallet, "--schema-id", setup["schema_id"]],
+            "cred issue": ["cred", "issue", *wallet, "--cred-def", setup["cred_def_id"], "--subject",
+                           setup["holder_did"], "--attr", "degree=BSc", "--out", "x.json"],
+            "cred revoke": ["cred", "revoke", *wallet, "alice.cred.json"],
+            "consent record verifier": consent + ["--owner-relation", "employer", "--verifier-relation", "nobody"],
+            "consent record owner": consent + ["--owner-relation", "nobody", "--verifier-relation", "public"],
+        }
+
+    @pytest.mark.parametrize(
+        "command",
+        ["schema publish", "creddef publish", "cred issue", "cred revoke", "consent record verifier", "consent record owner"],
+    )
+    def test_one_error_line(self, runner, workdir, issuer_setup, command):
+        assert _issue(runner, issuer_setup).exit_code == 0
+        ledger = Path("net.ledger.jsonl").read_bytes()
+        result = invoke(runner, self._commands(issuer_setup)[command])
+        assert (result.exit_code, result.output) == (1, "error: wallet has no relation 'nobody'\n")
+        assert Path("net.ledger.jsonl").read_bytes() == ledger
+
+
+class TestUnreadableWallet:
+    CONTENTS = {
+        "5": "TypeError: 'int' object is not subscriptable",
+        "[1]": "TypeError: list indices must be integers or slices, not str",
+        "{}": "KeyError: 'kdf'",
+        "not json": "JSONDecodeError: Expecting value: line 1 column 1 (char 0)",
+    }
+
+    @pytest.mark.parametrize("content", sorted(CONTENTS))
+    @pytest.mark.parametrize(
+        "args", [["wallet", "list", "--wallet", "w.json"], ["did", "new", "--wallet", "w.json", "--relation", "r"]]
+    )
+    def test_one_error_line(self, runner, workdir, args, content):
+        Path("w.json").write_text(content)
+        result = invoke(runner, args)
+        expected = f"error: cannot read wallet: w.json is not a wallet file: {self.CONTENTS[content]}\n"
+        assert (result.exit_code, result.output) == (1, expected)
+        assert Path("w.json").read_text() == content
+
+    def test_value_the_encoding_rejects(self, runner, workdir):
+        assert invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "o"]).exit_code == 0
+        data = json.loads(Path("w.json").read_text())
+        Path("w.json").write_text(json.dumps({**data, "owner_label": 1.5}))
+        result = invoke(runner, ["wallet", "list", "--wallet", "w.json", "--json"])
+        expected = "error: cannot read wallet: w.json is not a wallet file: UnsupportedType: float not allowed in canonical values at $.owner_label\n"
+        assert (result.exit_code, result.output) == (1, expected)
+
+
+@pytest.mark.parametrize("field", ["txn_id", "author_signature", "prev_hash", "merkle_root", "block_hash"])
+def test_hex_in_upper_case_fails_the_read(runner, workdir, issuer_setup, field):
+    """Bit 0x20 of one hex letter flipped: the same bytes, so no hash would
+    see it; the read refuses the file."""
+    assert _issue(runner, issuer_setup).exit_code == 0
+    lines = Path("net.ledger.jsonl").read_text(encoding="utf-8").splitlines()
+    block = json.loads(lines[1])
+    holder = block["txns"][0] if field in ("txn_id", "author_signature") else block
+    i = next(i for i, char in enumerate(holder[field]) if char in "abcdef")
+    holder[field] = holder[field][:i] + holder[field][i].upper() + holder[field][i + 1 :]
+    lines[1] = json.dumps(block)
+    Path("net.ledger.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for args in (["cred", "verify", "alice.cred.json"], ["ledger", "state"]):
+        result = invoke(runner, args + ["--ledger", "net.ledger.jsonl"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: cannot read ledger net.ledger.jsonl: ") and result.output.count("\n") == 1
+        assert "is not lower-case hex" in result.output

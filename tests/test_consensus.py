@@ -4,15 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Identity
 from ssiledger.consensus import ConsensusConfig, FaultPlan, PerfMonitor, Request
 from ssiledger.crypto import sha256
-from ssiledger.simnet import NetworkConfig
+from ssiledger.ledger import LedgerTransaction, TxnType
+from ssiledger.simnet import LinkProfile, NetworkConfig, Partition
 from ssiledger.simulation import (
     Simulation,
     WorkloadItem,
     parse_config,
     run_simulation,
     synthetic_did_workload,
+)
+from ssiledger.state import (
+    AttrType,
+    CredDefRecord,
+    SchemaRecord,
+    cred_def_payload,
+    did_reg_payload,
+    fold_chain,
+    resolve_did,
+    schema_payload,
 )
 
 FAST = ConsensusConfig(f=1, batch_max=5, batch_timeout=50)
@@ -372,3 +384,69 @@ class TestUnencodableSubmission:
         node = sim.nodes[2]
         node.on_request(1, Request(bad))  # a peer's gossip is dropped the same way
         assert bad.txn_id.hex not in node.first_seen and bad.txn_id.hex not in node.pending
+
+
+class TestLiveState:
+    """Each node folds executed batches into its own state in place; the
+    state must always be the fold of the node's own chain."""
+
+    CASES = {
+        "crash": (None, FaultPlan(crash={0: 700}), 6000),
+        "delay": (NetworkConfig(n=4, slow_nodes={0: 10.0}), None, 8000),
+        "drop": (NetworkConfig(n=4, default_link=LinkProfile(5, 15, drop_prob=0.05)), None, 6000),
+        "partition": (
+            NetworkConfig(n=4, partitions=[Partition(300, 900, frozenset({0, 1}), frozenset({2, 3}))]),
+            None,
+            6000,
+        ),
+        "equivocation": (None, FaultPlan(equivocate={0: 600}), 10_000),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_live_state_is_the_fold_of_the_chain(self, case):
+        net, faults, horizon = self.CASES[case]
+        _, sim = run_simulation(SHARP, net, faults, _workload(30, seed=63), horizon, seed=64)
+        for node in sim.honest_nodes():
+            assert node.chain.txn_count() > 0
+            assert node.state.to_dict() == fold_chain(node.chain).to_dict()
+
+    def test_rejected_records_leave_no_trace(self):
+        issuer = Identity.create("live-issuer")
+        schema = SchemaRecord.create("live", "1.0", [("ref", AttrType.STRING)])
+        other = SchemaRecord.create("other", "1.0", [("ref", AttrType.STRING)])
+        cred_def = CredDefRecord.create(schema.schema_id, issuer.did, issuer.signing_public)
+
+        def signed(txn_type, payload, timestamp, author=issuer):
+            return LedgerTransaction.create(txn_type, payload, author.did, author.signing_private, timestamp)
+
+        sim = Simulation(FAST, seed=61, horizon=0)
+        for txn in (
+            issuer.registration_txn(1),
+            signed(TxnType.SCHEMA, schema_payload(schema), 2),
+            signed(TxnType.CRED_DEF, cred_def_payload(cred_def), 3),
+        ):
+            assert sim.settle(txn)
+        private = Identity.create("live-private")
+        newcomer = Identity.create("live-newcomer")
+        batch = [  # batch_max of them, due at once on the master primary: one batch
+            signed(TxnType.DID_REG, did_reg_payload(issuer.did, dataclasses.replace(issuer.document, endpoint="sim://x")), 4),
+            signed(
+                TxnType.DID_REG,
+                did_reg_payload(private.did, dataclasses.replace(private.document, metadata={"email": "a@b"})),
+                5,
+                author=private,
+            ),
+            signed(TxnType.SCHEMA, {**schema_payload(other), "schema_id": schema.schema_id.hex}, 6),
+            signed(TxnType.REVOC_ENTRY, {"cred_def_id": cred_def.cred_def_id.hex, "revoked": [sha256(b"x").hex, "zz"]}, 7),
+            newcomer.registration_txn(8),
+        ]
+        for txn in batch:
+            sim.submit_at(sim.now + 1, 0, txn)
+        sim.run()
+        rejected = sorted(e["detail"]["reason"] for e in sim.events if e["event_type"] == "txn_rejected")
+        assert rejected == sorted(["DuplicateDid", "PrivacyViolation", "Malformed", "Malformed"] * FAST.n)
+        for node in sim.nodes:
+            assert node.chain.height == 4 and node.chain.head.txns == (batch[-1],)
+            assert node.state.to_dict() == fold_chain(node.chain).to_dict()
+            assert resolve_did(node.state, issuer.did) == issuer.document
+            assert resolve_did(node.state, private.did) is None

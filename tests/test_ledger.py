@@ -371,6 +371,12 @@ class TestRecordCaches:
         # a replaced batch (an equivocating primary's twin) gets its own digest
         assert dataclasses.replace(batch, timestamp=6).digest_hex() != batch.digest_hex()
 
+    @pytest.mark.parametrize("size, control", [(0, {"epoch": 1, "votes": [{"voter": 2}]}), (1, None), (3, None)])
+    def test_batch_digest_is_the_digest_of_its_map(self, size, control):
+        batch = Batch(1, 7, 40, tuple(_txn(i) for i in range(size)), control=control)
+        body = {"instance": 1, "seq": 7, "timestamp": 40, "txns": [t.leaf().hex for t in batch.txns], "control": control}
+        assert batch.digest_hex() == digest_of(body).hex
+
 
 class TestUnencodableRecords:
     @pytest.mark.parametrize(
@@ -625,3 +631,46 @@ class TestScreenedRead:
             # the flagged line's payloads take the checked encoding; its float fails the id check
             assert (result.ok, result.height, result.reason) == (False, 2, ChainFault.BAD_MERKLE)
             assert any(value is chain.blocks[2].txns[0].payload for value in records)
+
+
+class TestChainAppend:
+    def test_append_leaves_every_chain_as_it_was(self):
+        base = _chain(2)
+        a, b = build_block(base.head, [_txn(10)], 11), build_block(base.head, [_txn(20)], 21)
+        left = base.append(a)
+        right = base.append(b)  # base no longer ends its block list: its blocks are copied
+        longer = left.append(build_block(a, [_txn(30)], 31))
+        assert base.blocks == _chain(2).blocks and base.height == 2
+        assert left.blocks == base.blocks + (a,) and right.blocks == base.blocks + (b,)
+        assert longer.blocks[:-1] == left.blocks and longer.height == 4
+        assert (base.head, left.head, right.head) == (base.blocks[-1], a, b)
+        assert all(validate_chain(chain) for chain in (base, left, right, longer))
+        assert Chain(blocks=list(right.blocks)) == right != left
+
+
+HEX_FIELDS = ("txn_id", "author_signature", "prev_hash", "merkle_root", "block_hash")
+
+
+def _recased(text: str, edit: str) -> str:
+    """The same bytes in another hex spelling: one letter in upper case, or a space."""
+    if edit == "space":
+        return text[:2] + " " + text[2:]
+    i = next(i for i, char in enumerate(text) if char in "abcdef")
+    return text[:i] + text[i].upper() + text[i + 1 :]
+
+
+@pytest.mark.parametrize("edit", ["upper", "space"])
+@pytest.mark.parametrize("field", HEX_FIELDS)
+def test_hex_field_spelled_otherwise_is_malformed(tmp_path, field, edit):
+    """The hashes render these fields as ``bytes.hex`` does, so another
+    spelling of the same bytes would pass them unseen: it fails the read."""
+    path = tmp_path / "net.ledger.jsonl"
+    write_chain(_chain(2), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    block = json.loads(lines[1])
+    holder = block["txns"][1] if field in ("txn_id", "author_signature") else block
+    holder[field] = _recased(holder[field], edit)
+    lines[1] = json.dumps(block)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="is not lower-case hex"):
+        read_chain(path)

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssiledger.simnet import LinkProfile, NetworkConfig, Partition, SimNetwork
+from ssiledger.simnet import DELIVER, TIMER, LinkProfile, NetworkConfig, Partition, SimEvent, SimNetwork
 
 
 def _drain(network: SimNetwork) -> list:
@@ -25,6 +25,24 @@ class TestDeterminism:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
+
+    def test_entries_are_sim_events(self):
+        net = SimNetwork(NetworkConfig(n=2, default_link=LinkProfile(5, 5)), seed=1)
+        net.send(0, 1, "m")
+        net.timer(1, 7, "t")
+        first, second = _drain(net)
+        assert type(first) is SimEvent and first == SimEvent(5, 1, DELIVER, 1, "m", 0)
+        assert type(second) is SimEvent and second == SimEvent(7, 2, TIMER, 1, "t")
+
+    def test_injected_events_interleave_by_time_then_seq(self):
+        net = SimNetwork(NetworkConfig(n=2, default_link=LinkProfile(5, 5)), seed=1)
+        net.inject(10, "submit", 0, "late")
+        net.send(0, 1, "m")
+        net.inject(5, "submit", 1, "tied")
+        net.timer(0, 5, "t")
+        assert len(net) == 4
+        assert [(e.time, e.seq, e.payload) for e in _drain(net)] == [(5, 2, "m"), (5, 3, "tied"), (5, 4, "t"), (10, 1, "late")]
+        assert len(net) == 0 and net.now == 10
 
     def test_time_advances_monotonically(self):
         net = SimNetwork(NetworkConfig(n=4), seed=1)

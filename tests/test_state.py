@@ -14,6 +14,7 @@ from ssiledger.crypto import ZERO_DIGEST, digest_of, sha256, sign
 from ssiledger.ledger import Chain, LedgerTransaction, TxnType, build_block
 from ssiledger.simulation import Simulation, run_simulation, synthetic_did_workload
 from ssiledger.state import (
+    DEFAULT_DENIED_FIELDS,
     AttrType,
     CredDefRecord,
     NodeState,
@@ -27,6 +28,7 @@ from ssiledger.state import (
     derive_did,
     did_reg_payload,
     fold_chain,
+    fold_into,
     is_revoked,
     privacy_lint,
     registry_id_for,
@@ -758,3 +760,53 @@ class TestReadSetFold:
     def test_no_reads_fold_nothing(self):
         txns = [_adversarial_record(op, t) for t, op in enumerate(_UPPER_CASE_REVOCATION)]
         assert fold_chain(_chain_of(txns), set()) == NodeState()
+
+
+# --- folding in place ---------------------------------------------------------
+
+
+class TestFoldInPlace:
+    def test_copy_and_live_state_never_share_a_write(self):
+        issuer = Identity.create("issuer")
+        published, _, cred_def = _published(issuer)
+        live = published.copy()
+        first = _revocation(cred_def.cred_def_id, issuer.did, [sha256(b"a").hex], 3)
+        assert fold_into(live, [first]) == [None]  # the registry now holds a working set
+        snapshot = live.copy()
+        before = snapshot.to_dict()
+        second = _revocation(cred_def.cred_def_id, issuer.did, [sha256(b"b").hex], 4)
+        assert fold_into(live, [second, Identity.create("late").registration_txn(5)]) == [None, None]
+        assert snapshot.to_dict() == before
+        assert all(type(reg.revoked) is frozenset for reg in snapshot.registries.values())
+        third = _revocation(cred_def.cred_def_id, issuer.did, [sha256(b"c").hex], 6)
+        fold_into(snapshot, [third])
+        registry = registry_id_for(cred_def.cred_def_id)
+        assert is_revoked(snapshot, registry, sha256(b"c")) and not is_revoked(live, registry, sha256(b"c"))
+        assert published.to_dict()["registries"][registry.hex]["revoked"] == []
+
+    def test_one_key_set_object_per_distinct_key_set(self):
+        a, b = Identity.create("a").registration_txn(), Identity.create("b").registration_txn()
+        fold_into(NodeState(), [a, b])
+        assert a._key_names is b._key_names
+        assert a._key_names == {"did", "document", "verification_key", "agreement_key", "endpoint", "metadata"}
+
+
+_field_names = st.sampled_from(sorted(DEFAULT_DENIED_FIELDS)[:4] + ["attributes_values", "org", "ref", "x", ""])
+_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _field_names,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_field_names, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads, st.lists(st.frozensets(_field_names, max_size=4), min_size=1, max_size=3))
+def test_cached_key_names_decide_as_privacy_lint_does(payload, deny_lists):
+    """One record folded under several deny lists: the names cached on it at
+    the first fold decide every later one exactly as a fresh ``privacy_lint``
+    walk would. A cached verdict, or a walk that misses a nested key, fails."""
+    author = Identity.create("lint")
+    txn = LedgerTransaction.create(TxnType.SCHEMA, payload, author.did, author.signing_private, 0)
+    for denied in deny_lists:
+        (reason,) = fold_into(NodeState(denied_fields=denied), [txn])
+        assert (reason == RejectReason.PRIVACY_VIOLATION) == (privacy_lint(payload, denied) is not None)
