@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -38,6 +39,7 @@ from .credentials import (
 )
 from .crypto import Digest
 from .ledger import (
+    Block,
     Chain,
     LedgerTransaction,
     MalformedRecord,
@@ -54,10 +56,10 @@ from .state import (
     CredDefRecord,
     NodeState,
     SchemaRecord,
-    apply as apply_txn,
     cred_def_payload,
     did_reg_payload,
     fold_chain,
+    fold_into,
     get_cred_def,
     get_schema,
     schema_payload,
@@ -151,6 +153,16 @@ def _valid_chain(path: str) -> Chain:
 def _ledger_state(path: str) -> tuple[Chain, NodeState]:
     chain = _valid_chain(path)
     return chain, fold_chain(chain)
+
+
+def _name_types(specs: tuple[str, ...], option: str) -> list[tuple[str, AttrType]]:
+    """``name:type`` option values as (name, type) pairs; one that does not
+    parse ends the command with ``bad <option>: ...``, exit 1."""
+    try:
+        return [(a.split(":", 1)[0], AttrType(a.split(":", 1)[1])) for a in specs]
+    except (IndexError, ValueError) as exc:
+        _fail(f"bad {option}: {exc}")
+        raise AssertionError  # unreachable
 
 
 def _now(override: int | None) -> int:
@@ -296,18 +308,30 @@ def ledger_init(out_path: str, genesis_timestamp: int) -> None:
 def ledger_append(ledger_path: str, now_override: int | None, txn_files: tuple[str, ...]) -> None:
     """Validate, apply, and commit transactions as one new block."""
     chain, state = _ledger_state(ledger_path)
+    # each file is read as it is reached, so errors come in argument order
+    named_txns = ((txn_file, _parse(LedgerTransaction.from_dict, txn_file)) for txn_file in txn_files)
+    block = _append(ledger_path, chain, state, named_txns, now_override)
+    click.echo(f"appended block {block.height} with {len(block.txns)} txn(s)")
+
+
+def _append(ledger_path: str, chain: Chain, state: NodeState, named_txns: Iterable, now_override: int | None) -> Block:
+    """The one write path of a ledger file: each (name, txn) in turn must
+    recompute its id and verify under ``state``, and folds into it in place;
+    one new block then holds them all. The first that fails ends the command
+    (exit 3, the file untouched) naming its file, or no file (name None)."""
     accepted = []
-    for txn_file in txn_files:
-        txn = _parse(LedgerTransaction.from_dict, txn_file)
+    for name, txn in named_txns:
+        where = f"{name}: " if name else ""
         if not txn.id_recomputes() or not verify_txn_signature(state, txn):
-            _fail(f"{txn_file}: transaction signature does not verify", EXIT_VERIFY)
-        state, rejection = apply_txn(state, txn)
+            against = "" if name else " against the ledger"
+            _fail(f"{where}transaction signature does not verify{against}", EXIT_VERIFY)
+        (rejection,) = fold_into(state, (txn,))
         if rejection is not None:
-            _fail(f"{txn_file}: rejected ({rejection.value})", EXIT_VERIFY)
+            _fail(f"{where}rejected ({rejection.value})", EXIT_VERIFY)
         accepted.append(txn)
     block = build_block(chain.head, accepted, _now(now_override))
     write_chain(chain.append(block), ledger_path)
-    click.echo(f"appended block {block.height} with {len(accepted)} txn(s)")
+    return block
 
 
 @ledger.command("state")
@@ -350,10 +374,10 @@ def schema_publish(
 ) -> None:
     w = _open_wallet(wallet_path)
     identity = _identity(w, relation)
+    parsed = _name_types(attrs, "--attr")
     try:
-        parsed = [(a.split(":", 1)[0], AttrType(a.split(":", 1)[1])) for a in attrs]
         record = SchemaRecord.create(schema_name, version, parsed)
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         _fail(f"bad --attr: {exc}")
         return
     txn = LedgerTransaction.create(
@@ -363,7 +387,7 @@ def schema_publish(
         signing_private=identity.signing.private,
         timestamp=_now(now_override),
     )
-    _append_via_state(ledger_path, txn, now_override)
+    _append(ledger_path, *_ledger_state(ledger_path), [(None, txn)], now_override)
     click.echo(f"schema_id: {record.schema_id.hex}")
 
 
@@ -387,7 +411,7 @@ def creddef_publish(
 ) -> None:
     w = _open_wallet(wallet_path)
     identity = _identity(w, relation)
-    _, state = _ledger_state(ledger_path)
+    chain, state = _ledger_state(ledger_path)
     schema_record = get_schema(state, Digest.from_hex(schema_id_hex))
     if schema_record is None:
         _fail(f"schema {schema_id_hex} not on ledger")
@@ -401,19 +425,8 @@ def creddef_publish(
         signing_private=identity.signing.private,
         timestamp=_now(now_override),
     )
-    _append_via_state(ledger_path, txn, now_override)
+    _append(ledger_path, chain, state, [(None, txn)], now_override)
     click.echo(f"cred_def_id: {record.cred_def_id.hex}")
-
-
-def _append_via_state(ledger_path: str, txn: LedgerTransaction, now_override: int | None) -> None:
-    chain, state = _ledger_state(ledger_path)
-    if not verify_txn_signature(state, txn):
-        _fail("transaction signature does not verify against the ledger", EXIT_VERIFY)
-    state, rejection = apply_txn(state, txn)
-    if rejection is not None:
-        _fail(f"rejected ({rejection.value})", EXIT_VERIFY)
-    block = build_block(chain.head, [txn], _now(now_override))
-    write_chain(chain.append(block), ledger_path)
 
 
 # --- credentials ----------------------------------------------------------------
@@ -541,7 +554,7 @@ def cred_revoke(
     w = _open_wallet(wallet_path)
     identity = _identity(w, relation)
     credential = _parse(VerifiableCredential.from_dict, cred_file)
-    _, state = _ledger_state(ledger_path)
+    chain, state = _ledger_state(ledger_path)
     cred_def = get_cred_def(state, credential.cred_def_id)
     if cred_def is None:
         _fail("credential definition not on ledger", EXIT_VERIFY)
@@ -556,7 +569,7 @@ def cred_revoke(
     except Exception as exc:
         _fail(str(exc), EXIT_VERIFY)
         return
-    _append_via_state(ledger_path, txn, now_override)
+    _append(ledger_path, chain, state, [(None, txn)], now_override)
     click.echo(f"revoked {credential.credential_hash.hex}")
 
 
@@ -619,11 +632,7 @@ def consent_record(
     verifier = _open_wallet(verifier_wallet)
     verifier_identity = _identity(verifier, verifier_relation)
     _identity(owner, owner_relation)  # record_consent signs with it
-    try:
-        shared = [(a.split(":", 1)[0], AttrType(a.split(":", 1)[1])) for a in shared_attrs]
-    except (IndexError, ValueError) as exc:
-        _fail(f"bad --shared: {exc}")
-        return
+    shared = _name_types(shared_attrs, "--shared")
     receipt, txn = record_consent(
         owner,
         owner_relation,
@@ -633,7 +642,7 @@ def consent_record(
         purpose,
         _now(now_override),
     )
-    _append_via_state(ledger_path, txn, now_override)
+    _append(ledger_path, *_ledger_state(ledger_path), [(None, txn)], now_override)
     _write(out_path, receipt.to_dict())
     click.echo(f"receipt_hash: {receipt.receipt_hash().hex}")
 

@@ -354,7 +354,7 @@ class ConsensusNode:
         self.exec_blocked_cursor = 0  # master exec_cursor when the stall clock started
 
         self.monitor = PerfMonitor(config.window)
-        self.crashed = False
+        self.crashed = False  # tested only where events enter: on_message, on_timer, on_submit
         self.equivocate_from: int | None = None
         self.batch_timer_armed = {0: False, 1: False}
         self.rejected_submissions = 0
@@ -379,30 +379,28 @@ class ConsensusNode:
         """Client submission: signature-gate, pool, gossip. Returns the ack."""
         if self.crashed:
             return False
-        if not txn.id_recomputes() or not verify_txn_signature(self.state, txn):
+        if not self._admit(txn):
             self.rejected_submissions += 1
             self.log(self.net.now, self.id, "submit_rejected", {"txn_id": txn.id_hex})
             return False
-        self._admit(txn)
         return True
 
     def on_request(self, src: int, request: Request) -> None:
-        if self.crashed:
-            return
-        txn = request.txn
-        if txn.id_hex in self.first_seen:
-            return
-        if not txn.id_recomputes() or not verify_txn_signature(self.state, txn):
-            return
-        self._admit(txn)
+        self._admit(request.txn)
 
-    def _admit(self, txn: LedgerTransaction) -> None:
+    def _admit(self, txn: LedgerTransaction) -> bool:
+        """The one admission gate: whether ``txn``'s id recomputes and its
+        signature verifies; if so, pool and gossip it the first time it is
+        seen. The id does not cover the signature bytes, so the gate comes
+        first: a re-signed copy of a seen txn is still refused."""
+        if not txn.id_recomputes() or not verify_txn_signature(self.state, txn):
+            return False
         txn_id = txn.id_hex
         if txn_id in self.first_seen:
-            return
+            return True
         self.first_seen[txn_id] = self.net.now
         if txn_id in self.applied:
-            return
+            return True
         self.pending[txn_id] = txn
         self._broadcast(Request(txn))
         for instance in self.instances.values():
@@ -414,13 +412,13 @@ class ConsensusNode:
             elif not self.batch_timer_armed[instance.instance_id]:
                 self.batch_timer_armed[instance.instance_id] = True
                 self.net.timer(self.id, self.config.batch_timeout, ("batch", instance.instance_id))
+        return True
 
     # -- proposing
 
     def on_batch_timer(self, instance_id: int) -> None:
         self.batch_timer_armed[instance_id] = False
-        if not self.crashed:
-            self.propose(instance_id)
+        self.propose(instance_id)
 
     def propose(self, instance_id: int) -> None:
         instance = self.instances[instance_id]
@@ -453,8 +451,6 @@ class ConsensusNode:
     # -- three-phase handlers
 
     def on_preprepare(self, src: int, msg: PrePrepare) -> None:
-        if self.crashed:
-            return
         instance = self.instances.get(msg.instance)
         if instance is None or src != instance.primary or msg.seq < 1:
             return
@@ -475,8 +471,6 @@ class ConsensusNode:
             self._check_prepared(instance_id, seq, slot)
 
     def on_prepare(self, src: int, msg: Prepare) -> None:
-        if self.crashed:
-            return
         slot = self.instances[msg.instance].slot(msg.seq)
         slot.prepares.setdefault(src, msg.digest)
         self._check_prepared(msg.instance, msg.seq, slot)
@@ -492,8 +486,6 @@ class ConsensusNode:
             self._check_committed(instance_id, seq, slot, digest)
 
     def on_commit(self, src: int, msg: Commit) -> None:
-        if self.crashed:
-            return
         slot = self.instances[msg.instance].slot(msg.seq)
         slot.commits.setdefault(src, msg.digest)
         self._check_committed(msg.instance, msg.seq, slot, msg.digest)
@@ -514,16 +506,12 @@ class ConsensusNode:
                 self.net.send(self.id, holders[0], FetchBatch(instance_id, seq, digest))
 
     def on_fetch(self, src: int, msg: FetchBatch) -> None:
-        if self.crashed:
-            return
         slot = self.instances[msg.instance].slot(msg.seq)
         batch = slot.batches.get(msg.digest)
         if batch is not None:
             self.net.send(self.id, src, BatchReply(msg.instance, msg.seq, batch))
 
     def on_batch_reply(self, src: int, msg: BatchReply) -> None:
-        if self.crashed:
-            return
         # keyed by the batch's actual digest: a wrong body can never satisfy
         # the commit certificate it was fetched for
         slot = self.instances[msg.instance].slot(msg.seq)
@@ -565,8 +553,6 @@ class ConsensusNode:
         return (self.net.now * count - seen) / count
 
     def on_exec_ready(self, src: int, msg: ExecReady) -> None:
-        if self.crashed:
-            return
         slot = self.instances[msg.instance].slot(msg.seq)
         slot.exec_readies.setdefault(src, msg.digest)
         # every handler leaves execution at its fixed point, so only the
@@ -577,8 +563,6 @@ class ConsensusNode:
     # -- instance change
 
     def on_monitor_tick(self) -> None:
-        if self.crashed:
-            return
         if not self.pending_switch:
             decision = self.monitor.evaluate(
                 self.master_instance, self._backup_id(), self.config, self.net.now
@@ -631,8 +615,6 @@ class ConsensusNode:
         self._maybe_propose_cert()
 
     def on_vote(self, src: int, vote: InstanceChangeVote) -> None:
-        if self.crashed:
-            return
         if vote.voter != src or not vote.verify_with(self.node_keys.get(vote.voter, b"")):
             return
         if vote.epoch <= self.epoch:
@@ -657,7 +639,7 @@ class ConsensusNode:
             return
         new_master = self._backup_id()
         instance = self.instances[new_master]
-        if instance.primary != self.id or self.crashed:
+        if instance.primary != self.id:
             return
         chosen = sorted(votes)[: self.quorum]
         cert_votes = [votes[v] for v in chosen]
@@ -791,6 +773,8 @@ class ConsensusNode:
     # -- dispatch
 
     def on_timer(self, payload: tuple) -> None:
+        if self.crashed:
+            return
         kind, data = payload
         if kind == "batch":
             self.on_batch_timer(data)
@@ -798,9 +782,11 @@ class ConsensusNode:
             self.on_monitor_tick()
 
     def on_message(self, src: int, message: Any) -> None:
+        if self.crashed:
+            return
         kind = type(message)
         if kind is Request and message.txn.id_hex in self.first_seen:
-            return  # a Request for a txn already seen, most of the gossip: ``on_request`` would drop it
+            return  # a Request for a txn already seen, most of the gossip: ``_admit`` would verify it only to drop it
         entry = _HANDLERS.get(kind)
         if entry is None:
             return

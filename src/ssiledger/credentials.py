@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .auth import ChallengeVerifier
+from .auth import AuthResult, ChallengeVerifier
 from .crypto import Digest, digest_of, sign, verify
 from .ledger import LedgerTransaction, TxnType
 from .state import (
@@ -494,6 +494,17 @@ def revoke(
     )
 
 
+def authenticate(
+    verifier: ChallengeVerifier, wallet: "Wallet", relation: str, now: int, rng: Callable[[int], bytes] = os.urandom
+) -> AuthResult:
+    """One challenge-response round: ``verifier`` challenges the wallet's
+    identity for ``relation`` under its agreement key, the wallet answers,
+    and the verifier checks the answer."""
+    identity = wallet.identity(relation)
+    challenge = verifier.issue(identity.agreement.public, now=now, subject_did=identity.did, rng=rng)
+    return verifier.check(wallet.respond_challenge(relation, challenge.ciphertext), now)
+
+
 @dataclass
 class IssuerParty:
     """A credential provider: on-ledger DID, signing key, published schema and
@@ -550,25 +561,14 @@ def third_party_flow(
     current = ledger if callable(ledger) else (lambda: ledger)
     steps: list[str] = []
 
-    requester_identity = owner_wallet.identity(requester_relation)
-    challenge = requester.auth.issue(
-        requester_identity.agreement.public, now=now, subject_did=requester_identity.did, rng=rng
-    )
-    response = owner_wallet.respond_challenge(requester_relation, challenge.ciphertext)
-    result = requester.auth.check(response, now)
-    if not result.authenticated:
-        raise AuthenticationFailed("requester", result.reason or "auth failed")
-    steps.append("owner authenticated with requester")
-
-    provider_identity = owner_wallet.identity(provider_relation)
-    challenge = provider.auth.issue(
-        provider_identity.agreement.public, now=now, subject_did=provider_identity.did, rng=rng
-    )
-    response = owner_wallet.respond_challenge(provider_relation, challenge.ciphertext)
-    result = provider.auth.check(response, now)
-    if not result.authenticated:
-        raise AuthenticationFailed("provider", result.reason or "auth failed")
-    steps.append("owner authenticated with provider")
+    for party, verifier, relation in (
+        ("requester", requester.auth, requester_relation),
+        ("provider", provider.auth, provider_relation),
+    ):
+        result = authenticate(verifier, owner_wallet, relation, now, rng)
+        if not result.authenticated:
+            raise AuthenticationFailed(party, result.reason or "auth failed")
+        steps.append(f"owner authenticated with {party}")
 
     if not consent:
         raise ConsentDeclined("owner declined to share")
@@ -578,7 +578,7 @@ def third_party_flow(
         provider.signing_private,
         provider.cred_def,
         provider.schema,
-        subject_did=requester_identity.did,
+        subject_did=owner_wallet.did(requester_relation),
         attributes=requested_attributes,
         issued_at=now,
     )

@@ -31,6 +31,7 @@ from .credentials import (
     ConsentReceipt,
     IssuerParty,
     VerifierParty,
+    authenticate,
     issue,
     present,
     record_consent,
@@ -218,17 +219,12 @@ class ScenarioRunner:
     # -- protocol steps
 
     def _authenticate(self, owner_wallet: Wallet, relation: str, org: Org, owner_label: str) -> bool:
-        identity = owner_wallet.identity(relation)
-        challenge = org.auth.issue(
-            identity.agreement.public, now=self.sim.now, subject_did=identity.did
-        )
-        response = owner_wallet.respond_challenge(relation, challenge.ciphertext)
-        result = org.auth.check(response, self.sim.now)
+        result = authenticate(org.auth, owner_wallet, relation, self.sim.now)
         return self._expect(
             result.authenticated,
             org.label,
             f"authenticate {owner_label} by challenge-response",
-            {"subject_did": identity.did},
+            {"subject_did": owner_wallet.did(relation)},
         )
 
     def _issue_and_store(

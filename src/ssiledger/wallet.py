@@ -322,9 +322,12 @@ class Wallet:
         from .credentials import VerifiableCredential
 
         kdf = data["kdf"]
+        n, r, p = kdf["n"], kdf["r"], kdf["p"]
+        if not all(type(v) is int for v in (n, r, p)) or n < 2 or n & (n - 1) or min(r, p) < 1:
+            raise MalformedWallet("kdf n must be an int power of two above 1, r and p ints of at least 1")
         wallet = cls(
             owner_label=data["owner_label"],
-            kdf=KdfParams(salt=bytes.fromhex(kdf["salt"]), n=kdf["n"], r=kdf["r"], p=kdf["p"]),
+            kdf=KdfParams(salt=bytes.fromhex(kdf["salt"]), n=n, r=r, p=p),
             check=bytes.fromhex(data["check"]),
         )
         for relation, entry in data["relations"].items():
@@ -358,5 +361,5 @@ class Wallet:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
             canonical_json(data)  # ``save`` wrote it: a value the encoding rejects is a hand edit
             return cls.from_dict(data)
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        except (MalformedWallet, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise MalformedWallet(f"{path} is not a wallet file: {type(exc).__name__}: {exc}") from exc

@@ -4,12 +4,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import ssiledger.cli as cli
 import ssiledger.state as state_mod
 from conftest import Identity
 from ssiledger.cli import main
 from ssiledger.credentials import Presentation, issue
 from ssiledger.crypto import digest_of, sign
-from ssiledger.ledger import Chain, LedgerTransaction, TxnType, build_block, write_chain
+from ssiledger.ledger import Chain, LedgerTransaction, TxnType, build_block, read_chain, write_chain
 from ssiledger.state import AttrType, CredDefRecord, SchemaRecord, cred_def_payload, schema_payload
 
 SECRET = {"WALLET_SECRET": "cli-test-secret"}
@@ -619,6 +620,99 @@ class TestScenarioCommand:
         assert first.output == second.output
 
 
+class TestLedgerWritePath:
+    """Every command that writes the ledger file checks each record's id, then
+    its signature, then folds it, in argument order; the first failure ends
+    the command with one ``error:`` line, exit 3, and the file untouched."""
+
+    @pytest.fixture
+    def ledger(self, runner, workdir):
+        assert invoke(runner, ["ledger", "init", "--out", "l.jsonl"]).exit_code == 0
+        author = Identity.create("write-path")
+        Path("reg.json").write_text(json.dumps(author.registration_txn(5).to_dict()))
+        record = SchemaRecord.create("degree", "1.0", [("degree", AttrType.STRING)])
+        schema = LedgerTransaction.create(TxnType.SCHEMA, schema_payload(record), author.did, author.signing_private, 6)
+        Path("schema.json").write_text(json.dumps(schema.to_dict()))
+        forged = {**author.registration_txn(7).to_dict(), "author_signature": "11" * 64}
+        Path("forged.json").write_text(json.dumps(forged))
+        moved = {**author.registration_txn(5).to_dict(), "timestamp": 8}  # signed payload intact, id stale
+        Path("moved.json").write_text(json.dumps(moved))
+        Path("undecodable.json").write_text("[1]")
+        return Path("l.jsonl").read_bytes()
+
+    def _append(self, runner, *files):
+        return invoke(runner, ["ledger", "append", "--ledger", "l.jsonl", "--now", "9", *files])
+
+    def test_registration_and_schema_by_it_make_one_block(self, runner, ledger):
+        result = self._append(runner, "reg.json", "schema.json")
+        assert (result.exit_code, result.output) == (0, "appended block 1 with 2 txn(s)\n")
+        lines = Path("l.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 and len(json.loads(lines[1])["txns"]) == 2
+
+    @pytest.mark.parametrize(
+        "files, output",
+        [
+            (["forged.json"], "forged.json: transaction signature does not verify"),
+            (["moved.json"], "moved.json: transaction signature does not verify"),
+            (["forged.json", "undecodable.json"], "forged.json: transaction signature does not verify"),
+            (["reg.json", "reg.json"], "reg.json: rejected (DuplicateDid)"),
+            (["schema.json", "reg.json"], "schema.json: transaction signature does not verify"),
+        ],
+    )
+    def test_first_failure_ends_the_command(self, runner, ledger, files, output):
+        result = self._append(runner, *files)
+        assert (result.exit_code, result.output) == (3, f"error: {output}\n")
+        assert Path("l.jsonl").read_bytes() == ledger
+
+    def test_schema_by_an_unregistered_did_is_refused(self, runner, ledger):
+        assert invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "o"]).exit_code == 0
+        assert invoke(runner, ["did", "new", "--wallet", "w.json", "--relation", "public", "--seed", "dd"]).exit_code == 0
+        result = invoke(
+            runner,
+            ["schema", "publish", "--wallet", "w.json", "--relation", "public", "--ledger", "l.jsonl",
+             "--name", "n", "--attr", "a:string"],
+        )
+        expected = "error: transaction signature does not verify against the ledger\n"
+        assert (result.exit_code, result.output) == (3, expected)
+        assert Path("l.jsonl").read_bytes() == ledger
+
+    @pytest.mark.parametrize("command", ["creddef publish", "cred revoke"])
+    def test_publish_and_revoke_read_the_ledger_once(self, runner, workdir, issuer_setup, monkeypatch, command):
+        assert _issue(runner, issuer_setup).exit_code == 0
+        wallet = ["--wallet", "issuer.wallet.json", "--relation", "public", "--ledger", "net.ledger.jsonl"]
+        out = invoke(runner, ["schema", "publish", *wallet, "--name", "transcript", "--attr", "grade:string"])
+        args = {
+            "creddef publish": ["creddef", "publish", *wallet, "--schema-id", out.output.strip().split()[-1]],
+            "cred revoke": ["cred", "revoke", *wallet, "alice.cred.json"],
+        }[command]
+        reads = []
+        monkeypatch.setattr(cli, "read_chain", lambda path: reads.append(path) or read_chain(path))
+        assert invoke(runner, args).exit_code == 0
+        assert reads == ["net.ledger.jsonl"]
+        verify = invoke(runner, ["cred", "verify", "alice.cred.json", "--ledger", "net.ledger.jsonl"])
+        assert verify.exit_code == (4 if command == "cred revoke" else 0)
+
+
+class TestNameTypeOptions:
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [("degree", "list index out of range"), ("degree:float", "'float' is not a valid AttrType")],
+    )
+    def test_bad_spec_exit_1(self, runner, workdir, issuer_setup, spec, reason):
+        ledger = Path("net.ledger.jsonl").read_bytes()
+        commands = {
+            "--attr": ["schema", "publish", "--wallet", "issuer.wallet.json", "--relation", "public",
+                       "--ledger", "net.ledger.jsonl", "--name", "n", "--attr", "a:string", "--attr", spec],
+            "--shared": ["consent", "record", "--owner-wallet", "holder.wallet.json", "--owner-relation", "employer",
+                         "--verifier-wallet", "issuer.wallet.json", "--verifier-relation", "public",
+                         "--ledger", "net.ledger.jsonl", "--shared", spec, "--purpose", "hiring", "--out", "c.json"],
+        }
+        for option, args in commands.items():
+            result = invoke(runner, args)
+            assert (result.exit_code, result.output) == (1, f"error: bad {option}: {reason}\n")
+        assert Path("net.ledger.jsonl").read_bytes() == ledger
+
+
 class TestUnknownRelation:
     """A relation the wallet does not hold: one ``error:`` line, exit 1, and
     the ledger file untouched."""
@@ -674,6 +768,19 @@ class TestUnreadableWallet:
         Path("w.json").write_text(json.dumps({**data, "owner_label": 1.5}))
         result = invoke(runner, ["wallet", "list", "--wallet", "w.json", "--json"])
         expected = "error: cannot read wallet: w.json is not a wallet file: UnsupportedType: float not allowed in canonical values at $.owner_label\n"
+        assert (result.exit_code, result.output) == (1, expected)
+
+    @pytest.mark.parametrize("kdf", [{"n": "x"}, {"n": 3}, {"r": True}])
+    @pytest.mark.parametrize("command", ["unlock", "list"])
+    def test_kdf_parameters_that_do_not_fit(self, runner, workdir, kdf, command):
+        assert invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "o"]).exit_code == 0
+        data = json.loads(Path("w.json").read_text())
+        Path("w.json").write_text(json.dumps({**data, "kdf": {**data["kdf"], **kdf}}))
+        result = invoke(runner, ["wallet", command, "--wallet", "w.json"])
+        expected = (
+            "error: cannot read wallet: w.json is not a wallet file: MalformedWallet: "
+            "kdf n must be an int power of two above 1, r and p ints of at least 1\n"
+        )
         assert (result.exit_code, result.output) == (1, expected)
 
 

@@ -195,6 +195,24 @@ class TestFaultTolerance:
         assert len({n.chain.digest().hex for n in honest}) == 1
         assert report.safety_violations == 0
 
+    def test_a_crashed_node_takes_nothing_in(self):
+        """Messages, timers and submissions all stop at a crashed node's
+        entry points: its pool, slots, votes and chain stay empty."""
+        workload = _workload(12, seed=11, node=2) + _workload(1, seed=15, node=1)
+        report, sim = run_simulation(FAST, None, FaultPlan(crash={1: 0}), workload, 3000, seed=12)
+        crashed = sim.nodes[1]
+        assert (report.accepted, crashed.rejected_submissions) == (12, 0)
+        assert not crashed.first_seen and not crashed.pending and not crashed.votes
+        assert all(not instance.slots and not instance.unproposed for instance in crashed.instances.values())
+        assert crashed.chain.height == 0 and crashed.monitor.totals == {0: 0, 1: 0}
+        assert all(n.chain.txn_count() == 12 for n in sim.nodes if n.id != 1)
+        for name in ("_admit", "on_batch_timer", "on_monitor_tick", "on_request", "on_prepare", "on_vote"):
+            setattr(crashed, name, None)  # a call past an entry point would raise
+        crashed.on_timer(("batch", 1))
+        crashed.on_timer(("monitor", None))
+        crashed.on_message(0, Request(workload[0].txn))
+        assert not crashed.on_submit(workload[0].txn)
+
     def test_beyond_f_crashes_lose_liveness_keep_safety(self):
         report, sim = run_simulation(
             FAST, None, FaultPlan(crash={2: 0, 3: 0}), _workload(12, seed=13), 3000, seed=14
@@ -309,6 +327,15 @@ class TestSubmissionRules:
         assert sim.accepted == 0
         assert sim.nodes[0].rejected_submissions == 1
         assert all(node.chain.height == 0 for node in sim.nodes)
+
+    def test_resigned_copy_of_a_seen_txn_is_refused(self):
+        sim = Simulation(FAST, seed=43, horizon=0)
+        item = synthetic_did_workload(1, seed=44)[0]
+        sim.submit_at(5, 0, item.txn)
+        sim.submit_at(6, 0, dataclasses.replace(item.txn, author_signature=b"\x11" * 64))
+        sim.run()
+        assert (sim.accepted, sim.nodes[0].rejected_submissions) == (1, 1)
+        assert all(node.chain.txn_count() == 1 for node in sim.nodes)
 
     def test_state_digests_match_across_nodes(self):
         report, sim = run_simulation(FAST, None, None, _workload(8, seed=45), 3000, seed=46)

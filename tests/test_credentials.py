@@ -15,6 +15,7 @@ from ssiledger.credentials import (
     SchemaMismatch,
     VerifiableCredential,
     VerifierParty,
+    authenticate,
     issue,
     present,
     record_consent,
@@ -499,3 +500,37 @@ class TestThirdPartyFlow:
                 now=70,
             )
         assert excinfo.value.party == "requester"
+
+    def test_steps_and_the_party_that_fails(self, cred_env):
+        state, provider, requester, wallet = _flow_env(cred_env)
+        args = dict(provider_relation="provider", requester_relation="requester",
+                    requested_attributes=diploma_attributes(), ledger=state, now=70)
+        assert third_party_flow(requester, provider, wallet, **args).steps == [
+            "owner authenticated with requester",
+            "owner authenticated with provider",
+            "owner consented to share",
+            "provider issued credential",
+            "owner presented credential to requester",
+            "requester verified presentation",
+            "consent receipt recorded",
+        ]
+        provider.auth.consumed.add(b"\x07" * 32)
+        with pytest.raises(AuthenticationFailed) as excinfo:
+            third_party_flow(requester, provider, wallet, rng=lambda size: b"\x07" * size, **args)
+        assert (excinfo.value.party, excinfo.value.reason) == ("provider", "Replayed")
+
+
+class TestAuthenticate:
+    def test_one_round_then_a_replay(self, cred_env):
+        _, provider, _, wallet = _flow_env(cred_env)
+        draws = []
+
+        def rng(size):
+            draws.append(size)
+            return b"\x07" * size
+
+        assert authenticate(provider.auth, wallet, "provider", 70, rng).authenticated
+        assert provider.auth.consumed == {b"\x07" * draws[0]} and not provider.auth.pending
+        replay = authenticate(provider.auth, wallet, "provider", 70, rng)
+        assert (replay.authenticated, replay.reason) == (False, "Replayed")
+        assert len(draws) == 2
