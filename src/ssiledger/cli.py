@@ -314,11 +314,14 @@ def ledger_append(ledger_path: str, now_override: int | None, txn_files: tuple[s
     click.echo(f"appended block {block.height} with {len(block.txns)} txn(s)")
 
 
-def _append(ledger_path: str, chain: Chain, state: NodeState, named_txns: Iterable, now_override: int | None) -> Block:
+def _append(
+    ledger_path: str, chain: Chain, state: NodeState, named_txns: Iterable, now_override: int | None, on_ledger=False
+) -> Block | None:
     """The one write path of a ledger file: each (name, txn) in turn must
     recompute its id and verify under ``state``, and folds into it in place;
     one new block then holds them all. The first that fails ends the command
-    (exit 3, the file untouched) naming its file, or no file (name None)."""
+    (exit 3, the file untouched) naming its file, or no file (name None).
+    Records already ``on_ledger`` are checked alike but append no block."""
     accepted = []
     for name, txn in named_txns:
         where = f"{name}: " if name else ""
@@ -329,6 +332,8 @@ def _append(ledger_path: str, chain: Chain, state: NodeState, named_txns: Iterab
         if rejection is not None:
             _fail(f"{where}rejected ({rejection.value})", EXIT_VERIFY)
         accepted.append(txn)
+    if on_ledger:
+        return None
     block = build_block(chain.head, accepted, _now(now_override))
     write_chain(chain.append(block), ledger_path)
     return block
@@ -387,7 +392,8 @@ def schema_publish(
         signing_private=identity.signing.private,
         timestamp=_now(now_override),
     )
-    _append(ledger_path, *_ledger_state(ledger_path), [(None, txn)], now_override)
+    chain, state = _ledger_state(ledger_path)
+    _append(ledger_path, chain, state, [(None, txn)], now_override, record.schema_id.hex in state.schemas)
     click.echo(f"schema_id: {record.schema_id.hex}")
 
 
@@ -425,7 +431,7 @@ def creddef_publish(
         signing_private=identity.signing.private,
         timestamp=_now(now_override),
     )
-    _append(ledger_path, chain, state, [(None, txn)], now_override)
+    _append(ledger_path, chain, state, [(None, txn)], now_override, record.cred_def_id.hex in state.cred_defs)
     click.echo(f"cred_def_id: {record.cred_def_id.hex}")
 
 
@@ -504,13 +510,11 @@ def cred_issue(
 @cred.command("verify")
 @click.option("--ledger", "ledger_path", required=True, type=click.Path(exists=True))
 @click.option("--audience", default=None, help="Expected audience DID (presentations).")
-@click.option("--now", "now_override", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True)
 @click.argument("record_file", type=click.Path(exists=True))
 def cred_verify(
     ledger_path: str,
     audience: str | None,
-    now_override: int | None,
     as_json: bool,
     record_file: str,
 ) -> None:
@@ -523,10 +527,10 @@ def cred_verify(
         if "holder_signature" in data:
             presentation = Presentation.from_dict(data)
             state = fold_chain(chain, ledger_reads(presentation))
-            result = verify_presentation(presentation, state, _now(now_override), expected_audience=audience)
+            result = verify_presentation(presentation, state, expected_audience=audience)
         else:
             credential = VerifiableCredential.from_dict(data)
-            result = verify_credential(credential, fold_chain(chain, ledger_reads(credential)), _now(now_override))
+            result = verify_credential(credential, fold_chain(chain, ledger_reads(credential)))
     except (KeyError, ValueError, TypeError) as exc:
         result = None
         _fail(f"unreadable record: {exc}", EXIT_VERIFY)
@@ -569,7 +573,8 @@ def cred_revoke(
     except Exception as exc:
         _fail(str(exc), EXIT_VERIFY)
         return
-    _append(ledger_path, chain, state, [(None, txn)], now_override)
+    revoked = credential.credential_hash in state.registries[cred_def.registry_key].revoked
+    _append(ledger_path, chain, state, [(None, txn)], now_override, revoked)
     click.echo(f"revoked {credential.credential_hash.hex}")
 
 

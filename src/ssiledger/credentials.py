@@ -214,12 +214,9 @@ def issue(
     )
 
 
-def verify_credential(
-    cred: VerifiableCredential, ledger_view: NodeState, now: int = 0
-) -> VerificationResult:
+def verify_credential(cred: VerifiableCredential, ledger_view: NodeState) -> VerificationResult:
     """Check a credential against the ledger. Total: returns a result, never
-    raises. ``now`` is accepted for interface symmetry; revocation status is
-    whatever the supplied ledger snapshot says."""
+    raises. Revocation status is whatever the supplied state says."""
     cred_def = get_cred_def(ledger_view, cred.cred_def_id)
     if cred_def is None:
         return VerificationResult(False, "UnknownCredDef")
@@ -309,7 +306,6 @@ def present(
 def verify_presentation(
     presentation: Presentation,
     ledger_view: NodeState,
-    now: int = 0,
     expected_audience: str | None = None,
 ) -> VerificationResult:
     """Check holder signature, audience binding, and every embedded credential."""
@@ -331,7 +327,7 @@ def verify_presentation(
     for cred in presentation.credentials:
         if cred.subject_did != presentation.holder_did:
             return VerificationResult(False, "NotHolder")
-        result = verify_credential(cred, ledger_view, now)
+        result = verify_credential(cred, ledger_view)
         if not result.valid:
             return result
     return VALID
@@ -590,9 +586,7 @@ def third_party_flow(
     )
     steps.append("owner presented credential to requester")
 
-    verification = verify_presentation(
-        presentation, current(), now, expected_audience=requester.did
-    )
+    verification = verify_presentation(presentation, current(), expected_audience=requester.did)
     if not verification.valid:
         raise VerificationFailed(verification.reason or "invalid")
     steps.append("requester verified presentation")

@@ -334,9 +334,7 @@ class ScenarioRunner:
             "ok",
             {"credentials": len(presentation.credentials), "audience": hospital_c.did},
         )
-        verdict = verify_presentation(
-            presentation, self.ledger_view(), self.sim.now, expected_audience=hospital_c.did
-        )
+        verdict = verify_presentation(presentation, self.ledger_view(), expected_audience=hospital_c.did)
         self._expect(
             verdict.valid,
             "hospital-c",
@@ -420,9 +418,7 @@ class ScenarioRunner:
             "ok",
             {"credentials": len(presentation.credentials)},
         )
-        verdict = verify_presentation(
-            presentation, self.ledger_view(), self.sim.now, expected_audience=acme.did
-        )
+        verdict = verify_presentation(presentation, self.ledger_view(), expected_audience=acme.did)
         self._expect(
             verdict.valid,
             "acme",

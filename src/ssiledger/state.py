@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Iterable
@@ -197,13 +197,12 @@ def registry_id_for(cred_def_id: Digest) -> Digest:
 @dataclass(frozen=True)
 class RevocationRegistryState:
     """Hash-set accumulator of revoked credentials for one credential
-    definition. Append-only: entries are never removed. A ``frozenset`` may be
-    shared between states; a fold that touches the registry gives its state a
-    working ``set``, which ``NodeState.copy`` and ``apply_all`` freeze again."""
+    definition. Append-only: entries are never removed. The record is frozen,
+    but its ``revoked`` set belongs to one state and grows in place."""
 
     registry_id: Digest
     cred_def_id: Digest
-    revoked: frozenset[Digest] = frozenset()
+    revoked: set[Digest] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -270,20 +269,11 @@ def _key_names(txn: LedgerTransaction) -> frozenset:
     return keys
 
 
-def _frozen(registries: dict) -> dict:
-    """The registries, each working ``set`` of revoked hashes frozen."""
-    return {
-        key: replace(registry, revoked=frozenset(registry.revoked)) if isinstance(registry.revoked, set) else registry
-        for key, registry in registries.items()
-    }
-
-
 @dataclass
 class NodeState:
     """The replicated state. A consensus node owns one and folds each executed
-    batch into it in place (``fold_into``), so a node's state is live: it is
-    not a snapshot, and a reader that must keep a value takes ``copy()``.
-    ``apply_all`` and ``apply`` fold into a copy and leave their input as it was."""
+    batch into it in place (``fold_into``), so a node's state is live, not a
+    snapshot. No code path copies a state."""
 
     dids: dict = field(default_factory=dict)
     schemas: dict = field(default_factory=dict)
@@ -291,18 +281,6 @@ class NodeState:
     registries: dict = field(default_factory=dict)
     consent_proofs: list[ConsentProofRecord] = field(default_factory=list)
     denied_fields: frozenset[str] = DEFAULT_DENIED_FIELDS
-
-    def copy(self) -> "NodeState":
-        """An independent copy: new maps, and each registry's revoked set
-        frozen, so folding into either state leaves the other as it was."""
-        return NodeState(
-            dict(self.dids),
-            dict(self.schemas),
-            dict(self.cred_defs),
-            _frozen(self.registries),
-            list(self.consent_proofs),
-            self.denied_fields,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -382,22 +360,11 @@ def fold_into(state: NodeState, txns: Iterable[LedgerTransaction]) -> list[Rejec
     return reasons
 
 
-def apply_all(
-    state: NodeState, txns: Iterable[LedgerTransaction]
-) -> tuple[NodeState, list[RejectReason | None]]:
-    """``fold_into`` a copy of ``state``, for callers that keep their input:
-    the new state, its registries frozen, and the per-txn reasons."""
-    work = state.copy()
-    reasons = fold_into(work, txns)
-    work.registries = _frozen(work.registries)
-    return work, reasons
-
-
 def apply(state: NodeState, txn: LedgerTransaction) -> tuple[NodeState, RejectReason | None]:
-    """Fold one committed transaction into a copy of the state: ``apply_all`` of
-    one txn. Returns (new_state, None), or (state unchanged, reason) on rejection."""
-    new_state, (reason,) = apply_all(state, (txn,))
-    return (new_state, None) if reason is None else (state, reason)
+    """``fold_into`` one committed transaction: mutates ``state`` and returns
+    it with None, or with the reason it was rejected (and left no trace)."""
+    (reason,) = fold_into(state, (txn,))
+    return state, reason
 
 
 def _self_certified(txn: LedgerTransaction) -> DidDocument | None:
@@ -473,11 +440,7 @@ def _apply_revoc_entry(state: NodeState, txn: LedgerTransaction) -> RejectReason
     if txn.author_did != cred_def.issuer_did:
         return RejectReason.UNAUTHORIZED_ISSUER
     hashes = [Digest.from_hex(h) for h in payload["revoked"]]
-    registry_key = cred_def.registry_key
-    registry = state.registries[registry_key]
-    if not isinstance(registry.revoked, set):  # first touch in this state: the frozenset may be shared
-        registry = state.registries[registry_key] = replace(registry, revoked=set(registry.revoked))
-    registry.revoked.update(hashes)
+    state.registries[cred_def.registry_key].revoked.update(hashes)
     return None
 
 
@@ -556,9 +519,10 @@ def consent_proof_payload(
 
 
 def fold_chain(chain, reads: set[str] | None = None) -> NodeState:
-    """Replay a committed chain into the state it produces, with one ``apply_all``
-    call. Transactions in stored blocks were accepted at commit time, so
-    rejections here only occur for chains assembled outside consensus.
+    """Replay a committed chain into the state it produces: one ``fold_into``
+    into a new ``NodeState``. Transactions in stored blocks were accepted at
+    commit time, so rejections here only occur for chains assembled outside
+    consensus.
 
     With ``reads``, a set of state keys (DIDs, schema ids, cred def ids), only
     the records that can write a key in their closure are applied: the closure
@@ -568,7 +532,8 @@ def fold_chain(chain, reads: set[str] | None = None) -> NodeState:
     txns = [txn for block in chain.blocks for txn in block.txns]
     if reads is not None:
         txns = _writers_of(txns, reads)[1]
-    state, _ = apply_all(NodeState(), txns)
+    state = NodeState()
+    fold_into(state, txns)
     return state
 
 

@@ -272,7 +272,7 @@ class Wallet:
         from .credentials import verify_credential
 
         self._require_unlocked()
-        result = verify_credential(credential, ledger_view, received_at)
+        result = verify_credential(credential, ledger_view)
         if not result.valid:
             reason = result.reason or "invalid"
             if reason == "UnknownCredDef":

@@ -336,14 +336,14 @@ class TestVerifyFoldsWhatItReads:
     def test_records_folded_do_not_grow_with_the_ledger(self, runner, workdir, monkeypatch, unrelated):
         self._write_ledger(unrelated)
         folded = []
-        real_apply_all = state_mod.apply_all
+        real_fold_into = state_mod.fold_into
 
         def counting(state, txns):
             txns = list(txns)
             folded.append(len(txns))
-            return real_apply_all(state, txns)
+            return real_fold_into(state, txns)
 
-        monkeypatch.setattr(state_mod, "apply_all", counting)
+        monkeypatch.setattr(state_mod, "fold_into", counting)
         for record, count in (("p.json", 4), ("c.json", 3)):
             folded.clear()
             result = invoke(runner, ["cred", "verify", record, "--ledger", "net.ledger.jsonl"])
@@ -691,6 +691,54 @@ class TestLedgerWritePath:
         assert reads == ["net.ledger.jsonl"]
         verify = invoke(runner, ["cred", "verify", "alice.cred.json", "--ledger", "net.ledger.jsonl"])
         assert verify.exit_code == (4 if command == "cred revoke" else 0)
+
+
+class TestRecordsAlreadyOnTheLedger:
+    """A schema, cred def or revocation already on the ledger passes the
+    checks a new record passes, prints the usual line and exits 0, but leaves
+    the ledger file byte-identical. A record refused before is refused still."""
+
+    WALLET = ["--wallet", "issuer.wallet.json", "--relation", "public", "--ledger", "net.ledger.jsonl"]
+
+    @pytest.mark.parametrize("command", ["schema publish", "creddef publish", "cred revoke"])
+    def test_second_run_leaves_the_file_byte_identical(self, runner, workdir, issuer_setup, command):
+        assert _issue(runner, issuer_setup).exit_code == 0
+        args = {
+            "schema publish": ["schema", "publish", *self.WALLET, "--name", "degree",
+                               "--attr", "degree:string", "--attr", "year:integer"],
+            "creddef publish": ["creddef", "publish", *self.WALLET, "--schema-id", issuer_setup["schema_id"]],
+            "cred revoke": ["cred", "revoke", *self.WALLET, "alice.cred.json"],
+        }[command]
+        first = invoke(runner, [*args, "--now", "150"])
+        assert first.exit_code == 0
+        ledger = Path("net.ledger.jsonl").read_bytes()
+        again = invoke(runner, [*args, "--now", "160"])
+        assert (again.exit_code, again.output) == (0, first.output)
+        assert Path("net.ledger.jsonl").read_bytes() == ledger
+
+    def test_schema_on_the_ledger_by_an_unregistered_did_is_refused(self, runner, workdir, issuer_setup):
+        assert invoke(runner, ["did", "new", "--wallet", "holder.wallet.json", "--relation", "shop"]).exit_code == 0
+        ledger = Path("net.ledger.jsonl").read_bytes()
+        result = invoke(
+            runner,
+            ["schema", "publish", "--wallet", "holder.wallet.json", "--relation", "shop",
+             "--ledger", "net.ledger.jsonl", "--name", "degree", "--attr", "degree:string", "--attr", "year:integer"],
+        )
+        expected = "error: transaction signature does not verify against the ledger\n"
+        assert (result.exit_code, result.output) == (3, expected)
+        assert Path("net.ledger.jsonl").read_bytes() == ledger
+
+    def test_revoked_credential_revoked_by_a_non_issuer_is_refused(self, runner, workdir, issuer_setup):
+        assert _issue(runner, issuer_setup).exit_code == 0
+        assert invoke(runner, ["cred", "revoke", *self.WALLET, "alice.cred.json"]).exit_code == 0
+        ledger = Path("net.ledger.jsonl").read_bytes()
+        result = invoke(
+            runner,
+            ["cred", "revoke", "--wallet", "holder.wallet.json", "--relation", "employer",
+             "--ledger", "net.ledger.jsonl", "alice.cred.json"],
+        )
+        assert result.exit_code == 3 and result.output.startswith("error: ")
+        assert Path("net.ledger.jsonl").read_bytes() == ledger
 
 
 class TestNameTypeOptions:
