@@ -318,10 +318,12 @@ def _append(
     ledger_path: str, chain: Chain, state: NodeState, named_txns: Iterable, now_override: int | None, on_ledger=False
 ) -> Block | None:
     """The one write path of a ledger file: each (name, txn) in turn must
-    recompute its id and verify under ``state``, and folds into it in place;
-    one new block then holds them all. The first that fails ends the command
-    (exit 3, the file untouched) naming its file, or no file (name None).
-    Records already ``on_ledger`` are checked alike but append no block."""
+    recompute its id, verify under ``state`` and fold into it in place, and
+    its id must be new to the chain and to this command; one new block then
+    holds them all. The first that fails ends the command (exit 3, the file
+    untouched) naming its file, or no file (name None). Records already
+    ``on_ledger`` are checked alike, bar the id, but append no block."""
+    seen = set() if on_ledger else {txn.id_hex for block in chain.blocks for txn in block.txns}
     accepted = []
     for name, txn in named_txns:
         where = f"{name}: " if name else ""
@@ -331,6 +333,9 @@ def _append(
         (rejection,) = fold_into(state, (txn,))
         if rejection is not None:
             _fail(f"{where}rejected ({rejection.value})", EXIT_VERIFY)
+        if txn.id_hex in seen:
+            _fail(f"{where}duplicate transaction id {txn.id_hex}", EXIT_VERIFY)
+        seen.add(txn.id_hex)
         accepted.append(txn)
     if on_ledger:
         return None

@@ -2,24 +2,25 @@
 
 Signatures are Ed25519 (deterministic, 64-byte signatures, 32-byte keys), so
 signing the same message twice yields identical bytes and golden tests stay
-stable. Public-key encryption is an X25519 sealed box: an ephemeral keypair
-per message, HKDF-SHA256 key derivation, ChaCha20-Poly1305 AEAD. All key and
-signature material is raw bytes; hex rendering is lowercase everywhere.
+stable. Verification runs on libsodium alone, so every node and verifier
+reaches the same verdict on the same bytes. Public-key encryption is an X25519
+sealed box: an ephemeral keypair per message, HKDF-SHA256 key derivation,
+ChaCha20-Poly1305 AEAD. All key and signature material is raw bytes; hex
+rendering is lowercase everywhere.
 """
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import hashlib
 import os
 from dataclasses import dataclass
 from typing import Any
 
-from cryptography.exceptions import InvalidSignature, InvalidTag
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -41,6 +42,16 @@ _RAW = serialization.Encoding.Raw
 _RAW_PUBLIC = serialization.PublicFormat.Raw
 _RAW_PRIVATE = serialization.PrivateFormat.Raw
 _NO_ENCRYPTION = serialization.NoEncryption()
+
+_SODIUM_PATH = ctypes.util.find_library("sodium")
+if _SODIUM_PATH is None:
+    raise ImportError("ssiledger.crypto needs libsodium (>= 1.0.18) for Ed25519 verification")
+_sodium = ctypes.CDLL(_SODIUM_PATH)
+if _sodium.sodium_init() < 0:
+    raise ImportError("libsodium failed to initialise")
+_verify_detached = _sodium.crypto_sign_ed25519_verify_detached
+_verify_detached.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
+_verify_detached.restype = ctypes.c_int
 
 
 class CryptoError(Exception):
@@ -146,17 +157,19 @@ def sign(private: bytes, message: bytes) -> bytes:
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """True iff the signature was produced over message by the matching key.
 
-    Total: malformed keys or signatures simply fail verification.
+    Total over keys and signatures: malformed ones simply fail verification.
+    Beyond the RFC 8032 equation, libsodium requires a canonical S (below the
+    group order) and refuses a key or an R that is of small order or not
+    canonically encoded; such a key would otherwise let anyone sign. The
+    message may be any bytes-like object; anything else raises TypeError.
     """
     if not isinstance(public, bytes) or len(public) != KEY_SIZE:
         return False
     if not isinstance(signature, bytes) or len(signature) != SIGNATURE_SIZE:
         return False
-    try:
-        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
-    except (InvalidSignature, ValueError):
-        return False
-    return True
+    if not isinstance(message, bytes):
+        message = memoryview(message).tobytes()
+    return _verify_detached(signature, message, len(message), public) == 0
 
 
 def _sealed_key(shared: bytes, ephemeral_public: bytes, recipient_public: bytes) -> bytes:

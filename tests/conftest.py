@@ -68,6 +68,31 @@ class Identity:
         )
 
 
+# The identity point, a key of small order. With R = identity and S = 0 as the
+# signature, the cofactorless equation [S]B = R + [k]A holds for every message.
+IDENTITY_POINT = b"\x01" + bytes(31)
+IDENTITY_SIGNATURE = IDENTITY_POINT + bytes(32)
+IDENTITY_DID = derive_did(IDENTITY_POINT)
+
+
+def signed_by_no_one(txn_type: TxnType, payload: dict, timestamp: int) -> LedgerTransaction:
+    """A record in the name of the identity point's DID, with the constant
+    signature that a verifier accepting small-order keys takes for any payload."""
+    return LedgerTransaction(
+        txn_type=txn_type,
+        payload=payload,
+        author_did=IDENTITY_DID,
+        author_signature=IDENTITY_SIGNATURE,
+        timestamp=timestamp,
+        txn_id=LedgerTransaction.compute_id(txn_type, payload, IDENTITY_DID, timestamp),
+    )
+
+
+def small_order_registration(timestamp: int = 0) -> LedgerTransaction:
+    document = DidDocument(verification_key=IDENTITY_POINT, agreement_key=bytes(32), endpoint="sim://nobody")
+    return signed_by_no_one(TxnType.DID_REG, did_reg_payload(IDENTITY_DID, document), timestamp)
+
+
 def must_apply(state: NodeState, txn: LedgerTransaction) -> NodeState:
     state, rejection = apply(state, txn)
     assert rejection is None, f"unexpected rejection: {rejection}"

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 import ssiledger.cli as cli
 import ssiledger.state as state_mod
-from conftest import Identity
+from conftest import Identity, small_order_registration
 from ssiledger.cli import main
 from ssiledger.credentials import Presentation, issue
 from ssiledger.crypto import digest_of, sign
@@ -638,6 +638,7 @@ class TestLedgerWritePath:
         moved = {**author.registration_txn(5).to_dict(), "timestamp": 8}  # signed payload intact, id stale
         Path("moved.json").write_text(json.dumps(moved))
         Path("undecodable.json").write_text("[1]")
+        Path("small-order.json").write_text(json.dumps(small_order_registration().to_dict()))
         return Path("l.jsonl").read_bytes()
 
     def _append(self, runner, *files):
@@ -657,11 +658,25 @@ class TestLedgerWritePath:
             (["forged.json", "undecodable.json"], "forged.json: transaction signature does not verify"),
             (["reg.json", "reg.json"], "reg.json: rejected (DuplicateDid)"),
             (["schema.json", "reg.json"], "schema.json: transaction signature does not verify"),
+            (["small-order.json"], "small-order.json: transaction signature does not verify"),
         ],
     )
     def test_first_failure_ends_the_command(self, runner, ledger, files, output):
         result = self._append(runner, *files)
         assert (result.exit_code, result.output) == (3, f"error: {output}\n")
+        assert Path("l.jsonl").read_bytes() == ledger
+
+    @pytest.mark.parametrize("already", [True, False], ids=["on-the-ledger", "earlier-in-the-command"])
+    def test_txn_id_is_appended_once(self, runner, ledger, already):
+        if already:
+            assert self._append(runner, "reg.json", "schema.json").exit_code == 0
+            ledger, files = Path("l.jsonl").read_bytes(), ["schema.json"]
+        else:
+            files = ["reg.json", "schema.json", "schema.json"]
+        schema_id = json.loads(Path("schema.json").read_text())["txn_id"]
+        result = self._append(runner, *files)
+        expected = f"error: schema.json: duplicate transaction id {schema_id}\n"
+        assert (result.exit_code, result.output) == (3, expected)
         assert Path("l.jsonl").read_bytes() == ledger
 
     def test_schema_by_an_unregistered_did_is_refused(self, runner, ledger):

@@ -1,8 +1,12 @@
 import hashlib
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import IDENTITY_SIGNATURE
 
 from ssiledger.crypto import (
     DecryptFailed,
@@ -120,6 +124,69 @@ class TestSigning:
         mutated = bytearray(message)
         mutated[bit // 8] ^= 1 << (bit % 8)
         assert not verify(pair.public, bytes(mutated), signature)
+
+
+# The eight points of small order, canonically encoded, then the identity
+# encoded as y = p + 1, which is not canonical.
+SMALL_ORDER_KEYS = {
+    "identity": "01" + "00" * 31,
+    "order-2": "ec" + "ff" * 30 + "7f",
+    "order-4": "00" * 32,
+    "order-4-neg": "00" * 31 + "80",
+    "order-8-a": "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "order-8-a-neg": "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+    "order-8-b": "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+    "order-8-b-neg": "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+    "identity-p+1": "ee" + "ff" * 30 + "7f",
+}
+
+
+def _reference_verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    """RFC 8032 verification as ``cryptography`` (OpenSSL) does it."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
+class TestVerifyRules:
+    @pytest.mark.parametrize("key", SMALL_ORDER_KEYS.values(), ids=SMALL_ORDER_KEYS.keys())
+    @settings(max_examples=20, deadline=None)
+    @given(message=st.binary(max_size=64))
+    def test_small_order_and_non_canonical_keys_are_refused(self, key, message):
+        """R = identity and S = 0 satisfy the cofactorless equation whenever
+        [k]A is the identity: for every message at the identity key."""
+        assert not verify(bytes.fromhex(key), message, IDENTITY_SIGNATURE)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.binary(min_size=32, max_size=32),
+        st.binary(max_size=128),
+        st.one_of(st.none(), st.tuples(st.sampled_from(["key", "signature", "message"]), st.integers(min_value=0))),
+    )
+    def test_same_verdict_as_cryptography(self, seed, message, flip):
+        pair = generate_signing_keypair(seed)
+        parts = {"key": pair.public, "signature": sign(pair.private, message), "message": message}
+        if flip is not None and parts[flip[0]]:
+            target, position = flip
+            mutated = bytearray(parts[target])
+            bit = position % (len(mutated) * 8)
+            mutated[bit // 8] ^= 1 << (bit % 8)
+            parts[target] = bytes(mutated)
+        args = parts["key"], parts["message"], parts["signature"]
+        assert verify(*args) == _reference_verify(*args)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_bytes_like_message_verifies_like_bytes(self, kind):
+        pair = generate_signing_keypair(b"\x0a" * 32)
+        assert verify(pair.public, kind(b"hello"), sign(pair.private, b"hello"))
+
+    @pytest.mark.parametrize("message", ["hello", 5, None], ids=["str", "int", "None"])
+    def test_message_that_is_not_bytes_like_raises(self, message):
+        pair = generate_signing_keypair(b"\x0a" * 32)
+        with pytest.raises(TypeError):
+            verify(pair.public, message, sign(pair.private, b"hello"))
 
 
 class TestSealedBox:

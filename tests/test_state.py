@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Identity, must_apply
+from conftest import Identity, must_apply, signed_by_no_one, small_order_registration
 from test_acceptance import Budget
 import ssiledger.ledger as ledger_mod
 from ssiledger.consensus import ConsensusConfig
@@ -447,6 +447,18 @@ class TestSubmissionGate:
             0,
         )
         assert not verify_txn_signature(NodeState(), txn)
+
+    def test_small_order_key_registers_no_did(self):
+        registration = small_order_registration()
+        assert registration.id_recomputes()
+        assert not verify_txn_signature(NodeState(), registration)
+
+    def test_small_order_key_signs_nothing_in_its_did_name(self):
+        state = must_apply(NodeState(), small_order_registration())  # apply checks no signature
+        schema = SchemaRecord.create("s", "1.0", [("ref", AttrType.STRING)])
+        forged = signed_by_no_one(TxnType.SCHEMA, schema_payload(schema), 1)
+        assert forged.id_recomputes()
+        assert not verify_txn_signature(state, forged)
 
 
 class TestDidSelfCheckCache:
