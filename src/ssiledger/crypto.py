@@ -1,12 +1,12 @@
-"""Hashing, signing and public-key encryption primitives.
+"""Hashing, signing, key derivation and public-key encryption primitives.
 
 Signatures are Ed25519 (deterministic, 64-byte signatures, 32-byte keys), so
 signing the same message twice yields identical bytes and golden tests stay
-stable. Verification runs on libsodium alone, so every node and verifier
-reaches the same verdict on the same bytes. Public-key encryption is an X25519
-sealed box: an ephemeral keypair per message, HKDF-SHA256 key derivation,
-ChaCha20-Poly1305 AEAD. All key and signature material is raw bytes; hex
-rendering is lowercase everywhere.
+stable. Ed25519 and the wallet's memory-hard scrypt (RFC 7914) run on
+libsodium alone, so every node and verifier reaches the same verdict on the
+same bytes. Public-key encryption is an X25519 sealed box: an ephemeral
+keypair per message, HKDF-SHA256, ChaCha20-Poly1305 AEAD. All key and
+signature material is raw bytes; hex rendering is lowercase everywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Any
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -45,13 +44,23 @@ _NO_ENCRYPTION = serialization.NoEncryption()
 
 _SODIUM_PATH = ctypes.util.find_library("sodium")
 if _SODIUM_PATH is None:
-    raise ImportError("ssiledger.crypto needs libsodium (>= 1.0.18) for Ed25519 verification")
+    raise ImportError("ssiledger.crypto needs libsodium (>= 1.0.18) for Ed25519 and scrypt")
 _sodium = ctypes.CDLL(_SODIUM_PATH)
 if _sodium.sodium_init() < 0:
     raise ImportError("libsodium failed to initialise")
 _verify_detached = _sodium.crypto_sign_ed25519_verify_detached
 _verify_detached.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
 _verify_detached.restype = ctypes.c_int
+_seed_keypair = _sodium.crypto_sign_ed25519_seed_keypair
+_seed_keypair.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p)
+_seed_keypair.restype = ctypes.c_int
+_sign_detached = _sodium.crypto_sign_ed25519_detached
+_sign_detached.argtypes = (ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p)
+_sign_detached.restype = ctypes.c_int
+_scrypt = _sodium.crypto_pwhash_scryptsalsa208sha256_ll
+_scrypt.argtypes = (ctypes.c_char_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_size_t, ctypes.c_uint64,
+                    ctypes.c_uint32, ctypes.c_uint32, ctypes.c_char_p, ctypes.c_size_t)
+_scrypt.restype = ctypes.c_int
 
 
 class CryptoError(Exception):
@@ -128,12 +137,31 @@ def digest_of(value: Any) -> Digest:
     return sha256(canonicalize(value))
 
 
+def _ed25519(seed: bytes, message: bytes | None = None) -> tuple[bytes, bytes]:
+    public = ctypes.create_string_buffer(KEY_SIZE)
+    expanded = ctypes.create_string_buffer(SIGNATURE_SIZE)  # seed || public: zeroed before return
+    signature = ctypes.create_string_buffer(SIGNATURE_SIZE)
+    _seed_keypair(public, expanded, seed)
+    if message is not None:
+        _sign_detached(signature, None, message, len(message), expanded)
+    ctypes.memset(expanded, 0, SIGNATURE_SIZE)
+    return public.raw, signature.raw
+
+
+def scrypt(secret: bytes, salt: bytes, n: int, r: int, p: int, length: int = 32) -> bytes:
+    """RFC 7914 scrypt; memory-hard, it holds 128·n·r bytes while it runs."""
+    out = ctypes.create_string_buffer(length)
+    in_range = min(n, r, p) >= 1 and r * p < 1 << 30 and n < 1 << 32  # ctypes truncates wider ints
+    if not in_range or _scrypt(secret, len(secret), salt, len(salt), n, r, p, out, length):
+        raise CryptoError(f"scrypt refused n={n}, r={r}, p={p}")
+    return out.raw
+
+
 def generate_signing_keypair(seed: bytes) -> SigningKeyPair:
     """Derive an Ed25519 keypair from a 32-byte seed. Deterministic."""
     if len(seed) != SEED_SIZE:
         raise InvalidSeed(f"signing seed must be {SEED_SIZE} bytes, got {len(seed)}")
-    key = Ed25519PrivateKey.from_private_bytes(seed)
-    public = key.public_key().public_bytes(_RAW, _RAW_PUBLIC)
+    public, _ = _ed25519(memoryview(seed).tobytes())
     return SigningKeyPair(public=public, private=seed)
 
 
@@ -151,7 +179,8 @@ def sign(private: bytes, message: bytes) -> bytes:
     """Sign a message; returns a 64-byte deterministic signature."""
     if not isinstance(private, bytes) or len(private) != KEY_SIZE:
         raise InvalidKey("signing key must be 32 raw private bytes")
-    return Ed25519PrivateKey.from_private_bytes(private).sign(message)
+    message = message if isinstance(message, bytes) else memoryview(message).tobytes()
+    return _ed25519(private, message)[1]
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
@@ -167,8 +196,7 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return False
     if not isinstance(signature, bytes) or len(signature) != SIGNATURE_SIZE:
         return False
-    if not isinstance(message, bytes):
-        message = memoryview(message).tobytes()
+    message = message if isinstance(message, bytes) else memoryview(message).tobytes()
     return _verify_detached(signature, message, len(message), public) == 0
 
 

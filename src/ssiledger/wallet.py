@@ -3,8 +3,8 @@
 A wallet holds one pairwise identity per relation, each with its own signing
 and agreement keypair, so compromising one relation's keys tells an attacker
 nothing about the others. Private keys are encrypted at rest under a key
-derived from the unlock secret with scrypt (memory-hard); the wallet file
-never contains plaintext private key material.
+derived from the unlock secret with scrypt (memory-hard, run on libsodium);
+the wallet file never contains plaintext private key material.
 
 The unlock secret stands in for a biometric unlock: anything that yields a
 stable high-entropy byte string can be plugged in.
@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
 
 from .canonical import canonical_json
 from .crypto import (
@@ -31,6 +30,7 @@ from .crypto import (
     decrypt_from,
     generate_encryption_keypair,
     generate_signing_keypair,
+    scrypt,
     sha256,
 )
 from .state import DidDocument, derive_did
@@ -80,13 +80,15 @@ class CredentialNotStored(WalletError):
 
 @dataclass(frozen=True)
 class KdfParams:
+    """scrypt cost (n, r, p: the security parameter); ``derive`` runs on libsodium."""
+
     salt: bytes
     n: int = 2**14
     r: int = 8
     p: int = 1
 
     def derive(self, secret: bytes) -> bytes:
-        return Scrypt(salt=self.salt, length=32, n=self.n, r=self.r, p=self.p).derive(secret)
+        return scrypt(secret, self.salt, self.n, self.r, self.p)
 
 
 @dataclass
@@ -325,6 +327,8 @@ class Wallet:
         n, r, p = kdf["n"], kdf["r"], kdf["p"]
         if not all(type(v) is int for v in (n, r, p)) or n < 2 or n & (n - 1) or min(r, p) < 1:
             raise MalformedWallet("kdf n must be an int power of two above 1, r and p ints of at least 1")
+        if r * p >= 1 << 30 or n >= 1 << 32:
+            raise MalformedWallet("kdf r*p must be below 2**30 and n below 2**32")
         wallet = cls(
             owner_label=data["owner_label"],
             kdf=KdfParams(salt=bytes.fromhex(kdf["salt"]), n=n, r=r, p=p),

@@ -846,6 +846,21 @@ class TestUnreadableWallet:
         )
         assert (result.exit_code, result.output) == (1, expected)
 
+    @pytest.mark.parametrize("kdf", [{"r": 32768, "p": 32768}, {"r": 1, "p": 2**30}, {"n": 2**32}, {"n": 2**40}])
+    @pytest.mark.parametrize("command", ["unlock", "list"])
+    def test_kdf_parameters_outside_the_scrypt_domain(self, runner, workdir, kdf, command):
+        """RFC 7914 (and libsodium) need r*p below 2**30 and n below 2**32: a
+        file outside that domain is unreadable, not a wrong secret (exit 5)."""
+        assert invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "o"]).exit_code == 0
+        data = json.loads(Path("w.json").read_text())
+        Path("w.json").write_text(json.dumps({**data, "kdf": {**data["kdf"], **kdf}}))
+        result = invoke(runner, ["wallet", command, "--wallet", "w.json"])
+        expected = (
+            "error: cannot read wallet: w.json is not a wallet file: MalformedWallet: "
+            "kdf r*p must be below 2**30 and n below 2**32\n"
+        )
+        assert (result.exit_code, result.output) == (1, expected)
+
 
 @pytest.mark.parametrize("field", ["txn_id", "author_signature", "prev_hash", "merkle_root", "block_hash"])
 def test_hex_in_upper_case_fails_the_read(runner, workdir, issuer_setup, field):

@@ -1,14 +1,17 @@
+import ctypes
 import hashlib
 
 import pytest
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
-from hypothesis import given, settings
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import IDENTITY_SIGNATURE
 
 from ssiledger.crypto import (
+    CryptoError,
     DecryptFailed,
     Digest,
     InvalidSeed,
@@ -19,6 +22,7 @@ from ssiledger.crypto import (
     encrypt_to,
     generate_encryption_keypair,
     generate_signing_keypair,
+    scrypt,
     sha256,
     sign,
     verify,
@@ -187,6 +191,100 @@ class TestVerifyRules:
         pair = generate_signing_keypair(b"\x0a" * 32)
         with pytest.raises(TypeError):
             verify(pair.public, message, sign(pair.private, b"hello"))
+
+
+# RFC 8032 section 7.1, TEST 1: the empty message.
+RFC8032_SEED = "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"
+RFC8032_PUBLIC = "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
+RFC8032_SIGNATURE = (
+    "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
+)
+
+
+def _reference_keys(seed: bytes) -> tuple[bytes, Ed25519PrivateKey]:
+    """The public key and signer of a seed as ``cryptography`` (OpenSSL) computes them."""
+    key = Ed25519PrivateKey.from_private_bytes(seed)
+    raw = serialization.Encoding.Raw, serialization.PublicFormat.Raw
+    return key.public_key().public_bytes(*raw), key
+
+
+class TestSignRules:
+    def test_rfc8032_test_1(self):
+        seed = bytes.fromhex(RFC8032_SEED)
+        public, reference = _reference_keys(seed)
+        assert generate_signing_keypair(seed).public.hex() == RFC8032_PUBLIC == public.hex()
+        assert sign(seed, b"").hex() == RFC8032_SIGNATURE == reference.sign(b"").hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(min_size=32, max_size=32), st.binary(max_size=512))
+    def test_same_keys_and_signatures_as_cryptography(self, seed, message):
+        public, reference = _reference_keys(seed)
+        assert generate_signing_keypair(seed).public == public
+        assert sign(seed, message) == reference.sign(message)
+
+    def test_expanded_key_is_zeroed_after_use(self, monkeypatch):
+        zeroed = []
+        real_memset = ctypes.memset
+
+        def memset(buffer, value, size):
+            zeroed.append(buffer)
+            return real_memset(buffer, value, size)
+
+        monkeypatch.setattr(ctypes, "memset", memset)
+        generate_signing_keypair(b"\x0c" * 32)
+        sign(b"\x0c" * 32, b"hello")
+        assert [buf.raw for buf in zeroed] == [b"\x00" * 64] * 2
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_bytes_like_message_signs_like_bytes(self, kind):
+        pair = generate_signing_keypair(b"\x0b" * 32)
+        assert sign(pair.private, kind(b"hello")) == sign(pair.private, b"hello")
+
+    @pytest.mark.parametrize("message", ["hello", 5, None], ids=["str", "int", "None"])
+    def test_message_that_is_not_bytes_like_raises(self, message):
+        pair = generate_signing_keypair(b"\x0b" * 32)
+        with pytest.raises(TypeError):
+            sign(pair.private, message)
+
+
+class TestScrypt:
+    # RFC 7914 section 12, vectors 1 and 2; vectors 3 and 4 need 16 MiB and
+    # 1 GiB and add nothing the differential test below does not cover.
+    @pytest.mark.parametrize(
+        "secret,salt,n,r,p,expected",
+        [
+            (b"", b"", 16, 1, 1,
+             "77d6576238657b203b19ca42c18a0497f16b4844e3074ae8dfdffa3fede21442"
+             "fcd0069ded0948f8326a753a0fc81f17e8d3e0fb2e0d3628cf35e20c38d18906"),
+            (b"password", b"NaCl", 1024, 8, 16,
+             "fdbabe1c9d3472007856e7190d01e9fe7c6ad7cbc8237830e77376634b373162"
+             "2eaf30d92e22a3886ff109279d9830dac727afb94a83ee6d8360cbdfa2cc0640"),
+        ],
+        ids=["vector-1", "vector-2"],
+    )
+    def test_rfc7914_vectors(self, secret, salt, n, r, p, expected):
+        assert scrypt(secret, salt, n, r, p, length=64).hex() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.binary(max_size=40),
+        st.binary(max_size=32),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=64),
+    )
+    @example(b"a\x00b", b"s", 4, 1, 1, 32)
+    def test_same_bytes_as_hashlib(self, secret, salt, log_n, r, p, length):
+        expected = hashlib.scrypt(secret, salt=salt, n=2**log_n, r=r, p=p, dklen=length)
+        assert scrypt(secret, salt, 2**log_n, r, p, length) == expected
+
+    @pytest.mark.parametrize(
+        "n,r,p", [(3, 1, 1), (1, 1, 1), (16, 0, 1), (16, -1, 1), (16, 32768, 32768), (2**32, 1, 1), (16, 2**32 + 1, 1)]
+    )
+    def test_parameters_outside_the_domain_are_refused(self, n, r, p):
+        with pytest.raises(CryptoError, match=f"n={n}, r={r}, p={p}"):
+            scrypt(b"secret", b"salt", n, r, p)
 
 
 class TestSealedBox:

@@ -1,12 +1,13 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from conftest import CredEnv, diploma_attributes, seed
 from ssiledger.credentials import issue
-from ssiledger.crypto import decrypt_from, encrypt_to
+from ssiledger.crypto import decrypt_from, encrypt_to, generate_signing_keypair, sign, verify
 from ssiledger.ledger import LedgerTransaction, TxnType
-from ssiledger.state import revoc_entry_payload
+from ssiledger.state import derive_did, revoc_entry_payload
 from ssiledger.wallet import (
     CredentialNotStored,
     RelationExists,
@@ -56,6 +57,24 @@ class TestLifecycle:
             wallet.new_pairwise("other")
         with pytest.raises(WalletLocked):
             wallet.respond_challenge("bank", b"\x00" * 60)
+
+
+class TestWalletFileCompatibility:
+    """``fixtures/parent.wallet.json`` was written by the scrypt and Ed25519 of
+    ``cryptography`` (OpenSSL); the libsodium ones must open and use it."""
+
+    PATH = Path(__file__).parent / "fixtures" / "parent.wallet.json"
+
+    def test_unlocks_and_keys_match(self):
+        wallet = Wallet.load(self.PATH)
+        with pytest.raises(UnlockFailed):
+            wallet.unlock(b"fixture-wrong-secret")
+        wallet.unlock(b"fixture-unlock-secret")
+        identity = wallet.identity("employer")
+        assert identity.did == "did:sample:49iuitMkvZzXK7Fa6hQi8J" == derive_did(identity.signing.public)
+        assert generate_signing_keypair(identity.signing.private).public == identity.signing.public
+        assert verify(identity.signing.public, b"m", sign(identity.signing.private, b"m"))
+        assert wallet.respond_challenge("employer", encrypt_to(identity.agreement.public, b"nonce")) == b"nonce"
 
 
 class TestPairwiseIdentities:
