@@ -37,7 +37,7 @@ from .credentials import (
     verify_credential,
     verify_presentation,
 )
-from .crypto import Digest
+from .crypto import CryptoError, Digest
 from .ledger import (
     Block,
     Chain,
@@ -65,7 +65,7 @@ from .state import (
     schema_payload,
     verify_txn_signature,
 )
-from .wallet import MalformedWallet, PairwiseIdentity, UnknownRelation, Wallet
+from .wallet import MalformedWallet, PairwiseIdentity, UnknownRelation, UnlockFailed, Wallet
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,7 +108,7 @@ def _secret() -> bytes:
     secret = os.environ.get("WALLET_SECRET")
     if secret is None:
         secret = click.prompt("wallet secret", hide_input=True)
-    return secret.encode()
+    return secret.encode("utf-8", "surrogateescape")  # an environment value's own bytes, decodable or not
 
 
 def _load_wallet(path: str) -> Wallet:
@@ -123,10 +123,13 @@ def _open_wallet(path: str) -> Wallet:
     if not Path(path).exists():
         _fail(f"wallet file {path} does not exist")
     wallet = _load_wallet(path)
+    secret = _secret()
     try:
-        wallet.unlock(_secret())
-    except Exception as exc:
+        wallet.unlock(secret)
+    except UnlockFailed as exc:
         _fail(f"cannot unlock wallet: {exc}", EXIT_AUTH)
+    except CryptoError as exc:
+        _fail(f"cannot unlock wallet: {exc}")
     return wallet
 
 

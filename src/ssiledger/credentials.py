@@ -16,13 +16,17 @@ the DID registry, and revocation status from the registry accumulator.
 from __future__ import annotations
 
 import datetime
+import hashlib
 import os
+import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from json.encoder import encode_basestring
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .auth import AuthResult, ChallengeVerifier
+from .canonical import UnsupportedType, canonicalize, map_layout
 from .crypto import Digest, digest_of, sign, verify
-from .ledger import LedgerTransaction, TxnType
+from .ledger import LedgerTransaction, TxnType, _quoted_hex
 from .state import (
     AttrType,
     CredDefRecord,
@@ -31,8 +35,6 @@ from .state import (
     consent_proof_payload,
     get_cred_def,
     get_schema,
-    is_revoked,
-    registry_id_for,
     resolve_did,
     revoc_entry_payload,
 )
@@ -97,6 +99,27 @@ class VerificationResult:
 
 VALID = VerificationResult(True)
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")  # the one ISO date form every supported Python reads alike
+
+# The credential hash, a credential's record in a presentation and a presentation body are
+# canonical maps with fixed keys, so each is framed around its members' canonical bytes.
+_HASH_KEYS = ("attributes", "cred_def_id", "issued_at", "issuer_did", "subject_did")
+_HASH_LAYOUT = map_layout(*_HASH_KEYS)
+_RECORD_LAYOUT = map_layout(*sorted(_HASH_KEYS + ("credential_hash", "issuer_signature")))
+_BODY_LAYOUT = map_layout("audience_did", "credentials", "holder_did", "presented_at")
+
+
+def _member(value: Any) -> bytes:
+    """A plain ``str`` or ``int`` rendered as ``LedgerTransaction._frame`` renders it, else ``canonicalize``."""
+    if type(value) is str:
+        return encode_basestring(value).encode()
+    return b"%d" % value if type(value) is int else canonicalize(value)
+
+
+def _hash_members(cred_def_id: Digest, issuer_did: str, subject_did: str, attributes: dict, issued_at: int) -> tuple:
+    """The canonical bytes of the credential hash's members, in ``_HASH_KEYS`` order."""
+    return canonicalize(attributes), _quoted_hex(cred_def_id.value), *map(_member, (issued_at, issuer_did, subject_did))
+
 
 def check_attributes(schema: SchemaRecord, attributes: dict) -> str | None:
     """Schema conformance: exact attribute set, each value of the declared type.
@@ -119,7 +142,7 @@ def check_attributes(schema: SchemaRecord, attributes: dict) -> str | None:
             if not isinstance(value, str):
                 return f"attribute {attr!r} must be an ISO date string"
             try:
-                datetime.date.fromisoformat(value)
+                datetime.date.fromisoformat(value if _ISO_DATE.fullmatch(value) else "")
             except ValueError:
                 return f"attribute {attr!r} is not a valid ISO date"
     return None
@@ -141,27 +164,17 @@ class VerifiableCredential:
     def compute_hash(
         cred_def_id: Digest, issuer_did: str, subject_did: str, attributes: dict, issued_at: int
     ) -> Digest:
-        return digest_of(
-            {
-                "cred_def_id": cred_def_id.hex,
-                "issuer_did": issuer_did,
-                "subject_did": subject_did,
-                "attributes": attributes,
-                "issued_at": issued_at,
-            }
-        )
+        try:
+            members = _hash_members(cred_def_id, issuer_did, subject_did, attributes, issued_at)
+        except (UnsupportedType, UnicodeEncodeError):
+            # raise what encoding the whole map raises: it names the value's path or position
+            digest_of(dict(zip(_HASH_KEYS, (attributes, cred_def_id.hex, issued_at, issuer_did, subject_did))))
+            raise
+        return Digest(hashlib.sha256(_HASH_LAYOUT % members).digest())
 
     def hash_recomputes(self) -> bool:
-        return (
-            self.compute_hash(
-                self.cred_def_id,
-                self.issuer_did,
-                self.subject_did,
-                self.attributes,
-                self.issued_at,
-            )
-            == self.credential_hash
-        )
+        fields = (self.cred_def_id, self.issuer_did, self.subject_did, self.attributes, self.issued_at)
+        return self.compute_hash(*fields) == self.credential_hash
 
     def to_dict(self) -> dict:
         return {
@@ -215,20 +228,25 @@ def issue(
 
 
 def verify_credential(cred: VerifiableCredential, ledger_view: NodeState) -> VerificationResult:
-    """Check a credential against the ledger. Total: returns a result, never
-    raises. Revocation status is whatever the supplied state says."""
+    """Check a credential against the ledger, whose state decides revocation. A record that
+    does not encode canonically raises ``UnsupportedType`` or ``UnicodeEncodeError``."""
+    return _verify_credential(cred, ledger_view, cred.hash_recomputes)
+
+
+def _verify_credential(
+    cred: VerifiableCredential, ledger_view: NodeState, hash_recomputes: Callable[[], bool]
+) -> VerificationResult:
     cred_def = get_cred_def(ledger_view, cred.cred_def_id)
     if cred_def is None:
         return VerificationResult(False, "UnknownCredDef")
-    if cred.issuer_did != cred_def.issuer_did or not cred.hash_recomputes():
+    if cred.issuer_did != cred_def.issuer_did or not hash_recomputes():
         return VerificationResult(False, "BadSignature")
     if not verify(cred_def.issuer_verification_key, cred.credential_hash.value, cred.issuer_signature):
         return VerificationResult(False, "BadSignature")
-    try:
-        revoked = is_revoked(ledger_view, registry_id_for(cred.cred_def_id), cred.credential_hash)
-    except KeyError:
+    registry = ledger_view.registries.get(cred_def.registry_key)
+    if registry is None:
         return VerificationResult(False, "UnknownCredDef")
-    if revoked:
+    if cred.credential_hash in registry.revoked:
         return VerificationResult(False, "Revoked")
     schema = get_schema(ledger_view, cred_def.schema_id)
     if schema is None:
@@ -278,6 +296,27 @@ class Presentation:
         )
 
 
+def _presentation_digest(
+    credentials: Sequence[VerifiableCredential], holder_did: str, audience_did: str, presented_at: int
+) -> tuple[bytes, list[bytes]]:
+    """SHA-256 of ``Presentation.body`` and of each credential's hash map, encoding each one's attributes once."""
+    try:
+        records, hashes = [], []
+        for c in credentials:
+            members = _hash_members(c.cred_def_id, c.issuer_did, c.subject_did, c.attributes, c.issued_at)
+            hashes.append(hashlib.sha256(_HASH_LAYOUT % members).digest())
+            attributes, cred_def_id, issued_at, issuer_did, subject_did = members
+            record = attributes, cred_def_id, _quoted_hex(c.credential_hash.value), issued_at, issuer_did
+            records.append(_RECORD_LAYOUT % (*record, _quoted_hex(c.issuer_signature), subject_did))
+        listed = b"[" + b",".join(records) + b"]"
+        body = _BODY_LAYOUT % (_member(audience_did), listed, _member(holder_did), _member(presented_at))
+    except (UnsupportedType, UnicodeEncodeError):
+        # raise what encoding the whole body raises: its path or position names the value
+        digest_of(Presentation.body(credentials, holder_did, audience_did, presented_at))
+        raise
+    return hashlib.sha256(body).digest(), hashes
+
+
 def present(
     wallet: "Wallet",
     relation: str,
@@ -293,13 +332,13 @@ def present(
     for cred in credentials:
         if cred.subject_did != identity.did:
             raise NotHolder(f"credential subject {cred.subject_did} is not {identity.did}")
-    body = Presentation.body(credentials, identity.did, audience_did, now)
+    body_digest, _ = _presentation_digest(credentials, identity.did, audience_did, now)
     return Presentation(
         credentials=tuple(credentials),
         holder_did=identity.did,
         audience_did=audience_did,
         presented_at=now,
-        holder_signature=sign(identity.signing.private, digest_of(body).value),
+        holder_signature=sign(identity.signing.private, body_digest),
     )
 
 
@@ -314,20 +353,17 @@ def verify_presentation(
     holder = resolve_did(ledger_view, presentation.holder_did)
     if holder is None:
         return VerificationResult(False, "UnknownHolder")
-    body = Presentation.body(
-        presentation.credentials,
-        presentation.holder_did,
-        presentation.audience_did,
-        presentation.presented_at,
+    body_digest, hashes = _presentation_digest(
+        presentation.credentials, presentation.holder_did, presentation.audience_did, presentation.presented_at
     )
-    if not verify(holder.verification_key, digest_of(body).value, presentation.holder_signature):
+    if not verify(holder.verification_key, body_digest, presentation.holder_signature):
         return VerificationResult(False, "BadSignature")
     if not presentation.credentials:
         return VerificationResult(False, "SchemaMismatch")
-    for cred in presentation.credentials:
+    for cred, recomputed in zip(presentation.credentials, hashes):
         if cred.subject_did != presentation.holder_did:
             return VerificationResult(False, "NotHolder")
-        result = verify_credential(cred, ledger_view)
+        result = _verify_credential(cred, ledger_view, lambda: recomputed == cred.credential_hash.value)
         if not result.valid:
             return result
     return VALID

@@ -121,6 +121,10 @@ class CredEnv:
 
 @pytest.fixture
 def cred_env() -> CredEnv:
+    return make_cred_env()
+
+
+def make_cred_env() -> CredEnv:
     issuer = Identity.create("university")
     state = must_apply(NodeState(), issuer.registration_txn())
 

@@ -9,9 +9,10 @@ import ssiledger.state as state_mod
 from conftest import Identity, small_order_registration
 from ssiledger.cli import main
 from ssiledger.credentials import Presentation, issue
-from ssiledger.crypto import digest_of, sign
+from ssiledger.crypto import CryptoError, digest_of, sign
 from ssiledger.ledger import Chain, LedgerTransaction, TxnType, build_block, read_chain, write_chain
 from ssiledger.state import AttrType, CredDefRecord, SchemaRecord, cred_def_payload, schema_payload
+from ssiledger.wallet import KdfParams
 
 SECRET = {"WALLET_SECRET": "cli-test-secret"}
 UNREADABLE = "error: unreadable record: "
@@ -98,6 +99,30 @@ class TestWalletCommands:
             main, ["wallet", "unlock", "--wallet", "w.json"], env={"WALLET_SECRET": "nope"}
         )
         assert result.exit_code == 5
+
+    def test_aborted_prompt_is_no_wrong_secret(self, runner, workdir):
+        """No secret in the environment and nothing on stdin: the prompt aborts (exit 1)."""
+        invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "bob"])
+        result = runner.invoke(main, ["wallet", "unlock", "--wallet", "w.json"], env={"WALLET_SECRET": None}, input="")
+        assert result.exit_code == 1
+        assert "Aborted!" in result.output and "cannot unlock wallet" not in result.output
+
+    def test_kdf_failure_is_no_wrong_secret(self, runner, workdir, monkeypatch):
+        invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "bob"])
+
+        def failing(self, secret):
+            raise CryptoError("scrypt refused n=16384, r=8, p=1")
+
+        monkeypatch.setattr(KdfParams, "derive", failing)
+        result = invoke(runner, ["wallet", "unlock", "--wallet", "w.json"])
+        assert (result.exit_code, result.output) == (1, "error: cannot unlock wallet: scrypt refused n=16384, r=8, p=1\n")
+
+    def test_secret_that_is_not_utf8(self, runner, workdir):
+        """An environment value is bytes, and the secret is those bytes even where they do not decode."""
+        create, unlock = (["wallet", verb, "--wallet", "w.json"] for verb in ("create", "unlock"))
+        assert runner.invoke(main, create + ["--owner", "bob"], env={"WALLET_SECRET": "\udcff"}).exit_code == 0
+        assert runner.invoke(main, unlock, env={"WALLET_SECRET": "\udcff"}).exit_code == 0
+        assert runner.invoke(main, unlock, env={"WALLET_SECRET": "\udcfe"}).exit_code == 5
 
     def test_duplicate_create_refused(self, runner, workdir):
         invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "bob"])
@@ -238,6 +263,38 @@ class TestCredentialFlow:
         args = ["cred", "verify", "x.json", "--ledger", "net.ledger.jsonl"]
         result = invoke(runner, args + (["--audience", audience] if audience else []))
         assert (result.exit_code, result.output) == (3, output + "\n")
+
+    @pytest.mark.parametrize(
+        "year, output",
+        [
+            (1.5, {
+                "pres": UNREADABLE + "float not allowed in canonical values at $.credentials[0].attributes.year",
+                "cred": UNREADABLE + "float not allowed in canonical values at $.attributes.year",
+            }),
+            ("\ud800", {
+                "pres": UNREADABLE + "'utf-8' codec can't encode character '\\ud800' in position 87: surrogates not allowed",
+                "cred": UNREADABLE + "'utf-8' codec can't encode character '\\ud800' in position 38: surrogates not allowed",
+            }),
+        ],
+    )
+    def test_attribute_that_does_not_encode_exit_3(self, runner, workdir, issuer_setup, year, output):
+        """The message names the value's place in the whole signed map: its path, or
+        its position in the map's encoding."""
+        _issue(runner, issuer_setup)
+        assert invoke(
+            runner,
+            ["cred", "present", "--wallet", "holder.wallet.json", "--relation", "employer",
+             "--audience", "did:sample:acme", "--out", "p.pres.json", "--now", "160",
+             "alice.cred.json"],
+        ).exit_code == 0
+        cred = json.loads(Path("alice.cred.json").read_text())
+        cred["attributes"]["year"] = year
+        pres = json.loads(Path("p.pres.json").read_text())
+        pres["credentials"][0]["attributes"]["year"] = year
+        for kind, record in (("pres", pres), ("cred", cred)):
+            Path("x.json").write_text(json.dumps(record))
+            result = invoke(runner, ["cred", "verify", "x.json", "--ledger", "net.ledger.jsonl"])
+            assert (result.exit_code, result.output) == (3, output[kind] + "\n")
 
     def test_issue_by_non_issuer_refused(self, runner, workdir, issuer_setup):
         result = invoke(

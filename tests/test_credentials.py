@@ -1,9 +1,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CredEnv, Identity, diploma_attributes, must_apply, seed
+from conftest import CredEnv, Identity, diploma_attributes, make_cred_env, must_apply, seed
 from ssiledger.auth import ChallengeVerifier
+from ssiledger.canonical import UnsupportedType
 from ssiledger.credentials import (
     AuthenticationFailed,
     ConsentDeclined,
@@ -13,8 +16,10 @@ from ssiledger.credentials import (
     NothingToPresent,
     Presentation,
     SchemaMismatch,
+    VALID,
     VerifiableCredential,
     VerifierParty,
+    _presentation_digest,
     authenticate,
     issue,
     present,
@@ -25,7 +30,7 @@ from ssiledger.credentials import (
     verify_credential,
     verify_presentation,
 )
-from ssiledger.crypto import sha256
+from ssiledger.crypto import Digest, digest_of, sha256, sign
 from ssiledger.ledger import LedgerTransaction, TxnType
 from ssiledger.state import AttrType, apply
 
@@ -69,50 +74,44 @@ class TestIssue:
             _issue(cred_env, {**diploma_attributes(), "year": True})
 
     def test_date_validation(self, cred_env):
-        from ssiledger.state import SchemaRecord, CredDefRecord, cred_def_payload, schema_payload
-
-        schema = SchemaRecord.create("dated", "1.0", [("issued_on", AttrType.DATE)])
-        state = must_apply(
-            cred_env.state,
-            LedgerTransaction.create(
-                TxnType.SCHEMA,
-                schema_payload(schema),
-                cred_env.issuer.did,
-                cred_env.issuer.signing_private,
-                20,
-            ),
-        )
-        cred_def = CredDefRecord.create(
-            schema.schema_id, cred_env.issuer.did, cred_env.issuer.signing_public
-        )
-        state = must_apply(
-            state,
-            LedgerTransaction.create(
-                TxnType.CRED_DEF,
-                cred_def_payload(cred_def),
-                cred_env.issuer.did,
-                cred_env.issuer.signing_private,
-                21,
-            ),
-        )
-        good = issue(
-            cred_env.issuer.signing_private,
-            cred_def,
-            schema,
-            cred_env.holder_did,
-            {"issued_on": "2026-02-02"},
-            issued_at=22,
-        )
+        state, schema, cred_def = _dated(cred_env)
+        good = _issue_dated(cred_env, schema, cred_def, "2026-02-02")
         assert verify_credential(good, state).valid
         with pytest.raises(SchemaMismatch):
-            issue(
-                cred_env.issuer.signing_private,
-                cred_def,
-                schema,
-                cred_env.holder_did,
-                {"issued_on": "02/02/2026"},
-                issued_at=22,
-            )
+            _issue_dated(cred_env, schema, cred_def, "02/02/2026")
+
+    @pytest.mark.parametrize("value", ["20190630", "2019-W26-7", "2019-02-30", "２０１９-06-30", "2019-06-30 ", "0000-01-01"])
+    def test_only_a_real_yyyy_mm_dd_is_a_date(self, cred_env, value):
+        """Some Pythons' ``date.fromisoformat`` read the basic and week forms, others
+        refuse them: a date is exactly YYYY-MM-DD in ASCII digits, on every Python."""
+        state, schema, cred_def = _dated(cred_env)
+        with pytest.raises(SchemaMismatch):
+            _issue_dated(cred_env, schema, cred_def, value)
+        fields = (cred_def.cred_def_id, cred_env.issuer.did, cred_env.holder_did, {"issued_on": value}, 22)
+        credential_hash = VerifiableCredential.compute_hash(*fields)
+        signature = sign(cred_env.issuer.signing_private, credential_hash.value)
+        signed = VerifiableCredential(*fields, credential_hash=credential_hash, issuer_signature=signature)
+        assert verify_credential(signed, state).reason == "SchemaMismatch"
+        assert verify_credential(_issue_dated(cred_env, schema, cred_def, "2019-06-30"), state).valid
+
+
+def _dated(env: CredEnv):
+    """``env``'s state with a one-DATE-attribute schema and its cred def published."""
+    from ssiledger.state import CredDefRecord, SchemaRecord, cred_def_payload, schema_payload
+
+    schema = SchemaRecord.create("dated", "1.0", [("issued_on", AttrType.DATE)])
+    cred_def = CredDefRecord.create(schema.schema_id, env.issuer.did, env.issuer.signing_public)
+
+    def published(txn_type, payload, timestamp):
+        return LedgerTransaction.create(txn_type, payload, env.issuer.did, env.issuer.signing_private, timestamp)
+
+    state = must_apply(env.state, published(TxnType.SCHEMA, schema_payload(schema), 20))
+    state = must_apply(state, published(TxnType.CRED_DEF, cred_def_payload(cred_def), 21))
+    return state, schema, cred_def
+
+
+def _issue_dated(env: CredEnv, schema, cred_def, value: str) -> VerifiableCredential:
+    return issue(env.issuer.signing_private, cred_def, schema, env.holder_did, {"issued_on": value}, issued_at=22)
 
 
 class TestVerify:
@@ -171,6 +170,51 @@ class TestVerify:
         again = VerifiableCredential.from_dict(credential.to_dict())
         assert again == credential
         assert verify_credential(again, cred_env.state).valid
+
+
+SURROGATE = "'utf-8' codec can't encode character '\\ud800' in position {}: surrogates not allowed"
+
+
+class TestRecordsThatDoNotEncode:
+    """A record that does not encode canonically raises what the encoding of the
+    whole signed map raises: the value's path in it, or its position in its bytes."""
+
+    CASES = {
+        "float": (
+            {"attributes": {**diploma_attributes(), "year": 1.5}},
+            UnsupportedType,
+            "float not allowed in canonical values at $.attributes.year",
+            "float not allowed in canonical values at $.credentials[0].attributes.year",
+        ),
+        "non-string key": (
+            {"attributes": {**diploma_attributes(), 1: "x"}},
+            UnsupportedType,
+            "non-string map key 1 at $.attributes",
+            "non-string map key 1 at $.credentials[0].attributes",
+        ),
+        "surrogate in an attribute": (
+            {"attributes": {**diploma_attributes(), "degree": "\ud800"}},
+            UnicodeEncodeError,
+            SURROGATE.format(25),
+            SURROGATE.format(73),
+        ),
+        "surrogate in the subject": ({"subject_did": "\ud800"}, UnicodeEncodeError, SURROGATE.format(267), SURROGATE.format(550)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_what_the_whole_map_raises(self, cred_env, case):
+        change, error, in_credential, in_presentation = self.CASES[case]
+        credential = _issue(cred_env)
+        presentation = present(cred_env.holder_wallet, cred_env.holder_relation, [credential], "did:sample:aud", 40)
+        if "subject_did" in change:
+            change = {"subject_did": credential.subject_did + change["subject_did"]}
+        bad = dataclasses.replace(credential, **change)
+        with pytest.raises(error) as raised:
+            verify_credential(bad, cred_env.state)
+        assert str(raised.value) == in_credential
+        with pytest.raises(error) as raised:
+            verify_presentation(dataclasses.replace(presentation, credentials=(bad,)), cred_env.state)
+        assert str(raised.value) == in_presentation
 
 
 class TestRevokeOp:
@@ -530,3 +574,117 @@ class TestAuthenticate:
         replay = authenticate(provider.auth, wallet, "provider", 70, rng)
         assert (replay.authenticated, replay.reason) == (False, "Replayed")
         assert len(draws) == 2
+
+
+# --- the framed digests against the canonical encoding of the whole map --------
+
+_texts = st.text(max_size=8) | st.sampled_from(['did:"q"', "did:\\x", "a\u2028b", "\u00fc\u5b57", ""])
+_leaves = st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64, max_value=2**130) | _texts
+_values = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3), max_leaves=8
+)
+_digests = st.binary(min_size=32, max_size=32).map(Digest)
+_credentials = st.builds(
+    VerifiableCredential,
+    cred_def_id=_digests,
+    issuer_did=_texts | st.integers(),
+    subject_did=_texts | st.none(),
+    attributes=st.dictionaries(_texts, _values, max_size=4),
+    issued_at=st.integers() | st.integers(min_value=2**64, max_value=2**130) | st.booleans() | st.none(),
+    credential_hash=_digests,
+    issuer_signature=st.binary(max_size=64),
+)
+
+
+def _hash_map(c: VerifiableCredential) -> dict:
+    return {
+        "cred_def_id": c.cred_def_id.hex,
+        "issuer_did": c.issuer_did,
+        "subject_did": c.subject_did,
+        "attributes": c.attributes,
+        "issued_at": c.issued_at,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_credentials)
+def test_credential_hash_is_the_digest_of_its_map(c):
+    fields = (c.cred_def_id, c.issuer_did, c.subject_did, c.attributes, c.issued_at)
+    assert VerifiableCredential.compute_hash(*fields) == digest_of(_hash_map(c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0, 1, 3]).flatmap(lambda n: st.lists(_credentials, min_size=n, max_size=n)),
+    _texts | st.none(),
+    _texts,
+    st.integers() | st.booleans(),
+)
+def test_presentation_digest_is_the_digest_of_its_body(credentials, holder_did, audience_did, presented_at):
+    body_digest, hashes = _presentation_digest(credentials, holder_did, audience_did, presented_at)
+    assert body_digest == digest_of(Presentation.body(credentials, holder_did, audience_did, presented_at)).value
+    assert hashes == [digest_of(_hash_map(c)).value for c in credentials]
+
+
+# --- present, then verify: valid, and one changed field gives today's reason ------
+
+
+@pytest.fixture(scope="module")
+def shared_env() -> CredEnv:
+    return make_cred_env()
+
+
+def _flipped(raw: bytes) -> bytes:
+    return raw[:-1] + bytes([raw[-1] ^ 1])
+
+
+PRESENTATION_CHANGES = {
+    "audience_did": (lambda p: dataclasses.replace(p, audience_did=p.audience_did + "x"), "WrongAudience"),
+    "holder_did": (lambda p: dataclasses.replace(p, holder_did=p.holder_did + "x"), "UnknownHolder"),
+    "presented_at": (lambda p: dataclasses.replace(p, presented_at=p.presented_at + 1), "BadSignature"),
+    "holder_signature": (lambda p: dataclasses.replace(p, holder_signature=_flipped(p.holder_signature)), "BadSignature"),
+}
+# the reason once the holder signs the changed presentation again
+CREDENTIAL_CHANGES = {
+    "cred_def_id": (lambda c: dataclasses.replace(c, cred_def_id=sha256(b"other")), "UnknownCredDef"),
+    "issuer_did": (lambda c: dataclasses.replace(c, issuer_did=c.issuer_did + "x"), "BadSignature"),
+    "subject_did": (lambda c: dataclasses.replace(c, subject_did=c.subject_did + "x"), "NotHolder"),
+    "attributes": (
+        lambda c: dataclasses.replace(c, attributes={**c.attributes, "year": c.attributes["year"] + 1}),
+        "BadSignature",
+    ),
+    "issued_at": (lambda c: dataclasses.replace(c, issued_at=c.issued_at + 1), "BadSignature"),
+    "credential_hash": (lambda c: dataclasses.replace(c, credential_hash=sha256(b"forged")), "BadSignature"),
+    "issuer_signature": (lambda c: dataclasses.replace(c, issuer_signature=_flipped(c.issuer_signature)), "BadSignature"),
+}
+_diplomas = st.fixed_dictionaries({"degree": _texts, "field": _texts, "year": st.integers()})
+
+
+def _presented(env: CredEnv, attributes: dict, now: int) -> Presentation:
+    credential = issue(env.issuer.signing_private, env.cred_def, env.schema, env.holder_did, attributes, issued_at=now)
+    presentation = present(env.holder_wallet, env.holder_relation, [credential], "did:sample:aud", now)
+    assert verify_presentation(presentation, env.state, expected_audience="did:sample:aud") == VALID
+    return presentation
+
+
+@pytest.mark.parametrize("field", sorted(PRESENTATION_CHANGES))
+@settings(max_examples=20, deadline=None)
+@given(attributes=_diplomas, now=st.integers(min_value=0, max_value=2**40))
+def test_changed_presentation_field(shared_env, field, attributes, now):
+    change, reason = PRESENTATION_CHANGES[field]
+    changed = change(_presented(shared_env, attributes, now))
+    assert verify_presentation(changed, shared_env.state, expected_audience="did:sample:aud").reason == reason
+
+
+@pytest.mark.parametrize("field", sorted(CREDENTIAL_CHANGES))
+@settings(max_examples=20, deadline=None)
+@given(attributes=_diplomas, now=st.integers(min_value=0, max_value=2**40))
+def test_changed_credential_field(shared_env, field, attributes, now):
+    change, reason = CREDENTIAL_CHANGES[field]
+    presentation = _presented(shared_env, attributes, now)
+    changed = dataclasses.replace(presentation, credentials=(change(presentation.credentials[0]),))
+    assert verify_presentation(changed, shared_env.state).reason == "BadSignature"  # the holder signed the original
+    body = Presentation.body(changed.credentials, changed.holder_did, changed.audience_did, changed.presented_at)
+    holder_key = shared_env.holder_wallet.identity(shared_env.holder_relation).signing.private
+    resigned = dataclasses.replace(changed, holder_signature=sign(holder_key, digest_of(body).value))
+    assert verify_presentation(resigned, shared_env.state).reason == reason
