@@ -96,6 +96,20 @@ def canonicalize(value: Any) -> bytes:
     return canonical_json(value).encode("utf-8")
 
 
+def _member(value: Any) -> bytes:
+    """A framed member's canonical bytes: a plain ``str`` or ``int`` rendered
+    directly, anything else (str-enum and bool members included) through
+    ``canonicalize``."""
+    if type(value) is str:
+        return encode_basestring(value).encode()
+    return b"%d" % value if type(value) is int else canonicalize(value)
+
+
+def _quoted_hex(raw: bytes) -> bytes:
+    """``canonicalize`` of ``raw.hex()``: JSON escapes no hex digit."""
+    return b'"%s"' % raw.hex().encode()
+
+
 def map_layout(*keys: str) -> bytes:
     """The canonical encoding of a map with exactly these keys, as a ``bytes``
     %-template: ``layout % members`` is ``canonicalize`` of the map, given the

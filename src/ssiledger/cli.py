@@ -65,7 +65,7 @@ from .state import (
     schema_payload,
     verify_txn_signature,
 )
-from .wallet import MalformedWallet, PairwiseIdentity, UnknownRelation, UnlockFailed, Wallet
+from .wallet import MalformedWallet, PairwiseIdentity, UnknownRelation, UnlockFailed, Wallet, WeakSecret
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,6 +168,17 @@ def _name_types(specs: tuple[str, ...], option: str) -> list[tuple[str, AttrType
         raise AssertionError  # unreachable
 
 
+def _hex(text: str, option: str, parse=bytes.fromhex):
+    """``parse`` of a hex option value (bytes, or a ``Digest`` with
+    ``Digest.from_hex``); one that does not parse ends the command with
+    ``bad <option>: ...``, exit 1."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        _fail(f"bad {option}: {exc}")
+        raise AssertionError  # unreachable
+
+
 def _now(override: int | None) -> int:
     return override if override is not None else int(time.time())
 
@@ -191,9 +202,10 @@ def wallet() -> None:
 def wallet_create(wallet_path: str, owner: str) -> None:
     if Path(wallet_path).exists():
         _fail(f"{wallet_path} already exists")
+    secret = _secret()
     try:
-        w = Wallet.create(owner, _secret())
-    except Exception as exc:
+        w = Wallet.create(owner, secret)
+    except (WeakSecret, CryptoError) as exc:
         _fail(str(exc))
         return
     w.save(wallet_path)
@@ -265,7 +277,7 @@ def did_new(
     as_json: bool,
 ) -> None:
     w = _open_wallet(wallet_path)
-    seed = bytes.fromhex(seed_hex) if seed_hex else None
+    seed = _hex(seed_hex, "--seed") if seed_hex else None
     try:
         new_did, document = w.new_pairwise(relation, seed=seed, endpoint=endpoint)
     except Exception as exc:
@@ -426,7 +438,7 @@ def creddef_publish(
     w = _open_wallet(wallet_path)
     identity = _identity(w, relation)
     chain, state = _ledger_state(ledger_path)
-    schema_record = get_schema(state, Digest.from_hex(schema_id_hex))
+    schema_record = get_schema(state, _hex(schema_id_hex, "--schema-id", Digest.from_hex))
     if schema_record is None:
         _fail(f"schema {schema_id_hex} not on ledger")
     record = CredDefRecord.create(
@@ -483,7 +495,7 @@ def cred_issue(
     w = _open_wallet(wallet_path)
     identity = _identity(w, relation)
     _, state = _ledger_state(ledger_path)
-    cred_def = get_cred_def(state, Digest.from_hex(cred_def_hex))
+    cred_def = get_cred_def(state, _hex(cred_def_hex, "--cred-def", Digest.from_hex))
     if cred_def is None:
         _fail(f"cred def {cred_def_hex} not on ledger")
     if cred_def.issuer_did != identity.did:

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Callable
 
-from .canonical import canonicalize, map_layout
+from .canonical import _quoted_hex, canonicalize, map_layout
 from .crypto import digest_of, sign, verify
-from .ledger import Chain, LedgerTransaction, _quoted_hex, build_block
+from .ledger import Chain, LedgerTransaction, build_block
 from .state import NodeState, fold_into, verify_txn_signature
 from .simnet import SimNetwork
 

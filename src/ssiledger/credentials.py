@@ -20,13 +20,12 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .auth import AuthResult, ChallengeVerifier
-from .canonical import UnsupportedType, canonicalize, map_layout
+from .canonical import UnsupportedType, _member, _quoted_hex, canonicalize, map_layout
 from .crypto import Digest, digest_of, sign, verify
-from .ledger import LedgerTransaction, TxnType, _quoted_hex
+from .ledger import LedgerTransaction, TxnType
 from .state import (
     AttrType,
     CredDefRecord,
@@ -107,13 +106,6 @@ _HASH_KEYS = ("attributes", "cred_def_id", "issued_at", "issuer_did", "subject_d
 _HASH_LAYOUT = map_layout(*_HASH_KEYS)
 _RECORD_LAYOUT = map_layout(*sorted(_HASH_KEYS + ("credential_hash", "issuer_signature")))
 _BODY_LAYOUT = map_layout("audience_did", "credentials", "holder_did", "presented_at")
-
-
-def _member(value: Any) -> bytes:
-    """A plain ``str`` or ``int`` rendered as ``LedgerTransaction._frame`` renders it, else ``canonicalize``."""
-    if type(value) is str:
-        return encode_basestring(value).encode()
-    return b"%d" % value if type(value) is int else canonicalize(value)
 
 
 def _hash_members(cred_def_id: Digest, issuer_did: str, subject_did: str, attributes: dict, issued_at: int) -> tuple:

@@ -19,20 +19,15 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .canonical import UnsupportedType, _encode_checked, _float_screen, canonicalize, map_layout
+from .canonical import UnsupportedType, _encode_checked, _float_screen, _member, _quoted_hex, canonicalize, map_layout
 from .crypto import Digest, ZERO_DIGEST, digest_of, sign, verify
 
 
 class LedgerError(Exception):
     """Base class for ledger construction errors."""
-
-
-class EmptyLeaves(LedgerError):
-    """Merkle root of zero leaves is undefined."""
 
 
 class EmptyBlock(LedgerError):
@@ -63,11 +58,6 @@ def _txn_id(txn_type: TxnType, payload: bytes, author_did: Any, timestamp: Any) 
     """The id: SHA-256 of the id's canonical map, the payload already encoded."""
     preimage = _ID_LAYOUT % (canonicalize(author_did), payload, canonicalize(timestamp), _TYPE_BYTES[txn_type])
     return Digest(hashlib.sha256(preimage).digest())
-
-
-def _quoted_hex(raw: bytes) -> bytes:
-    """``canonicalize`` of ``raw.hex()``: JSON escapes no hex digit."""
-    return b'"%s"' % raw.hex().encode()
 
 
 def _hex_field(text: Any) -> bytes:
@@ -149,12 +139,8 @@ class LedgerTransaction:
         return self._payload_bytes
 
     def _frame(self) -> None:
-        """Fill the id check and the leaf together: the leaf holds the id's members too.
-        A plain ``str`` DID and ``int`` timestamp are rendered here; anything else,
-        str-enum and bool members included, goes through ``canonicalize``."""
-        payload, did, timestamp = self._payload(), self.author_did, self.timestamp
-        did = encode_basestring(did).encode() if type(did) is str else canonicalize(did)
-        timestamp = b"%d" % timestamp if type(timestamp) is int else canonicalize(timestamp)
+        """Fill the id check and the leaf together: the leaf holds the id's members too."""
+        payload, did, timestamp = self._payload(), _member(self.author_did), _member(self.timestamp)
         type_bytes = _TYPE_BYTES[self.txn_type]
         txn_id = self.txn_id.value
         id_ok = hashlib.sha256(_ID_LAYOUT % (did, payload, timestamp, type_bytes)).digest() == txn_id
@@ -233,53 +219,14 @@ def _txn_from_dict(data: dict, screened: bool) -> LedgerTransaction:
     return txn
 
 
-def merkle_root(leaves: Sequence[Digest]) -> Digest:
-    """Binary Merkle root; an odd node at any level is paired with itself."""
-    if not leaves:
-        raise EmptyLeaves("cannot compute a Merkle root of zero leaves")
-    return Digest(_root([leaf.value for leaf in leaves]))
-
-
 def _root(level: list[bytes]) -> bytes:
-    """``merkle_root`` of raw leaves, at least one; extends ``level``."""
+    """Binary Merkle root of raw leaves, at least one; an odd node at any level
+    is paired with itself. Extends ``level``."""
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])
         level = [hashlib.sha256(level[i] + level[i + 1]).digest() for i in range(0, len(level), 2)]
     return level[0]
-
-
-def merkle_proof(leaves: Sequence[Digest], index: int) -> list[tuple[Digest, str]]:
-    """Inclusion proof for ``leaves[index]``: (sibling, side) pairs, where side
-    is which side the sibling sits on when hashing upward."""
-    if not leaves:
-        raise EmptyLeaves("cannot prove inclusion in zero leaves")
-    if not 0 <= index < len(leaves):
-        raise IndexError(f"leaf index {index} out of range")
-    proof: list[tuple[Digest, str]] = []
-    level = [leaf.value for leaf in leaves]
-    pos = index
-    while len(level) > 1:
-        if len(level) % 2:
-            level.append(level[-1])
-        sibling = pos + 1 if pos % 2 == 0 else pos - 1
-        proof.append((Digest(level[sibling]), "right" if pos % 2 == 0 else "left"))
-        level = [hashlib.sha256(level[i] + level[i + 1]).digest() for i in range(0, len(level), 2)]
-        pos //= 2
-    return proof
-
-
-def verify_inclusion(txn_id: Digest, proof: Iterable[tuple[Digest, str]], root: Digest) -> bool:
-    """Fold a leaf through an inclusion proof and compare against the root."""
-    current = txn_id.value
-    for sibling, side in proof:
-        if side == "left":
-            current = hashlib.sha256(sibling.value + current).digest()
-        elif side == "right":
-            current = hashlib.sha256(current + sibling.value).digest()
-        else:
-            return False
-    return current == root.value
 
 
 @dataclass(frozen=True)

@@ -63,10 +63,6 @@ def derive_did(verification_key: bytes) -> str:
     return DID_PREFIX + b58encode(hashlib.sha256(verification_key).digest()[:16])
 
 
-class UnknownRegistry(KeyError):
-    """Revocation lookup against a registry id that does not exist."""
-
-
 class RejectReason(str, enum.Enum):
     DUPLICATE_DID = "DuplicateDid"
     UNKNOWN_SCHEMA = "UnknownSchema"
@@ -110,12 +106,6 @@ class DidDocument:
             endpoint=data["endpoint"],
             metadata=data.get("metadata", {}),
         )
-
-
-@dataclass(frozen=True)
-class DidRecord:
-    did: str
-    document: DidDocument
 
 
 @dataclass(frozen=True)
@@ -285,7 +275,7 @@ class NodeState:
     def to_dict(self) -> dict:
         return {
             "dids": {
-                did: record.document.to_dict() for did, record in sorted(self.dids.items())
+                did: document.to_dict() for did, document in sorted(self.dids.items())
             },
             "schemas": {
                 sid: SchemaRecord.body(rec.name, rec.version, rec.attributes)
@@ -324,16 +314,7 @@ class NodeState:
 
 def resolve_did(state: NodeState, did: str) -> DidDocument | None:
     """The document a DID currently resolves to, or None."""
-    record = state.dids.get(did)
-    return record.document if record is not None else None
-
-
-def is_revoked(state: NodeState, registry_id: Digest, credential_hash: Digest) -> bool:
-    """Membership check against a revocation registry."""
-    registry = state.registries.get(registry_id.hex)
-    if registry is None:
-        raise UnknownRegistry(registry_id.hex)
-    return credential_hash in registry.revoked
+    return state.dids.get(did)
 
 
 def get_cred_def(state: NodeState, cred_def_id: Digest) -> CredDefRecord | None:
@@ -387,7 +368,7 @@ def _apply_did_reg(state: NodeState, txn: LedgerTransaction) -> RejectReason | N
         return RejectReason.MALFORMED
     if did in state.dids:
         return RejectReason.DUPLICATE_DID
-    state.dids[did] = DidRecord(did=did, document=document)
+    state.dids[did] = document
     return None
 
 
@@ -416,7 +397,7 @@ def _apply_cred_def(state: NodeState, txn: LedgerTransaction) -> RejectReason | 
     issuer = state.dids.get(issuer_did)
     if issuer is None:
         return RejectReason.UNKNOWN_DID
-    if txn.author_did != issuer_did or issuer.document.verification_key != issuer_key:
+    if txn.author_did != issuer_did or issuer.verification_key != issuer_key:
         return RejectReason.UNAUTHORIZED_ISSUER
     record = CredDefRecord.create(schema_id, issuer_did, issuer_key)
     if record.cred_def_id.hex != payload["cred_def_id"]:

@@ -93,14 +93,13 @@ class KdfParams:
 
 @dataclass
 class PairwiseIdentity:
-    """One relation's identity: a DID, its keypairs, and the peer it talks to."""
+    """One relation's identity: a DID and its keypairs."""
 
     relation: str
     did: str
     signing: SigningKeyPair
     agreement: EncryptionKeyPair
     endpoint: str
-    peer_did: str = ""
 
     def document(self, metadata: dict | None = None) -> DidDocument:
         return DidDocument(
@@ -170,13 +169,6 @@ class Wallet:
         wallet._kek = kek
         return wallet
 
-    @property
-    def is_locked(self) -> bool:
-        return self._kek is None
-
-    def lock(self) -> None:
-        self._kek = None
-
     def unlock(self, unlock_secret: bytes) -> None:
         kek = self._kdf.derive(unlock_secret)
         if sha256(b"wallet-check:" + kek).value != self._check:
@@ -187,9 +179,6 @@ class Wallet:
         if self._kek is None:
             raise WalletLocked("wallet is locked")
         return self._kek
-
-    def relation_names(self) -> list[str]:
-        return sorted(self._relations)
 
     def new_pairwise(
         self,
@@ -244,7 +233,6 @@ class Wallet:
                 private=_open(kek, relation, "agree", entry.agreement_blob),
             ),
             endpoint=entry.endpoint,
-            peer_did=entry.peer_did,
         )
 
     def did(self, relation: str) -> str:
@@ -252,12 +240,6 @@ class Wallet:
         if entry is None:
             raise UnknownRelation(relation)
         return entry.did
-
-    def set_peer(self, relation: str, peer_did: str) -> None:
-        entry = self._relations.get(relation)
-        if entry is None:
-            raise UnknownRelation(relation)
-        entry.peer_did = peer_did
 
     def respond_challenge(self, relation: str, challenge_ciphertext: bytes) -> bytes:
         """Decrypt an authentication challenge with the relation's agreement

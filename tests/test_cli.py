@@ -124,6 +124,18 @@ class TestWalletCommands:
         assert runner.invoke(main, unlock, env={"WALLET_SECRET": "\udcff"}).exit_code == 0
         assert runner.invoke(main, unlock, env={"WALLET_SECRET": "\udcfe"}).exit_code == 5
 
+    def test_create_aborted_prompt(self, runner, workdir):
+        """No secret in the environment and nothing on stdin: click's abort, no wallet."""
+        result = runner.invoke(main, ["wallet", "create", "--wallet", "w.json", "--owner", "bob"], env={"WALLET_SECRET": None}, input="")
+        assert result.exit_code == 1
+        assert "Aborted!" in result.output and "error:" not in result.output
+        assert not Path("w.json").exists()
+
+    def test_create_empty_secret(self, runner, workdir):
+        result = runner.invoke(main, ["wallet", "create", "--wallet", "w.json", "--owner", "bob"], env={"WALLET_SECRET": ""})
+        assert (result.exit_code, result.output) == (1, "error: unlock secret must be non-empty\n")
+        assert not Path("w.json").exists()
+
     def test_duplicate_create_refused(self, runner, workdir):
         invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "bob"])
         assert invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "bob"]).exit_code == 1
@@ -831,6 +843,33 @@ class TestNameTypeOptions:
             result = invoke(runner, args)
             assert (result.exit_code, result.output) == (1, f"error: bad {option}: {reason}\n")
         assert Path("net.ledger.jsonl").read_bytes() == ledger
+
+
+class TestHexOptions:
+    """A hex option value that does not parse: one ``error:`` line, exit 1,
+    and the wallet and ledger files untouched."""
+
+    @pytest.mark.parametrize(
+        "option, value, reason",
+        [
+            ("--seed", "zz", "non-hexadecimal number found in fromhex() arg at position 0"),
+            ("--schema-id", "zz", "non-hexadecimal number found in fromhex() arg at position 0"),
+            ("--cred-def", "00", "digest must be exactly 32 bytes"),
+        ],
+        ids=["seed", "schema-id", "cred-def"],
+    )
+    def test_bad_value_exit_1(self, runner, workdir, issuer_setup, option, value, reason):
+        wallet = ["--wallet", "issuer.wallet.json", "--relation", "public"]
+        commands = {
+            "--seed": ["did", "new", "--wallet", "issuer.wallet.json", "--relation", "other"],
+            "--schema-id": ["creddef", "publish", *wallet, "--ledger", "net.ledger.jsonl"],
+            "--cred-def": ["cred", "issue", *wallet, "--ledger", "net.ledger.jsonl", "--subject",
+                           issuer_setup["holder_did"], "--attr", "degree=BSc", "--out", "x.json"],
+        }
+        files = {name: Path(name).read_bytes() for name in ("issuer.wallet.json", "net.ledger.jsonl")}
+        result = invoke(runner, commands[option] + [option, value])
+        assert (result.exit_code, result.output) == (1, f"error: bad {option}: {reason}\n")
+        assert {name: Path(name).read_bytes() for name in files} == files
 
 
 class TestUnknownRelation:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -11,102 +12,122 @@ from conftest import Identity
 from ssiledger import canonical, ledger
 from ssiledger.canonical import UnsupportedType, canonicalize
 from ssiledger.consensus import Batch
-from ssiledger.crypto import Digest, ZERO_DIGEST, digest_of, sha256
+from ssiledger.crypto import Digest, ZERO_DIGEST, digest_of
 from ssiledger.ledger import (
     Block,
     Chain,
     ChainFault,
     EmptyBlock,
-    EmptyLeaves,
     LedgerTransaction,
     MalformedRecord,
     TxnType,
     build_block,
-    merkle_proof,
-    merkle_root,
     read_chain,
     validate_chain,
-    verify_inclusion,
     write_chain,
 )
 from ssiledger.state import AttrType, NodeState, SchemaRecord, did_reg_payload, schema_payload, verify_txn_signature
 
 
-def h(n: int) -> Digest:
-    return sha256(bytes([n]))
+def _oracle_pair(a: bytes, b: bytes) -> bytes:
+    # independent of ledger._root: plain hashlib over concatenated bytes
+    return hashlib.sha256(a + b).digest()
 
 
-def _oracle_pair(a: Digest, b: Digest) -> bytes:
-    # independent of ledger.merkle_root: plain hashlib over concatenated bytes
-    return hashlib.sha256(a.value + b.value).digest()
+def _oracle_leaf(txn: LedgerTransaction) -> bytes:
+    # independent of the framed leaf: the digest of the full record map
+    return hashlib.sha256(canonicalize(txn.to_dict())).digest()
+
+
+def _oracle_levels(leaves: list[bytes]) -> list[list[bytes]]:
+    """Every level of the tree up to the root; each level pairs an odd last node with itself."""
+    levels = [leaves]
+    while len(levels[-1]) > 1:
+        level = levels[-1] + levels[-1][-1:] * (len(levels[-1]) % 2)
+        levels.append([_oracle_pair(level[i], level[i + 1]) for i in range(0, len(level), 2)])
+    return levels
+
+
+@functools.cache
+def _pool() -> tuple[LedgerTransaction, ...]:
+    return tuple(_txn(n) for n in range(33))
+
+
+def _root_of(txns) -> bytes:
+    return build_block(Block.genesis(), txns, timestamp=5).merkle_root.value
 
 
 class TestMerkle:
+    """The root ``build_block`` commits to, and the root ``validate_chain`` checks."""
+
     def test_single_leaf_is_identity(self):
-        assert merkle_root([h(1)]) == h(1)
+        assert _root_of(_pool()[:1]) == _oracle_leaf(_pool()[0])
 
     def test_two_leaves_hand_computed(self):
-        assert merkle_root([h(1), h(2)]).value == _oracle_pair(h(1), h(2))
+        a, b = _pool()[:2]
+        assert _root_of([a, b]) == _oracle_pair(_oracle_leaf(a), _oracle_leaf(b))
 
     def test_three_leaves_duplicates_last(self):
-        left = Digest(_oracle_pair(h(1), h(2)))
-        right = Digest(_oracle_pair(h(3), h(3)))
-        assert merkle_root([h(1), h(2), h(3)]).value == _oracle_pair(left, right)
+        a, b, c = (_oracle_leaf(txn) for txn in _pool()[:3])
+        assert _root_of(_pool()[:3]) == _oracle_pair(_oracle_pair(a, b), _oracle_pair(c, c))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyLeaves):
-            merkle_root([])
+        """Zero leaves have no root: a stored block after genesis must hold a txn
+        (``build_block`` refuses to make one, see ``TestBlocks``)."""
+        genesis = Block.genesis()
+        empty = Block(1, genesis.block_hash, ZERO_DIGEST, 5, (), Block.compute_hash(1, genesis.block_hash, ZERO_DIGEST, 5))
+        result = validate_chain(Chain((genesis, empty)))
+        assert (result.ok, result.height, result.reason) == (False, 1, ChainFault.BAD_MERKLE)
 
     def test_deterministic(self):
-        leaves = [h(i) for i in range(7)]
-        assert merkle_root(leaves) == merkle_root(leaves)
+        decoded = [LedgerTransaction.from_dict(txn.to_dict()) for txn in _pool()[:7]]  # leaves not yet cached
+        assert _root_of(_pool()[:7]) == _root_of(decoded)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=33), st.data())
-    def test_matches_hashlib_oracle(self, raw, data):
-        leaves = [Digest(value) for value in raw]
-        levels = [raw]  # plain hashlib: each level up pairs an odd last node with itself
-        while len(levels[-1]) > 1:
-            level = levels[-1] + levels[-1][-1:] * (len(levels[-1]) % 2)
-            levels.append([hashlib.sha256(level[i] + level[i + 1]).digest() for i in range(0, len(level), 2)])
-        root = Digest(levels[-1][0])
-        assert merkle_root(leaves) == root
-        index = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
-        proof = merkle_proof(leaves, index)
-        expected = []
-        for depth, level in enumerate(levels[:-1]):
-            pos = index >> depth
-            sibling = min(pos ^ 1, len(level) - 1)
-            expected.append((Digest(level[sibling]), "left" if pos % 2 else "right"))
-        assert proof == expected
-        assert verify_inclusion(leaves[index], proof, root)
-        assert not verify_inclusion(leaves[index], proof, Digest(hashlib.sha256(root.value).digest()))
+    @given(st.lists(st.integers(min_value=0, max_value=32), min_size=1, max_size=33, unique=True))
+    def test_matches_hashlib_oracle(self, picks):
+        txns = [_pool()[i] for i in picks]
+        block = build_block(Block.genesis(), txns, timestamp=5)
+        assert block.merkle_root.value == _oracle_levels([_oracle_leaf(txn) for txn in txns])[-1][0]
+        assert validate_chain(Chain((Block.genesis(), block)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=2, max_value=16), st.randoms(use_true_random=False))
     def test_permutation_changes_root(self, n, rng):
-        leaves = [h(i) for i in range(n)]
-        shuffled = leaves[:]
+        txns = list(_pool()[:n])
+        shuffled = txns[:]
         rng.shuffle(shuffled)
-        if shuffled != leaves:
-            assert merkle_root(shuffled) != merkle_root(leaves)
+        if shuffled != txns:
+            assert _root_of(shuffled) != _root_of(txns)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13])
     def test_proofs_round_trip(self, n):
-        leaves = [h(i) for i in range(n)]
-        root = merkle_root(leaves)
-        for i in range(n):
-            proof = merkle_proof(leaves, i)
-            assert verify_inclusion(leaves[i], proof, root)
+        """Each leaf's path of siblings, built by the oracle, folds to the block's
+        root; and another record at that index, its own id intact, is caught
+        by the root check alone."""
+        txns = list(_pool()[:n])
+        block = build_block(Block.genesis(), txns, timestamp=5)
+        levels = _oracle_levels([_oracle_leaf(txn) for txn in txns])
+        for index in range(n):
+            current = levels[0][index]
+            for depth, level in enumerate(levels[:-1]):
+                pos = index >> depth
+                sibling = level[min(pos ^ 1, len(level) - 1)]
+                current = _oracle_pair(sibling, current) if pos % 2 else _oracle_pair(current, sibling)
+            assert current == block.merkle_root.value
+            swapped = dataclasses.replace(block, txns=(*txns[:index], _pool()[32], *txns[index + 1 :]))
+            result = validate_chain(Chain((Block.genesis(), swapped)))
+            assert (result.ok, result.height, result.reason) == (False, 1, ChainFault.BAD_MERKLE)
 
     def test_proof_against_wrong_root_rejects(self):
-        leaves = [h(i) for i in range(4)]
-        proof = merkle_proof(leaves, 2)
-        assert not verify_inclusion(leaves[2], proof, h(9))
-
-    def test_single_leaf_empty_proof(self):
-        assert verify_inclusion(h(5), [], h(5))
-        assert not verify_inclusion(h(5), [], h(6))
+        """Records that are intact under a header whose root is not theirs: BadMerkle."""
+        block = build_block(Block.genesis(), _pool()[:4], timestamp=5)
+        wrong = hashlib.sha256(block.merkle_root.value).digest()
+        forged = dataclasses.replace(
+            block, merkle_root=Digest(wrong), block_hash=Block.compute_hash(1, block.prev_hash, Digest(wrong), 5)
+        )
+        result = validate_chain(Chain((Block.genesis(), forged)))
+        assert (result.ok, result.height, result.reason) == (False, 1, ChainFault.BAD_MERKLE)
 
 
 def _txn(n: int, identity: Identity | None = None) -> LedgerTransaction:
@@ -158,9 +179,10 @@ class TestBlocks:
         block = build_block(Block.genesis(), [_txn(1), _txn(2)], timestamp=5)
         tampered_txn = dataclasses.replace(block.txns[0], timestamp=99)
         tampered = dataclasses.replace(block, txns=(tampered_txn, block.txns[1]))
-        from ssiledger.ledger import merkle_root as mr
-
-        assert mr([t.leaf() for t in tampered.txns]) != tampered.merkle_root
+        leaves = [_oracle_leaf(t) for t in tampered.txns]
+        assert _oracle_pair(*leaves) != tampered.merkle_root.value
+        result = validate_chain(Chain((Block.genesis(), tampered)))
+        assert (result.ok, result.height, result.reason) == (False, 1, ChainFault.BAD_MERKLE)
 
 
 class TestChainValidation:

@@ -21,7 +21,6 @@ from ssiledger.state import (
     NodeState,
     RejectReason,
     SchemaRecord,
-    UnknownRegistry,
     apply,
     b58encode,
     cred_def_payload,
@@ -29,7 +28,6 @@ from ssiledger.state import (
     did_reg_payload,
     fold_chain,
     fold_into,
-    is_revoked,
     privacy_lint,
     registry_id_for,
     resolve_did,
@@ -199,18 +197,14 @@ class TestRevocation:
                 4,
             ),
         )
-        registry = registry_id_for(cred_def.cred_def_id)
-        assert is_revoked(state, registry, target)
-        assert not is_revoked(state, registry, sha256(b"credential-two"))
+        revoked = state.registries[cred_def.registry_key].revoked
+        assert target in revoked
+        assert sha256(b"credential-two") not in revoked
 
     def test_fresh_registry_empty(self):
         issuer = Identity.create("issuer")
         state, _, cred_def = _published(issuer)
-        assert not is_revoked(state, registry_id_for(cred_def.cred_def_id), sha256(b"any"))
-
-    def test_unknown_registry_raises(self):
-        with pytest.raises(UnknownRegistry):
-            is_revoked(NodeState(), sha256(b"no-such"), sha256(b"any"))
+        assert state.registries[cred_def.registry_key].revoked == set()
 
     def test_only_issuer_may_revoke(self):
         issuer = Identity.create("issuer")
@@ -271,10 +265,9 @@ class TestRevocation:
             4,
         )
         state = must_apply(state, entry)
-        registry = registry_id_for(cred_def.cred_def_id)
-        assert is_revoked(state, registry, target)
+        assert target in state.registries[cred_def.registry_key].revoked
         after = must_apply(state, dataclasses.replace(entry, timestamp=8, txn_id=LedgerTransaction.compute_id(entry.txn_type, entry.payload, entry.author_did, 8)))
-        assert is_revoked(after, registry, target)
+        assert after.registries[cred_def.registry_key].revoked == {target}
 
 
 class TestPrivacyLint:
@@ -506,7 +499,7 @@ class TestDidSelfCheckCache:
         assert forged._did_document is None
         assert not verify_txn_signature(NodeState(), forged)
         assert apply(NodeState(), forged)[1] == RejectReason.MALFORMED
-        assert must_apply(NodeState(), txn).dids[identity.did].document == identity.document
+        assert must_apply(NodeState(), txn).dids[identity.did] == identity.document
 
     def test_unparseable_document_is_never_cached(self):
         identity = Identity.create("alice")

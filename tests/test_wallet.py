@@ -1,9 +1,13 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from conftest import CredEnv, diploma_attributes, seed
+from ssiledger.canonical import canonical_json
+from ssiledger.cli import main
 from ssiledger.credentials import issue
 from ssiledger.crypto import decrypt_from, encrypt_to, generate_signing_keypair, sign, verify
 from ssiledger.ledger import LedgerTransaction, TxnType
@@ -22,8 +26,9 @@ from ssiledger.wallet import (
 class TestLifecycle:
     def test_create_empty(self):
         wallet = Wallet.create("alice", b"secret")
-        assert wallet.relation_names() == []
-        assert not wallet.is_locked
+        assert wallet.to_dict()["relations"] == {} and wallet.credentials == []
+        with pytest.raises(UnknownRelation):  # not WalletLocked: a created wallet is unlocked
+            wallet.identity("bank")
 
     def test_empty_secret_rejected(self):
         with pytest.raises(WeakSecret):
@@ -35,7 +40,8 @@ class TestLifecycle:
         path = tmp_path / "alice.wallet.json"
         wallet.save(path)
         loaded = Wallet.load(path)
-        assert loaded.is_locked
+        with pytest.raises(WalletLocked):
+            loaded.identity("bank")
         loaded.unlock(b"right-secret")
         assert loaded.identity("bank").did == wallet.identity("bank").did
 
@@ -47,10 +53,12 @@ class TestLifecycle:
         with pytest.raises(UnlockFailed):
             loaded.unlock(b"wrong-secret")
 
-    def test_locked_wallet_refuses_key_operations(self):
-        wallet = Wallet.create("alice", b"secret")
-        wallet.new_pairwise("bank", seed=seed("alice:bank"))
-        wallet.lock()
+    def test_locked_wallet_refuses_key_operations(self, tmp_path):
+        """A loaded wallet, never unlocked, as ``wallet list`` holds it."""
+        created = Wallet.create("alice", b"secret")
+        created.new_pairwise("bank", seed=seed("alice:bank"))
+        created.save(tmp_path / "alice.wallet.json")
+        wallet = Wallet.load(tmp_path / "alice.wallet.json")
         with pytest.raises(WalletLocked):
             wallet.identity("bank")
         with pytest.raises(WalletLocked):
@@ -102,11 +110,19 @@ class TestPairwiseIdentities:
         assert document.verification_key == identity.signing.public
         assert document.agreement_key == identity.agreement.public
 
-    def test_peer_tracking(self):
+    def test_peer_tracking(self, tmp_path):
+        """A relation's ``peer_did`` in the wallet file survives ``load`` and
+        ``save`` byte for byte, and ``wallet list --json`` shows it."""
         wallet = Wallet.create("alice", b"secret")
         wallet.new_pairwise("bank", seed=seed("w"))
-        wallet.set_peer("bank", "did:sample:bankdid")
-        assert wallet.identity("bank").peer_did == "did:sample:bankdid"
+        data = wallet.to_dict()
+        data["relations"]["bank"]["peer_did"] = "did:sample:bankdid"
+        path, again = tmp_path / "alice.wallet.json", tmp_path / "again.wallet.json"
+        path.write_text(canonical_json(data) + "\n", encoding="utf-8")
+        Wallet.load(path).save(again)
+        assert again.read_bytes() == path.read_bytes()
+        result = CliRunner().invoke(main, ["wallet", "list", "--wallet", str(path), "--json"], catch_exceptions=False)
+        assert json.loads(result.output)["relations"]["bank"] == {"did": wallet.did("bank"), "peer_did": "did:sample:bankdid"}
 
     def test_relation_keys_decrypt_independently(self, tmp_path):
         # compromise of one relation's plaintext keys reveals nothing about
