@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import click
 
@@ -76,7 +76,7 @@ EXIT_AUTH = 5
 EXIT_SCENARIO = 6
 
 
-def _fail(message: str, code: int = EXIT_USAGE) -> None:
+def _fail(message: str, code: int = EXIT_USAGE) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -90,7 +90,6 @@ def _read_json(path: str | Path) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         _fail(f"cannot read {path}: {exc}")
-        raise AssertionError  # unreachable
 
 
 def _parse(parse, path: str, code: int = EXIT_VERIFY):
@@ -101,7 +100,6 @@ def _parse(parse, path: str, code: int = EXIT_VERIFY):
         return parse(data)
     except (KeyError, ValueError, TypeError, AttributeError, MalformedRecord) as exc:
         _fail(f"unreadable record {path}: {exc}", code)
-        raise AssertionError  # unreachable
 
 
 def _secret() -> bytes:
@@ -116,7 +114,6 @@ def _load_wallet(path: str) -> Wallet:
         return Wallet.load(path)
     except (MalformedWallet, OSError) as exc:
         _fail(f"cannot read wallet: {exc}")
-        raise AssertionError  # unreachable
 
 
 def _open_wallet(path: str) -> Wallet:
@@ -138,7 +135,8 @@ def _identity(wallet: Wallet, relation: str) -> PairwiseIdentity:
         return wallet.identity(relation)
     except UnknownRelation:
         _fail(f"wallet has no relation {relation!r}")
-        raise AssertionError  # unreachable
+    except MalformedWallet as exc:
+        _fail(f"cannot read wallet: {exc}")
 
 
 def _valid_chain(path: str) -> Chain:
@@ -146,7 +144,6 @@ def _valid_chain(path: str) -> Chain:
         chain = read_chain(path)
     except Exception as exc:
         _fail(f"cannot read ledger {path}: {exc}")
-        raise AssertionError
     check = validate_chain(chain)
     if not check.ok:
         _fail(f"ledger {path} is invalid at height {check.height}: {check.reason.value}")
@@ -165,7 +162,6 @@ def _name_types(specs: tuple[str, ...], option: str) -> list[tuple[str, AttrType
         return [(a.split(":", 1)[0], AttrType(a.split(":", 1)[1])) for a in specs]
     except (IndexError, ValueError) as exc:
         _fail(f"bad {option}: {exc}")
-        raise AssertionError  # unreachable
 
 
 def _hex(text: str, option: str, parse=bytes.fromhex):
@@ -176,7 +172,6 @@ def _hex(text: str, option: str, parse=bytes.fromhex):
         return parse(text)
     except ValueError as exc:
         _fail(f"bad {option}: {exc}")
-        raise AssertionError  # unreachable
 
 
 def _now(override: int | None) -> int:
@@ -207,7 +202,6 @@ def wallet_create(wallet_path: str, owner: str) -> None:
         w = Wallet.create(owner, secret)
     except (WeakSecret, CryptoError) as exc:
         _fail(str(exc))
-        return
     w.save(wallet_path)
     click.echo(f"created wallet for '{owner}' at {wallet_path}")
 
@@ -282,7 +276,6 @@ def did_new(
         new_did, document = w.new_pairwise(relation, seed=seed, endpoint=endpoint)
     except Exception as exc:
         _fail(str(exc))
-        return
     w.save(wallet_path)
     if txn_out:
         identity = w.identity(relation)
@@ -404,7 +397,6 @@ def schema_publish(
         record = SchemaRecord.create(schema_name, version, parsed)
     except ValueError as exc:
         _fail(f"bad --attr: {exc}")
-        return
     txn = LedgerTransaction.create(
         TxnType.SCHEMA,
         schema_payload(record),
@@ -522,7 +514,6 @@ def cred_issue(
         )
     except Exception as exc:
         _fail(str(exc), EXIT_VERIFY)
-        return
     _write(out_path, credential.to_dict())
     click.echo(f"credential_hash: {credential.credential_hash.hex}")
 
@@ -592,7 +583,6 @@ def cred_revoke(
         )
     except Exception as exc:
         _fail(str(exc), EXIT_VERIFY)
-        return
     revoked = credential.credential_hash in state.registries[cred_def.registry_key].revoked
     _append(ledger_path, chain, state, [(None, txn)], now_override, revoked)
     click.echo(f"revoked {credential.credential_hash.hex}")
@@ -619,7 +609,6 @@ def cred_present(
         presentation = present(w, relation, credentials, audience, _now(now_override))
     except Exception as exc:
         _fail(str(exc), EXIT_VERIFY)
-        return
     _write(out_path, presentation.to_dict())
     click.echo(f"presentation of {len(credentials)} credential(s) written to {out_path}")
 
@@ -705,9 +694,8 @@ def auth_challenge(
         challenge = issue_challenge(
             document.agreement_key, ttl=ttl, now=_now(now_override), subject_did=subject_did
         )
-    except ValueError as exc:
+    except (ValueError, CryptoError) as exc:
         _fail(str(exc))
-        return
     _write(out_path, {"subject_did": subject_did, "ciphertext": challenge.ciphertext.hex()})
     _write(
         state_path,
@@ -729,12 +717,12 @@ def auth_challenge(
 @click.argument("challenge_file", type=click.Path(exists=True))
 def auth_respond(wallet_path: str, relation: str, out_path: str, challenge_file: str) -> None:
     w = _open_wallet(wallet_path)
+    _identity(w, relation)  # a relation that is missing or does not open is exit 1, not an authentication failure
     data = _read_json(challenge_file)
     try:
         nonce = w.respond_challenge(relation, bytes.fromhex(data["ciphertext"]))
     except Exception as exc:
         _fail(str(exc), EXIT_AUTH)
-        return
     _write(out_path, {"response": nonce.hex()})
     click.echo(f"response written to {out_path}")
 
@@ -799,7 +787,6 @@ def sim_run(
         workload = parse_workload(_read_json(workload_path), seed, config.n)
     except (ValueError, MalformedRecord) as exc:
         _fail(str(exc))
-        return
     report, simulation = run_simulation(config, net_config, faults, workload, horizon, seed)
     Path(out_path).write_text(report.to_json() + "\n", encoding="utf-8")
     if events_path:

@@ -2,11 +2,11 @@
 
 Signatures are Ed25519 (deterministic, 64-byte signatures, 32-byte keys), so
 signing the same message twice yields identical bytes and golden tests stay
-stable. Ed25519 and the wallet's memory-hard scrypt (RFC 7914) run on
-libsodium alone, so every node and verifier reaches the same verdict on the
-same bytes. Public-key encryption is an X25519 sealed box: an ephemeral
-keypair per message, HKDF-SHA256, ChaCha20-Poly1305 AEAD. All key and
-signature material is raw bytes; hex rendering is lowercase everywhere.
+stable. Public-key encryption is an X25519 sealed box: an ephemeral keypair
+per message, HKDF-SHA256, ChaCha20-Poly1305 AEAD. Every primitive runs on
+libsodium alone, bar HKDF on the stdlib ``hmac``, so every node and verifier
+reaches the same verdict on the same bytes. All key and signature material
+is raw bytes; hex rendering is lowercase everywhere.
 """
 
 from __future__ import annotations
@@ -14,19 +14,10 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 import hashlib
+import hmac
 import os
 from dataclasses import dataclass
 from typing import Any
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .canonical import canonicalize
 
@@ -34,17 +25,16 @@ DIGEST_SIZE = 32
 SEED_SIZE = 32
 KEY_SIZE = 32
 SIGNATURE_SIZE = 64
+NONCE_SIZE = 12
+TAG_SIZE = 16
 MAX_SEALED_PLAINTEXT = 4096
 
 _SEAL_INFO = b"ssiledger/sealed-box/v1"
-_RAW = serialization.Encoding.Raw
-_RAW_PUBLIC = serialization.PublicFormat.Raw
-_RAW_PRIVATE = serialization.PrivateFormat.Raw
-_NO_ENCRYPTION = serialization.NoEncryption()
+_BASE_POINT = b"\x09" + b"\x00" * 31  # RFC 7748: u = 9
 
 _SODIUM_PATH = ctypes.util.find_library("sodium")
 if _SODIUM_PATH is None:
-    raise ImportError("ssiledger.crypto needs libsodium (>= 1.0.18) for Ed25519 and scrypt")
+    raise ImportError("ssiledger.crypto needs libsodium (>= 1.0.18)")
 _sodium = ctypes.CDLL(_SODIUM_PATH)
 if _sodium.sodium_init() < 0:
     raise ImportError("libsodium failed to initialise")
@@ -61,6 +51,17 @@ _scrypt = _sodium.crypto_pwhash_scryptsalsa208sha256_ll
 _scrypt.argtypes = (ctypes.c_char_p, ctypes.c_size_t, ctypes.c_char_p, ctypes.c_size_t, ctypes.c_uint64,
                     ctypes.c_uint32, ctypes.c_uint32, ctypes.c_char_p, ctypes.c_size_t)
 _scrypt.restype = ctypes.c_int
+_scalarmult = _sodium.crypto_scalarmult_curve25519
+_scalarmult.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p)
+_scalarmult.restype = ctypes.c_int
+_aead_encrypt = _sodium.crypto_aead_chacha20poly1305_ietf_encrypt
+_aead_encrypt.argtypes = (ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p,
+                          ctypes.c_ulonglong, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_char_p)
+_aead_encrypt.restype = ctypes.c_int
+_aead_decrypt = _sodium.crypto_aead_chacha20poly1305_ietf_decrypt
+_aead_decrypt.argtypes = (ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_ulonglong,
+                          ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p, ctypes.c_char_p)
+_aead_decrypt.restype = ctypes.c_int
 
 
 class CryptoError(Exception):
@@ -101,9 +102,6 @@ class Digest:
     def hex(self) -> str:
         return self.value.hex()
 
-    def __bytes__(self) -> bytes:
-        return self.value
-
     def __repr__(self) -> str:
         return f"Digest({self.hex})"
 
@@ -112,16 +110,9 @@ ZERO_DIGEST = Digest(b"\x00" * DIGEST_SIZE)
 
 
 @dataclass(frozen=True)
-class SigningKeyPair:
-    """Ed25519 keypair; the private part must never leave a wallet unencrypted."""
-
-    public: bytes
-    private: bytes
-
-
-@dataclass(frozen=True)
-class EncryptionKeyPair:
-    """X25519 keypair used for sealed-box encryption (e.g. auth challenges)."""
+class KeyPair:
+    """An Ed25519 signing or X25519 sealed-box keypair; the private part must
+    never leave a wallet unencrypted."""
 
     public: bytes
     private: bytes
@@ -157,30 +148,27 @@ def scrypt(secret: bytes, salt: bytes, n: int, r: int, p: int, length: int = 32)
     return out.raw
 
 
-def generate_signing_keypair(seed: bytes) -> SigningKeyPair:
+def generate_signing_keypair(seed: bytes) -> KeyPair:
     """Derive an Ed25519 keypair from a 32-byte seed. Deterministic."""
     if len(seed) != SEED_SIZE:
         raise InvalidSeed(f"signing seed must be {SEED_SIZE} bytes, got {len(seed)}")
     public, _ = _ed25519(memoryview(seed).tobytes())
-    return SigningKeyPair(public=public, private=seed)
+    return KeyPair(public=public, private=seed)
 
 
-def generate_encryption_keypair(seed: bytes) -> EncryptionKeyPair:
-    """Derive an X25519 keypair from a 32-byte seed. Deterministic."""
+def generate_encryption_keypair(seed: bytes) -> KeyPair:
+    """Derive an X25519 keypair from a 32-byte seed, which is its private key."""
+    seed = _raw(seed)
     if len(seed) != SEED_SIZE:
         raise InvalidSeed(f"encryption seed must be {SEED_SIZE} bytes, got {len(seed)}")
-    key = X25519PrivateKey.from_private_bytes(seed)
-    public = key.public_key().public_bytes(_RAW, _RAW_PUBLIC)
-    private = key.private_bytes(_RAW, _RAW_PRIVATE, _NO_ENCRYPTION)
-    return EncryptionKeyPair(public=public, private=private)
+    return KeyPair(public=_x25519(seed, _BASE_POINT), private=seed)
 
 
 def sign(private: bytes, message: bytes) -> bytes:
     """Sign a message; returns a 64-byte deterministic signature."""
     if not isinstance(private, bytes) or len(private) != KEY_SIZE:
         raise InvalidKey("signing key must be 32 raw private bytes")
-    message = message if isinstance(message, bytes) else memoryview(message).tobytes()
-    return _ed25519(private, message)[1]
+    return _ed25519(private, _raw(message))[1]
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
@@ -196,17 +184,49 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return False
     if not isinstance(signature, bytes) or len(signature) != SIGNATURE_SIZE:
         return False
-    message = message if isinstance(message, bytes) else memoryview(message).tobytes()
+    message = _raw(message)
     return _verify_detached(signature, message, len(message), public) == 0
 
 
-def _sealed_key(shared: bytes, ephemeral_public: bytes, recipient_public: bytes) -> bytes:
-    return HKDF(
-        algorithm=SHA256(),
-        length=KEY_SIZE + 12,
-        salt=ephemeral_public + recipient_public,
-        info=_SEAL_INFO,
-    ).derive(shared)
+def _raw(data: bytes) -> bytes:
+    """The bytes of a bytes-like object; anything else raises TypeError."""
+    return data if isinstance(data, bytes) else memoryview(data).tobytes()
+
+
+def _x25519(scalar: bytes, point: bytes) -> bytes | None:
+    """RFC 7748 X25519 of two 32-byte strings; None where the result is all
+    zeros, which is what a point of small order gives."""
+    out = ctypes.create_string_buffer(KEY_SIZE)
+    return None if _scalarmult(out, scalar, point) else out.raw
+
+
+def _hkdf(secret: bytes, length: int, info: bytes, salt: bytes = b"") -> bytes:
+    """RFC 5869 HKDF-SHA256; an empty salt is the RFC's string of zeros."""
+    prk = hmac.digest(salt, secret, "sha256")
+    block = okm = b""
+    for counter in range(1, -(-length // DIGEST_SIZE) + 1):
+        block = hmac.digest(prk, block + info + bytes([counter]), "sha256")
+        okm += block
+    return okm[:length]
+
+
+def _aead_seal(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
+    """RFC 8439 ChaCha20-Poly1305 without associated data: ciphertext || tag."""
+    if len(key) != KEY_SIZE or len(nonce) != NONCE_SIZE:
+        raise InvalidKey(f"AEAD takes a {KEY_SIZE}-byte key and a {NONCE_SIZE}-byte nonce")
+    out = ctypes.create_string_buffer(len(plaintext) + TAG_SIZE)
+    _aead_encrypt(out, None, plaintext, len(plaintext), None, 0, None, nonce, key)
+    return out.raw
+
+
+def _aead_open(key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
+    """The plaintext of ``_aead_seal``; DecryptFailed for a bad tag or size."""
+    if len(key) != KEY_SIZE or len(nonce) != NONCE_SIZE or len(ciphertext) < TAG_SIZE:
+        raise DecryptFailed(f"AEAD takes a {KEY_SIZE}-byte key, a {NONCE_SIZE}-byte nonce and a {TAG_SIZE}-byte tag")
+    out = ctypes.create_string_buffer(len(ciphertext) - TAG_SIZE)
+    if _aead_decrypt(out, None, None, ciphertext, len(ciphertext), None, 0, nonce, key):
+        raise DecryptFailed("ciphertext did not authenticate")
+    return out.raw
 
 
 def encrypt_to(public: bytes, plaintext: bytes) -> bytes:
@@ -215,36 +235,31 @@ def encrypt_to(public: bytes, plaintext: bytes) -> bytes:
 
     Output layout: ephemeral public key (32 bytes) || AEAD ciphertext.
     """
+    plaintext, public = _raw(plaintext), _raw(public)
     if len(plaintext) > MAX_SEALED_PLAINTEXT:
         raise PlaintextTooLarge(
             f"plaintext of {len(plaintext)} bytes exceeds {MAX_SEALED_PLAINTEXT}"
         )
-    try:
-        recipient = X25519PublicKey.from_public_bytes(public)
-    except ValueError as exc:
-        raise InvalidKey("recipient key must be 32 raw X25519 public bytes") from exc
-    ephemeral = X25519PrivateKey.from_private_bytes(os.urandom(KEY_SIZE))
-    ephemeral_public = ephemeral.public_key().public_bytes(_RAW, _RAW_PUBLIC)
-    material = _sealed_key(ephemeral.exchange(recipient), ephemeral_public, public)
-    sealed = ChaCha20Poly1305(material[:KEY_SIZE]).encrypt(material[KEY_SIZE:], plaintext, None)
-    return ephemeral_public + sealed
+    if len(public) != KEY_SIZE:
+        raise InvalidKey("recipient key must be 32 raw X25519 public bytes")
+    ephemeral = os.urandom(KEY_SIZE)
+    ephemeral_public, shared = _x25519(ephemeral, _BASE_POINT), _x25519(ephemeral, public)
+    if shared is None:
+        raise InvalidKey("recipient key is a point of small order")
+    material = _hkdf(shared, KEY_SIZE + NONCE_SIZE, _SEAL_INFO, ephemeral_public + public)
+    return ephemeral_public + _aead_seal(material[:KEY_SIZE], material[KEY_SIZE:], plaintext)
 
 
 def decrypt_from(private: bytes, ciphertext: bytes) -> bytes:
     """Open a sealed box. Raises DecryptFailed for any mismatch or tampering."""
-    if len(ciphertext) < KEY_SIZE + 16:
+    private, ciphertext = _raw(private), _raw(ciphertext)
+    if len(ciphertext) < KEY_SIZE + TAG_SIZE:
         raise DecryptFailed("ciphertext too short")
-    try:
-        recipient = X25519PrivateKey.from_private_bytes(private)
-    except ValueError as exc:
-        raise DecryptFailed("malformed private key") from exc
+    if len(private) != KEY_SIZE:
+        raise DecryptFailed("malformed private key")
     ephemeral_public = ciphertext[:KEY_SIZE]
-    recipient_public = recipient.public_key().public_bytes(_RAW, _RAW_PUBLIC)
-    try:
-        shared = recipient.exchange(X25519PublicKey.from_public_bytes(ephemeral_public))
-        material = _sealed_key(shared, ephemeral_public, recipient_public)
-        return ChaCha20Poly1305(material[:KEY_SIZE]).decrypt(
-            material[KEY_SIZE:], ciphertext[KEY_SIZE:], None
-        )
-    except (InvalidTag, ValueError) as exc:
-        raise DecryptFailed("sealed box did not open") from exc
+    shared = _x25519(private, ephemeral_public)
+    if shared is None:
+        raise DecryptFailed("sealed box did not open")
+    material = _hkdf(shared, KEY_SIZE + NONCE_SIZE, _SEAL_INFO, ephemeral_public + _x25519(private, _BASE_POINT))
+    return _aead_open(material[:KEY_SIZE], material[KEY_SIZE:], ciphertext[KEY_SIZE:])

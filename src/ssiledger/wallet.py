@@ -2,9 +2,9 @@
 
 A wallet holds one pairwise identity per relation, each with its own signing
 and agreement keypair, so compromising one relation's keys tells an attacker
-nothing about the others. Private keys are encrypted at rest under a key
-derived from the unlock secret with scrypt (memory-hard, run on libsodium);
-the wallet file never contains plaintext private key material.
+nothing about the others. Private keys are sealed at rest under a key scrypt
+derives from the unlock secret, by HKDF-SHA256 and ChaCha20-Poly1305, all on
+libsodium and ``hmac``; the wallet file never holds plaintext private keys.
 
 The unlock secret stands in for a biometric unlock: anything that yields a
 stable high-entropy byte string can be plugged in.
@@ -19,14 +19,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-
 from .canonical import canonical_json
 from .crypto import (
-    EncryptionKeyPair,
-    SigningKeyPair,
+    NONCE_SIZE,
+    CryptoError,
+    DecryptFailed,
+    KeyPair,
+    _aead_open,
+    _aead_seal,
+    _hkdf,
     decrypt_from,
     generate_encryption_keypair,
     generate_signing_keypair,
@@ -97,8 +98,8 @@ class PairwiseIdentity:
 
     relation: str
     did: str
-    signing: SigningKeyPair
-    agreement: EncryptionKeyPair
+    signing: KeyPair
+    agreement: KeyPair
     endpoint: str
 
     def document(self, metadata: dict | None = None) -> DidDocument:
@@ -128,11 +129,8 @@ class _EncryptedRelation:
 
 
 def _seal(kek: bytes, relation: str, kind: str, secret: bytes) -> dict:
-    key = HKDF(
-        algorithm=SHA256(), length=32, salt=None, info=f"wallet:{relation}:{kind}".encode()
-    ).derive(kek)
-    nonce = os.urandom(12)
-    ciphertext = ChaCha20Poly1305(key).encrypt(nonce, secret, None)
+    nonce = os.urandom(NONCE_SIZE)
+    ciphertext = _aead_seal(_hkdf(kek, 32, f"wallet:{relation}:{kind}".encode()), nonce, secret)
     return {
         "nonce": base64.b64encode(nonce).decode(),
         "ciphertext": base64.b64encode(ciphertext).decode(),
@@ -140,12 +138,12 @@ def _seal(kek: bytes, relation: str, kind: str, secret: bytes) -> dict:
 
 
 def _open(kek: bytes, relation: str, kind: str, blob: dict) -> bytes:
-    key = HKDF(
-        algorithm=SHA256(), length=32, salt=None, info=f"wallet:{relation}:{kind}".encode()
-    ).derive(kek)
-    return ChaCha20Poly1305(key).decrypt(
-        base64.b64decode(blob["nonce"]), base64.b64decode(blob["ciphertext"]), None
-    )
+    """The secret ``_seal`` sealed; DecryptFailed where the blob is damaged."""
+    try:
+        nonce, ciphertext = base64.b64decode(blob["nonce"]), base64.b64decode(blob["ciphertext"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DecryptFailed(f"{kind} key blob does not decode: {type(exc).__name__}: {exc}") from exc
+    return _aead_open(_hkdf(kek, 32, f"wallet:{relation}:{kind}".encode()), nonce, ciphertext)
 
 
 class Wallet:
@@ -221,17 +219,16 @@ class Wallet:
         entry = self._relations.get(relation)
         if entry is None:
             raise UnknownRelation(relation)
+        try:
+            signing = _open(kek, relation, "sign", entry.signing_blob)
+            agreement = _open(kek, relation, "agree", entry.agreement_blob)
+        except CryptoError as exc:
+            raise MalformedWallet(f"relation {relation!r} does not open: {exc}") from exc
         return PairwiseIdentity(
             relation=relation,
             did=entry.did,
-            signing=SigningKeyPair(
-                public=entry.verification_key,
-                private=_open(kek, relation, "sign", entry.signing_blob),
-            ),
-            agreement=EncryptionKeyPair(
-                public=entry.agreement_key,
-                private=_open(kek, relation, "agree", entry.agreement_blob),
-            ),
+            signing=KeyPair(public=entry.verification_key, private=signing),
+            agreement=KeyPair(public=entry.agreement_key, private=agreement),
             endpoint=entry.endpoint,
         )
 

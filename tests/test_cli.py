@@ -1,3 +1,5 @@
+import base64
+import dataclasses
 import json
 from pathlib import Path
 
@@ -888,11 +890,14 @@ class TestUnknownRelation:
             "cred revoke": ["cred", "revoke", *wallet, "alice.cred.json"],
             "consent record verifier": consent + ["--owner-relation", "employer", "--verifier-relation", "nobody"],
             "consent record owner": consent + ["--owner-relation", "nobody", "--verifier-relation", "public"],
+            "auth respond": ["auth", "respond", "--wallet", "issuer.wallet.json", "--relation", "nobody", "--out", "r.json",
+                             "alice.cred.json"],
         }
 
     @pytest.mark.parametrize(
         "command",
-        ["schema publish", "creddef publish", "cred issue", "cred revoke", "consent record verifier", "consent record owner"],
+        ["schema publish", "creddef publish", "cred issue", "cred revoke", "consent record verifier", "consent record owner",
+         "auth respond"],
     )
     def test_one_error_line(self, runner, workdir, issuer_setup, command):
         assert _issue(runner, issuer_setup).exit_code == 0
@@ -975,3 +980,74 @@ def test_hex_in_upper_case_fails_the_read(runner, workdir, issuer_setup, field):
         assert result.exit_code == 1
         assert result.output.startswith("error: cannot read ledger net.ledger.jsonl: ") and result.output.count("\n") == 1
         assert "is not lower-case hex" in result.output
+
+
+def _flip_first_byte(text: str) -> str:
+    raw = base64.b64decode(text)
+    return base64.b64encode(bytes([raw[0] ^ 1]) + raw[1:]).decode()
+
+
+class TestDamagedRelation:
+    """A relation whose key blob in the wallet file does not open: every
+    command that signs or decrypts with it ends with one ``error:`` line,
+    exit 1, and writes no ledger, wallet or output file."""
+
+    DAMAGE = {
+        "ciphertext-byte": ("ciphertext", _flip_first_byte, "ciphertext did not authenticate"),
+        "8-byte-nonce": ("nonce", lambda text: base64.b64encode(bytes(8)).decode(),
+                         "AEAD takes a 32-byte key, a 12-byte nonce and a 16-byte tag"),
+        "not-base64": ("ciphertext", lambda text: text[:-1],
+                       "sign key blob does not decode: Error: Incorrect padding"),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_one_error_line(self, runner, workdir, issuer_setup, damage):
+        assert _issue(runner, issuer_setup).exit_code == 0
+        field, change, reason = self.DAMAGE[damage]
+        data = json.loads(Path("issuer.wallet.json").read_text())
+        blob = data["relations"]["public"]["signing_private"]
+        blob[field] = change(blob[field])
+        Path("issuer.wallet.json").write_text(json.dumps(data))
+        files = {name: Path(name).read_bytes() for name in ("issuer.wallet.json", "net.ledger.jsonl")}
+        wallet = ["--wallet", "issuer.wallet.json", "--relation", "public", "--ledger", "net.ledger.jsonl"]
+        commands = [
+            ["schema", "publish", *wallet, "--name", "n", "--attr", "a:string"],
+            ["creddef", "publish", *wallet, "--schema-id", issuer_setup["schema_id"]],
+            ["cred", "issue", *wallet, "--cred-def", issuer_setup["cred_def_id"], "--subject",
+             issuer_setup["holder_did"], "--attr", "degree=BSc", "--out", "x.json"],
+            ["cred", "revoke", *wallet, "alice.cred.json"],
+            ["consent", "record", "--owner-wallet", "holder.wallet.json", "--owner-relation", "employer",
+             "--verifier-wallet", "issuer.wallet.json", "--verifier-relation", "public", "--ledger", "net.ledger.jsonl",
+             "--shared", "degree:string", "--purpose", "hiring", "--out", "c.json"],
+            ["auth", "respond", "--wallet", "issuer.wallet.json", "--relation", "public", "--out", "r.json",
+             "alice.cred.json"],
+        ]
+        for args in commands:
+            result = invoke(runner, args)
+            expected = f"error: cannot read wallet: relation 'public' does not open: {reason}\n"
+            assert (result.exit_code, result.output) == (1, expected), args
+        assert {name: Path(name).read_bytes() for name in files} == files
+        assert not any(Path(name).exists() for name in ("x.json", "c.json", "r.json"))
+
+
+class TestUnusableAgreementKey:
+    """``ledger append`` takes any agreement key; one that X25519 cannot use
+    ends ``auth challenge`` with one ``error:`` line, exit 1, no file written."""
+
+    @pytest.mark.parametrize(
+        "key,reason",
+        [(bytes(5), "recipient key must be 32 raw X25519 public bytes"), (bytes(32), "recipient key is a point of small order")],
+        ids=["5-bytes", "all-zero"],
+    )
+    def test_one_error_line(self, runner, workdir, key, reason):
+        subject = Identity.create("unusable-agreement")
+        subject.document = dataclasses.replace(subject.document, agreement_key=key)
+        Path("reg.json").write_text(json.dumps(subject.registration_txn(1).to_dict()))
+        assert invoke(runner, ["ledger", "init", "--out", "l.jsonl"]).exit_code == 0
+        assert invoke(runner, ["ledger", "append", "--ledger", "l.jsonl", "--now", "2", "reg.json"]).exit_code == 0
+        result = invoke(
+            runner,
+            ["auth", "challenge", "--ledger", "l.jsonl", "--did", subject.did, "--out", "c.json", "--state", "s.json"],
+        )
+        assert (result.exit_code, result.output) == (1, f"error: {reason}\n")
+        assert not Path("c.json").exists() and not Path("s.json").exists()

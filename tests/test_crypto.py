@@ -1,19 +1,30 @@
+import base64
 import ctypes
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import IDENTITY_SIGNATURE
 
+from ssiledger import crypto, wallet
 from ssiledger.crypto import (
     CryptoError,
     DecryptFailed,
     Digest,
+    InvalidKey,
     InvalidSeed,
     PlaintextTooLarge,
     ZERO_DIGEST,
@@ -326,3 +337,313 @@ class TestSealedBox:
 def test_digest_of_is_canonical():
     assert digest_of({"b": 1, "a": 2}) == digest_of({"a": 2, "b": 1})
     assert digest_of({"a": 1}) != digest_of({"a": 2})
+
+
+# RFC 7748 section 5.2: the two single-iteration vectors (scalar, u, result).
+RFC7748_VECTORS = [
+    ("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
+     "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
+     "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"),
+    ("4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
+     "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
+     "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"),
+]
+# RFC 7748 section 6.1: Alice's and Bob's keys and their shared secret.
+ALICE = ("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
+         "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a")
+BOB = ("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb",
+       "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f")
+SHARED = "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742"
+
+# u-coordinates of small order, on which X25519 with any clamped scalar is zero.
+SMALL_ORDER_POINTS = {
+    "zero": "00" * 32,
+    "one": "01" + "00" * 31,
+    "order-8-a": "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+    "order-8-b": "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+    "p-1": "ec" + "ff" * 30 + "7f",
+    "p": "ed" + "ff" * 30 + "7f",
+    "p+1": "ee" + "ff" * 30 + "7f",
+}
+
+_RAW = serialization.Encoding.Raw, serialization.PublicFormat.Raw
+_SEAL_INFO = b"ssiledger/sealed-box/v1"
+
+
+def _reference_public(private: bytes) -> bytes:
+    return X25519PrivateKey.from_private_bytes(private).public_key().public_bytes(*_RAW)
+
+
+def _reference_seal(public: bytes, plaintext: bytes) -> bytes:
+    """A sealed box as ``cryptography`` (OpenSSL) builds it."""
+    ephemeral = X25519PrivateKey.from_private_bytes(os.urandom(32))
+    ephemeral_public = ephemeral.public_key().public_bytes(*_RAW)
+    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(public))
+    material = HKDF(SHA256(), 44, salt=ephemeral_public + public, info=_SEAL_INFO).derive(shared)
+    return ephemeral_public + ChaCha20Poly1305(material[:32]).encrypt(material[32:], plaintext, None)
+
+
+def _reference_open(private: bytes, box: bytes) -> bytes:
+    recipient = X25519PrivateKey.from_private_bytes(private)
+    shared = recipient.exchange(X25519PublicKey.from_public_bytes(box[:32]))
+    salt = box[:32] + recipient.public_key().public_bytes(*_RAW)
+    material = HKDF(SHA256(), 44, salt=salt, info=_SEAL_INFO).derive(shared)
+    return ChaCha20Poly1305(material[:32]).decrypt(material[32:], box[32:], None)
+
+
+def _reference_blob_key(kek: bytes, relation: str, kind: str) -> ChaCha20Poly1305:
+    return ChaCha20Poly1305(HKDF(SHA256(), 32, salt=None, info=f"wallet:{relation}:{kind}".encode()).derive(kek))
+
+
+class TestX25519:
+    @pytest.mark.parametrize("scalar,u,expected", RFC7748_VECTORS, ids=["vector-1", "vector-2"])
+    def test_rfc7748_single_iteration(self, scalar, u, expected):
+        assert crypto._x25519(bytes.fromhex(scalar), bytes.fromhex(u)).hex() == expected
+
+    def test_rfc7748_diffie_hellman(self):
+        alice = generate_encryption_keypair(bytes.fromhex(ALICE[0]))
+        bob = generate_encryption_keypair(bytes.fromhex(BOB[0]))
+        assert (alice.public.hex(), bob.public.hex()) == (ALICE[1], BOB[1])
+        assert alice.private.hex() == ALICE[0]  # the seed itself; X25519 clamps it on use
+        assert crypto._x25519(alice.private, bob.public).hex() == SHARED
+        assert crypto._x25519(bob.private, alice.public).hex() == SHARED
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(min_size=32, max_size=32))
+    def test_same_keys_as_cryptography(self, seed):
+        pair = generate_encryption_keypair(seed)
+        assert pair.public == _reference_public(seed)
+        assert pair.private == seed
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(min_size=32, max_size=32), st.binary(min_size=32, max_size=32))
+    @example(b"\x01" * 32, bytes.fromhex("ee" + "ff" * 30 + "7f"))  # p + 1, which is 1 once reduced
+    @example(b"\x01" * 32, bytes.fromhex("f0" + "ff" * 31))  # top bit set: masked, then above p
+    def test_any_point_as_cryptography_computes_it(self, scalar, point):
+        """Non-canonical u-coordinates included: masked and reduced alike, and
+        refused alike where the result is zero."""
+        try:
+            expected = X25519PrivateKey.from_private_bytes(scalar).exchange(X25519PublicKey.from_public_bytes(point))
+        except ValueError:
+            expected = None
+        assert crypto._x25519(scalar, point) == expected
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_bytes_like_seed(self, kind):
+        assert generate_encryption_keypair(kind(b"\x18" * 32)) == generate_encryption_keypair(b"\x18" * 32)
+
+    @pytest.mark.parametrize("size", [0, 31, 33])
+    def test_seed_of_another_length_is_refused(self, size):
+        with pytest.raises(InvalidSeed):
+            generate_encryption_keypair(b"\x18" * size)
+
+
+class TestHkdf:
+    # RFC 5869 appendix A.1 to A.3: (ikm, salt, info, length, okm).
+    @pytest.mark.parametrize(
+        "ikm,salt,info,length,okm",
+        [
+            ("0b" * 22, "000102030405060708090a0b0c", "f0f1f2f3f4f5f6f7f8f9", 42,
+             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"),
+            (bytes(range(0x00, 0x50)).hex(), bytes(range(0x60, 0xb0)).hex(), bytes(range(0xb0, 0x100)).hex(), 82,
+             "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c59045a99cac7827271cb41c65e590e09"
+             "da3275600c2f09b8367793a9aca3db71cc30c58179ec3e87c14c01d5c1f3434f1d87"),
+            ("0b" * 22, "", "", 42,
+             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"),
+        ],
+        ids=["A.1", "A.2", "A.3"],
+    )
+    def test_rfc5869_vectors(self, ikm, salt, info, length, okm):
+        assert crypto._hkdf(bytes.fromhex(ikm), length, bytes.fromhex(info), bytes.fromhex(salt)).hex() == okm
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=64), st.binary(max_size=64), st.binary(max_size=40), st.integers(1, 255 * 32))
+    def test_same_bytes_as_cryptography(self, secret, salt, info, length):
+        expected = HKDF(SHA256(), length, salt=salt or None, info=info).derive(secret)
+        assert crypto._hkdf(secret, length, info, salt) == expected
+
+
+# RFC 8439 section 2.8.2: the AEAD vector, with its 12 bytes of associated data.
+RFC8439_PLAINTEXT = (
+    b"Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it."
+)
+RFC8439_AAD = bytes.fromhex("50515253c0c1c2c3c4c5c6c7")
+RFC8439_KEY = bytes(range(0x80, 0xa0))
+RFC8439_NONCE = bytes.fromhex("070000004041424344454647")
+RFC8439_CIPHERTEXT = (
+    "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d63dbea45e8ca9671282fafb69da92728b"
+    "1a71de0a9e060b2905d6a5b67ecd3b3692ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+    "3ff4def08e4b7a9de576d26586cec64b6116"
+)
+RFC8439_TAG = "1ae10b594f09e26a7e902ecbd0600691"
+
+
+class TestAead:
+    def test_rfc8439_vector(self):
+        """The full vector through the libsodium handle, associated data
+        included; the helpers, which take none, give the same ciphertext and
+        the tag ``cryptography`` gives without it."""
+        out = ctypes.create_string_buffer(len(RFC8439_PLAINTEXT) + 16)
+        crypto._aead_encrypt(out, None, RFC8439_PLAINTEXT, len(RFC8439_PLAINTEXT), RFC8439_AAD, len(RFC8439_AAD),
+                             None, RFC8439_NONCE, RFC8439_KEY)
+        assert out.raw.hex() == RFC8439_CIPHERTEXT + RFC8439_TAG
+        sealed = crypto._aead_seal(RFC8439_KEY, RFC8439_NONCE, RFC8439_PLAINTEXT)
+        assert sealed[:-16].hex() == RFC8439_CIPHERTEXT
+        assert sealed == ChaCha20Poly1305(RFC8439_KEY).encrypt(RFC8439_NONCE, RFC8439_PLAINTEXT, None)
+        assert crypto._aead_open(RFC8439_KEY, RFC8439_NONCE, sealed) == RFC8439_PLAINTEXT
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(min_size=32, max_size=32), st.binary(min_size=12, max_size=12), st.binary(max_size=300))
+    def test_both_directions_against_cryptography(self, key, nonce, plaintext):
+        reference = ChaCha20Poly1305(key)
+        assert crypto._aead_seal(key, nonce, plaintext) == reference.encrypt(nonce, plaintext, None)
+        assert crypto._aead_open(key, nonce, reference.encrypt(nonce, plaintext, None)) == plaintext
+
+    @pytest.mark.parametrize("position", [0, 5, -1])
+    def test_any_changed_byte_does_not_open(self, position):
+        sealed = bytearray(crypto._aead_seal(RFC8439_KEY, RFC8439_NONCE, b"secret"))
+        sealed[position] ^= 0x01
+        with pytest.raises(DecryptFailed, match="did not authenticate"):
+            crypto._aead_open(RFC8439_KEY, RFC8439_NONCE, bytes(sealed))
+
+    @pytest.mark.parametrize(
+        "key,nonce,ciphertext",
+        [(31, 12, 16), (33, 12, 16), (32, 11, 16), (32, 13, 16), (32, 8, 40), (32, 12, 15), (32, 12, 0)],
+    )
+    def test_sizes_libsodium_does_not_read_are_refused_before_the_call(self, key, nonce, ciphertext, monkeypatch):
+        monkeypatch.setattr(crypto, "_aead_encrypt", None)  # any call would raise TypeError
+        monkeypatch.setattr(crypto, "_aead_decrypt", None)
+        with pytest.raises(DecryptFailed):
+            crypto._aead_open(bytes(key), bytes(nonce), bytes(ciphertext))
+        if (key, nonce) != (32, 12):
+            with pytest.raises(InvalidKey):
+                crypto._aead_seal(bytes(key), bytes(nonce), b"")
+
+
+class TestSealedBoxInterop:
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(min_size=32, max_size=32), st.binary(max_size=256))
+    def test_reference_boxes_open(self, seed, plaintext):
+        pair = generate_encryption_keypair(seed)
+        assert decrypt_from(pair.private, _reference_seal(pair.public, plaintext)) == plaintext
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(min_size=32, max_size=32), st.binary(max_size=256))
+    def test_boxes_open_with_the_reference(self, seed, plaintext):
+        pair = generate_encryption_keypair(seed)
+        assert _reference_open(pair.private, encrypt_to(pair.public, plaintext)) == plaintext
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_bytes_like_inputs(self, kind):
+        pair = generate_encryption_keypair(b"\x19" * 32)
+        box = encrypt_to(kind(pair.public), kind(b"nonce"))
+        assert decrypt_from(kind(pair.private), kind(box)) == b"nonce"
+
+    @pytest.mark.parametrize("key", [bytes(5), bytes(31), bytes(33)], ids=["5", "31", "33"])
+    def test_recipient_key_of_another_length(self, key):
+        with pytest.raises(InvalidKey, match="must be 32 raw X25519 public bytes"):
+            encrypt_to(key, b"nonce")
+
+    @pytest.mark.parametrize("point", SMALL_ORDER_POINTS.values(), ids=SMALL_ORDER_POINTS.keys())
+    def test_small_order_recipient_key(self, point):
+        with pytest.raises(ValueError):  # the reference refuses it too
+            _reference_seal(bytes.fromhex(point), b"nonce")
+        with pytest.raises(InvalidKey, match="small order"):
+            encrypt_to(bytes.fromhex(point), b"nonce")
+
+    @pytest.mark.parametrize("point", SMALL_ORDER_POINTS.values(), ids=SMALL_ORDER_POINTS.keys())
+    def test_small_order_ephemeral_key(self, point):
+        pair = generate_encryption_keypair(b"\x1a" * 32)
+        box = bytes.fromhex(point) + encrypt_to(pair.public, b"nonce")[32:]
+        with pytest.raises(DecryptFailed):
+            decrypt_from(pair.private, box)
+
+    @pytest.mark.parametrize("size", [0, 31, 33])
+    def test_private_key_of_another_length(self, size):
+        pair = generate_encryption_keypair(b"\x1b" * 32)
+        with pytest.raises(DecryptFailed, match="malformed private key"):
+            decrypt_from(b"\x1b" * size, encrypt_to(pair.public, b"nonce"))
+
+
+class TestWalletBlobInterop:
+    """A relation's key blob in the wallet file: HKDF-SHA256 of the wallet key
+    under ``wallet:<relation>:<kind>``, then ChaCha20-Poly1305 with a random
+    nonce, both fields in base64."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(min_size=32, max_size=32), st.text(max_size=12), st.sampled_from(["sign", "agree"]),
+           st.binary(min_size=32, max_size=32))
+    def test_both_directions_against_cryptography(self, kek, relation, kind, secret):
+        blob = wallet._seal(kek, relation, kind, secret)
+        nonce, ciphertext = (base64.b64decode(blob[field]) for field in ("nonce", "ciphertext"))
+        assert _reference_blob_key(kek, relation, kind).decrypt(nonce, ciphertext, None) == secret
+        nonce = os.urandom(12)
+        reference = {
+            "nonce": base64.b64encode(nonce).decode(),
+            "ciphertext": base64.b64encode(_reference_blob_key(kek, relation, kind).encrypt(nonce, secret, None)).decode(),
+        }
+        assert wallet._open(kek, relation, kind, reference) == secret
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            {"nonce": base64.b64encode(bytes(8)).decode(), "ciphertext": base64.b64encode(bytes(48)).decode()},
+            {"nonce": "AAAA-", "ciphertext": base64.b64encode(bytes(48)).decode()},
+            {"nonce": base64.b64encode(bytes(12)).decode(), "ciphertext": "abc"},
+            {"nonce": 5, "ciphertext": "abc"},
+            {"ciphertext": "abc"},
+        ],
+        ids=["8-byte-nonce", "nonce-not-base64", "ciphertext-not-base64", "nonce-not-text", "no-nonce"],
+    )
+    def test_damaged_blob_is_a_crypto_error(self, blob):
+        with pytest.raises(CryptoError):
+            wallet._open(b"\x1c" * 32, "bank", "sign", blob)
+
+
+GUARD = r"""
+import importlib, json, os, pkgutil, sys
+sys.modules["cryptography"] = None  # any import of it now raises ImportError
+import ssiledger
+for module in pkgutil.iter_modules(ssiledger.__path__):
+    importlib.import_module("ssiledger." + module.name)
+from click.testing import CliRunner
+from ssiledger.cli import main
+
+golden, workdir = sys.argv[1:]
+runner = CliRunner()
+for name in ("medical", "employment", "loan"):
+    result = runner.invoke(main, ["scenario", "run", name, "--seed", "1", "--json"],
+                           env={"WALLET_SECRET": "acceptance"}, catch_exceptions=False)
+    with open(os.path.join(golden, name + ".transcript.json"), encoding="utf-8") as handle:
+        assert (result.exit_code, result.output) == (0, handle.read()), name
+os.chdir(workdir)
+env = {"WALLET_SECRET": "guard"}
+did = None
+for args in (
+    ["wallet", "create", "--wallet", "w.json", "--owner", "o"],
+    ["ledger", "init", "--out", "l.jsonl"],
+    ["did", "new", "--wallet", "w.json", "--relation", "r", "--txn-out", "t.json", "--now", "1", "--json"],
+    ["ledger", "append", "--ledger", "l.jsonl", "--now", "2", "t.json"],
+    ["auth", "challenge", "--ledger", "l.jsonl", "--did", "DID", "--out", "c.json", "--state", "s.json", "--now", "3"],
+    ["auth", "respond", "--wallet", "w.json", "--relation", "r", "--out", "p.json", "c.json"],
+    ["auth", "check", "--state", "s.json", "--now", "4", "p.json"],
+):
+    result = runner.invoke(main, [did if arg == "DID" else arg for arg in args], env=env, catch_exceptions=False)
+    assert result.exit_code == 0, (args, result.output)
+    did = json.loads(result.output)["did"] if "--json" in args else did
+assert result.output == "authenticated\n"
+assert not [name for name in sys.modules if name.startswith("cryptography.")]
+print("ok")
+"""
+
+
+def test_runs_without_cryptography(tmp_path):
+    """Every module imports, the three scenarios replay to their goldens, and
+    a wallet answers a challenge, all with ``cryptography`` unimportable."""
+    tests = Path(__file__).parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", GUARD, str(tests / "golden"), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert (result.returncode, result.stdout) == (0, "ok\n"), result.stderr
