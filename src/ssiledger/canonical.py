@@ -12,7 +12,9 @@ unambiguous and injective.
 from __future__ import annotations
 
 import json
+import os
 from json.encoder import c_make_encoder, encode_basestring
+from pathlib import Path
 from typing import Any
 
 # no cycle check: ``_check`` walks every container first, and a cycle raises RecursionError there
@@ -118,3 +120,25 @@ def map_layout(*keys: str) -> bytes:
         raise ValueError("map layout keys must be distinct and sorted")
     members = [canonicalize(key).replace(b"%", b"%%") + b":%b" for key in keys]
     return b"{" + b",".join(members) + b"}"
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` in UTF-8, or leave it as it
+    was: the text goes to a new file in the same directory, which is synced to
+    disk and then renamed over ``path``. A write that fails removes the new file
+    and raises. The file keeps the permission bits it had; a new file gets the
+    default ones, as ``open`` would give it."""
+    target = Path(path).resolve()  # through a symlink, as writing in place would go
+    temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            if target.exists():
+                os.chmod(fd, target.stat().st_mode & 0o7777)
+            out.write(text)
+            out.flush()
+            os.fsync(fd)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise

@@ -20,12 +20,12 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Callable, Iterable, NoReturn
 
 import click
 
 from .auth import Challenge, ChallengeVerifier, issue_challenge
-from .canonical import canonical_json
+from .canonical import canonical_json, write_atomic
 from .credentials import (
     Presentation,
     VerifiableCredential,
@@ -45,6 +45,7 @@ from .ledger import (
     MalformedRecord,
     TxnType,
     build_block,
+    check_file,
     read_chain,
     validate_chain,
     write_chain,
@@ -60,6 +61,7 @@ from .state import (
     did_reg_payload,
     fold_chain,
     fold_into,
+    fold_read_set,
     get_cred_def,
     get_schema,
     schema_payload,
@@ -81,8 +83,17 @@ def _fail(message: str, code: int = EXIT_USAGE) -> NoReturn:
     sys.exit(code)
 
 
+def _save(write: Callable[[str | Path], None], path: str | Path) -> None:
+    """``write(path)``, which replaces the file whole or leaves it as it was; a
+    write that fails ends the command with one ``error:`` line, exit 1."""
+    try:
+        write(path)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc}")
+
+
 def _write(path: str | Path, value: dict) -> None:
-    Path(path).write_text(canonical_json(value) + "\n", encoding="utf-8")
+    _save(lambda target: write_atomic(target, canonical_json(value) + "\n"), path)
 
 
 def _read_json(path: str | Path) -> dict:
@@ -139,19 +150,25 @@ def _identity(wallet: Wallet, relation: str) -> PairwiseIdentity:
         _fail(f"cannot read wallet: {exc}")
 
 
-def _valid_chain(path: str) -> Chain:
+def _valid(path: str, read: Callable[[str], tuple]):
+    """The value of ``read(path)``, a (``ChainValidation``, value) pair, for a
+    valid chain; a read error, else a fault, ends the command with one
+    ``error:`` line, exit 1."""
     try:
-        chain = read_chain(path)
+        check, value = read(path)
     except Exception as exc:
         _fail(f"cannot read ledger {path}: {exc}")
-    check = validate_chain(chain)
     if not check.ok:
         _fail(f"ledger {path} is invalid at height {check.height}: {check.reason.value}")
-    return chain
+    return value
 
 
 def _ledger_state(path: str) -> tuple[Chain, NodeState]:
-    chain = _valid_chain(path)
+    def read(path: str) -> tuple:
+        chain = read_chain(path)
+        return validate_chain(chain), chain
+
+    chain = _valid(path, read)
     return chain, fold_chain(chain)
 
 
@@ -202,7 +219,7 @@ def wallet_create(wallet_path: str, owner: str) -> None:
         w = Wallet.create(owner, secret)
     except (WeakSecret, CryptoError) as exc:
         _fail(str(exc))
-    w.save(wallet_path)
+    _save(w.save, wallet_path)
     click.echo(f"created wallet for '{owner}' at {wallet_path}")
 
 
@@ -276,7 +293,7 @@ def did_new(
         new_did, document = w.new_pairwise(relation, seed=seed, endpoint=endpoint)
     except Exception as exc:
         _fail(str(exc))
-    w.save(wallet_path)
+    _save(w.save, wallet_path)
     if txn_out:
         identity = w.identity(relation)
         txn = LedgerTransaction.create(
@@ -305,7 +322,7 @@ def ledger() -> None:
 def ledger_init(out_path: str, genesis_timestamp: int) -> None:
     if Path(out_path).exists():
         _fail(f"{out_path} already exists")
-    write_chain(Chain.new(genesis_timestamp), out_path)
+    _save(lambda target: write_chain(Chain.new(genesis_timestamp), target), out_path)
     click.echo(f"initialized ledger at {out_path}")
 
 
@@ -348,7 +365,7 @@ def _append(
     if on_ledger:
         return None
     block = build_block(chain.head, accepted, _now(now_override))
-    write_chain(chain.append(block), ledger_path)
+    _save(lambda target: write_chain(chain.append(block), target), ledger_path)
     return block
 
 
@@ -530,18 +547,18 @@ def cred_verify(
     record_file: str,
 ) -> None:
     """Verify a credential or presentation file against a ledger. Every record
-    of the ledger is read and hash-checked; only those the verdict can depend
-    on are folded."""
-    chain = _valid_chain(ledger_path)
+    of the ledger is read and hash-checked in one pass; only those the verdict
+    can depend on are built and folded."""
+    records = _valid(ledger_path, check_file)
     data = _read_json(record_file)
     try:
         if "holder_signature" in data:
             presentation = Presentation.from_dict(data)
-            state = fold_chain(chain, ledger_reads(presentation))
+            state = fold_read_set(records, ledger_reads(presentation))
             result = verify_presentation(presentation, state, expected_audience=audience)
         else:
             credential = VerifiableCredential.from_dict(data)
-            result = verify_credential(credential, fold_chain(chain, ledger_reads(credential)))
+            result = verify_credential(credential, fold_read_set(records, ledger_reads(credential)))
     except (KeyError, ValueError, TypeError) as exc:
         result = None
         _fail(f"unreadable record: {exc}", EXIT_VERIFY)

@@ -363,7 +363,7 @@ def verify_presentation(
 
 def ledger_reads(record: Presentation | VerifiableCredential) -> set[str]:
     """The state keys ``verify_presentation`` or ``verify_credential`` reads for
-    a record, as ``fold_chain`` takes them: each credential's cred def (its
+    a record, as ``fold_read_set`` takes them: each credential's cred def (its
     schema and issuer follow from the cred def's record) and a presentation's
     holder DID. A holder DID that is not a string is never registered, so it
     is left out: the verifier rejects it on the full state as well."""

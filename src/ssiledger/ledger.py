@@ -11,6 +11,10 @@ not just the transaction id: the tamper-detection contract is that flipping
 any single bit anywhere in a stored chain is caught by ``validate_chain``.
 The transaction id itself covers (type, payload, author, timestamp) and is
 what consensus uses for deduplication.
+
+A ledger file is decoded by one line decoder. ``read_chain`` builds every
+record from it; ``check_file`` validates the file in the same pass and leaves
+the records unbuilt, for a reader that folds only a few of them.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from .canonical import UnsupportedType, _encode_checked, _float_screen, _member, _quoted_hex, canonicalize, map_layout
+from .canonical import UnsupportedType, _encode_checked, _float_screen, _member, canonicalize, map_layout, write_atomic
 from .crypto import Digest, ZERO_DIGEST, digest_of, sign, verify
 
 
@@ -75,12 +79,13 @@ class LedgerTransaction:
     """A typed public record, signed by its author over the canonical payload.
 
     Its payload bytes, id check, id hex and Merkle leaf are cached on first use
-    (the bytes at decode, for a record read from a float-free line), and so are
-    two facts ``state`` derives from the payload: a DID_REG's self-certification
-    (``_did_document``: the parsed document whose key derives the registered
-    DID, or False when it does not; never from a payload that fails to parse)
-    and the payload's map-key names (``_key_names``, which the privacy lint
-    tests against each node's own deny list). So the payload must never be
+    (all but the id hex when the record is decoded: ``from_dict``, or a line of
+    a ledger file), and so are two facts ``state`` derives from the payload: a
+    DID_REG's self-certification (``_did_document``: the parsed document whose
+    key derives the registered DID, or False when it does not; never from a
+    payload that fails to parse) and the payload's map-key names
+    (``_key_names``, which the privacy lint tests against each node's own deny
+    list). So the payload must never be
     mutated in place: derive a changed record with ``dataclasses.replace``,
     whose caches start empty. The payload bytes are its only full encoding: the
     signature covers them, the id and leaf frame them. No verdict is cached:
@@ -140,14 +145,11 @@ class LedgerTransaction:
 
     def _frame(self) -> None:
         """Fill the id check and the leaf together: the leaf holds the id's members too."""
-        payload, did, timestamp = self._payload(), _member(self.author_did), _member(self.timestamp)
-        type_bytes = _TYPE_BYTES[self.txn_type]
-        txn_id = self.txn_id.value
-        id_ok = hashlib.sha256(_ID_LAYOUT % (did, payload, timestamp, type_bytes)).digest() == txn_id
-        signature = _quoted_hex(self.author_signature)
-        leaf = _LEAF_LAYOUT % (did, signature, payload, timestamp, _quoted_hex(txn_id), type_bytes)
+        id_ok, leaf = _framing(
+            self._payload(), self.author_did, self.timestamp, self.txn_type, self.author_signature.hex(), self.txn_id.hex
+        )
         object.__setattr__(self, "_id_ok", id_ok)
-        object.__setattr__(self, "_leaf", hashlib.sha256(leaf).digest())
+        object.__setattr__(self, "_leaf", leaf)
 
     def verify_signature(self, verification_key: bytes) -> bool:
         """Never cached: every node runs its own check on the shared record."""
@@ -174,7 +176,7 @@ class LedgerTransaction:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LedgerTransaction":
-        return _txn_from_dict(data, screened=False)
+        return _built(_record(data, screened=False))
 
     def leaf(self) -> Digest:
         """Merkle leaf: digest of the full canonical record, signature included."""
@@ -186,34 +188,62 @@ class LedgerTransaction:
         return self._leaf
 
 
-# one store per slot, in field order: a decoded record skips the frozen init's setattr calls
-_SLOT_STORES = tuple(LedgerTransaction.__dict__[f.name].__set__ for f in fields(LedgerTransaction))
+def _framing(payload: bytes, author_did: Any, timestamp: Any, txn_type: TxnType, signature_hex: str, id_hex: str):
+    """(whether the id recomputes, the Merkle leaf) of a record, from its payload
+    bytes and the lower-case hex text of its signature and id: JSON escapes no
+    hex digit, so quoting the text gives the fields' canonical bytes. Raises
+    ``UnsupportedType`` or ``UnicodeEncodeError`` where a member does not encode."""
+    did, timestamp, type_bytes = _member(author_did), _member(timestamp), _TYPE_BYTES[txn_type]
+    id_ok = hashlib.sha256(_ID_LAYOUT % (did, payload, timestamp, type_bytes)).hexdigest() == id_hex
+    leaf = _LEAF_LAYOUT % (did, b'"%s"' % signature_hex.encode(), payload, timestamp, b'"%s"' % id_hex.encode(), type_bytes)
+    return id_ok, hashlib.sha256(leaf).digest()
 
 
-def _txn_from_dict(data: dict, screened: bool) -> LedgerTransaction:
-    """``LedgerTransaction.from_dict``. ``screened``: ``data`` was decoded from
-    JSON text with no float (see ``canonical._float_screen``), so the payload
-    passes the canonical check and is encoded here without it. A payload that
-    still fails to encode, a lone surrogate, keeps an empty slot: its id check
-    then fails as for any record."""
+def _record(data: dict, screened: bool) -> tuple:
+    """A stored record, decoded and framed: (txn_type, payload, author_did,
+    signature, timestamp, id hex, payload bytes, id check, leaf), the last two
+    filled as ``_frame`` fills them. A record that does not parse raises
+    ``MalformedRecord``. ``screened``: ``data`` was decoded from JSON text with
+    no float (see ``canonical._float_screen``), so the payload passes the
+    canonical check and is encoded here without it. A member that still fails
+    to encode, a float or a lone surrogate, fails the id check and leaves the
+    leaf to ``LedgerTransaction.leaf``, which raises as it does for any record."""
     try:
         kind = data["txn_type"]
         txn_type = (type(kind) is str and _TXN_TYPES.get(kind)) or TxnType(kind)  # the call raises the enum's error
         payload = data["payload"]
         author_did = data["author_did"]
-        signature = _hex_field(data["author_signature"])
+        signature_hex = data["author_signature"]
+        signature = _hex_field(signature_hex)
         timestamp = data["timestamp"]
-        txn_id = Digest(_hex_field(data["txn_id"]))
+        id_hex = data["txn_id"]
     except (KeyError, ValueError, TypeError) as exc:
         raise MalformedRecord(f"bad transaction record: {exc}") from exc
-    payload_bytes = None
-    if screened:
+    payload_bytes, id_ok, leaf = None, False, None
+    try:
+        payload_bytes = _encode_checked(payload) if screened else canonicalize(payload)
+        if isinstance(id_hex, str):
+            id_ok, leaf = _framing(payload_bytes, author_did, timestamp, txn_type, signature_hex, id_hex)
+    except (UnsupportedType, UnicodeEncodeError):
+        pass
+    if not id_ok:  # an id equal to a SHA-256 hex digest is well-formed; any other is parsed for its error
         try:
-            payload_bytes = _encode_checked(payload)
-        except UnicodeEncodeError:
-            pass
+            Digest(_hex_field(id_hex))
+        except (ValueError, TypeError) as exc:
+            raise MalformedRecord(f"bad transaction record: {exc}") from exc
+    return txn_type, payload, author_did, signature, timestamp, id_hex, payload_bytes, id_ok, leaf
+
+
+# one store per slot, in field order: a built record skips the frozen init's setattr calls
+_SLOT_STORES = tuple(LedgerTransaction.__dict__[f.name].__set__ for f in fields(LedgerTransaction))
+
+
+def _built(record: tuple) -> LedgerTransaction:
+    """The ``LedgerTransaction`` of a ``_record``, its framing filled in."""
+    txn_type, payload, author_did, signature, timestamp, id_hex, payload_bytes, id_ok, leaf = record
+    txn_id = Digest(bytes.fromhex(id_hex))
     txn = object.__new__(LedgerTransaction)
-    values = (txn_type, payload, author_did, signature, timestamp, txn_id, payload_bytes, None, None, None, None, None)
+    values = (txn_type, payload, author_did, signature, timestamp, txn_id, payload_bytes, id_ok, leaf, None, None, None)
     for store, value in zip(_SLOT_STORES, values):
         store(txn, value)
     return txn
@@ -274,19 +304,29 @@ class Block:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, *, screened: bool = False) -> "Block":
-        """``screened``: decoded from JSON text with no float (see ``_txn_from_dict``)."""
-        try:
-            return cls(
-                height=data["height"],
-                prev_hash=Digest(_hex_field(data["prev_hash"])),
-                merkle_root=Digest(_hex_field(data["merkle_root"])),
-                timestamp=data["timestamp"],
-                txns=tuple(_txn_from_dict(t, screened) for t in data["txns"]),
-                block_hash=Digest(_hex_field(data["block_hash"])),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise MalformedRecord(f"bad block record: {exc}") from exc
+    def from_dict(cls, data: dict) -> "Block":
+        return _built_block(*_block(data, screened=False))
+
+
+def _block(data: dict, screened: bool) -> tuple[tuple, list[tuple]]:
+    """A stored block, decoded: its header (height, prev_hash, merkle_root,
+    timestamp, block_hash) and its records, each a ``_record``. A block that
+    does not parse raises ``MalformedRecord``."""
+    try:
+        height = data["height"]
+        prev_hash = Digest(_hex_field(data["prev_hash"]))
+        merkle_root = Digest(_hex_field(data["merkle_root"]))
+        timestamp = data["timestamp"]
+        records = [_record(record, screened) for record in data["txns"]]
+        block_hash = Digest(_hex_field(data["block_hash"]))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise MalformedRecord(f"bad block record: {exc}") from exc
+    return (height, prev_hash, merkle_root, timestamp, block_hash), records
+
+
+def _built_block(header: tuple, records: list[tuple]) -> Block:
+    height, prev_hash, merkle_root, timestamp, block_hash = header
+    return Block(height, prev_hash, merkle_root, timestamp, tuple(map(_built, records)), block_hash)
 
 
 def build_block(prev: Block, txns: Sequence[LedgerTransaction], timestamp: int) -> Block:
@@ -384,54 +424,61 @@ class Chain:
         return [canonicalize(block.to_dict()).decode("utf-8") for block in self.blocks]
 
 
+def _block_fault(i: int, prev_hash: Digest, header: tuple, leaves: list[bytes] | None) -> ChainFault | None:
+    """The fault of the block at index ``i`` on top of a block whose hash is
+    ``prev_hash`` (``ZERO_DIGEST`` under genesis), given its header, as ``_block``
+    gives it, and its records' leaves in order: None where a record's id does
+    not recompute."""
+    height, link, root, timestamp, block_hash = header
+    if height != i:
+        return ChainFault.BAD_HEIGHT
+    if link != prev_hash:
+        return ChainFault.BAD_LINK
+    if leaves:
+        merkle_ok = _root(leaves) == root.value
+    else:  # a record whose id fails, or no records: only genesis has none, under the zero root
+        merkle_ok = leaves is not None and i == 0 and root == ZERO_DIGEST
+    if not merkle_ok:
+        return ChainFault.BAD_MERKLE
+    try:
+        hash_ok = Block.compute_hash(height, link, root, timestamp) == block_hash
+    except (UnsupportedType, UnicodeEncodeError):
+        hash_ok = False  # a hand-edited header: a float height or timestamp, a lone surrogate
+    return None if hash_ok else ChainFault.BAD_HASH
+
+
 def validate_chain(chain: Chain) -> ChainValidation:
     """Check every block's height, linkage, Merkle root and hash.
 
     Total: never raises. Reports the lowest offending height, so tampering
     with block i surfaces at height i (internal damage) or i+1 (broken link).
     """
-    prev: Block | None = None
+    prev_hash = ZERO_DIGEST
     for i, block in enumerate(chain.blocks):
-        if block.height != i:
-            return ChainValidation(False, i, ChainFault.BAD_HEIGHT)
-        if i == 0:
-            if block.prev_hash != ZERO_DIGEST:
-                return ChainValidation(False, i, ChainFault.BAD_LINK)
-        else:
-            assert prev is not None
-            if block.prev_hash != prev.block_hash:
-                return ChainValidation(False, i, ChainFault.BAD_LINK)
-        if block.txns:
-            # ids first: a record that cannot be encoded fails there; a record whose id recomputes has its leaf
-            if not all(txn.id_recomputes() for txn in block.txns) or (
-                _root([txn._leaf for txn in block.txns]) != block.merkle_root.value
-            ):
-                return ChainValidation(False, i, ChainFault.BAD_MERKLE)
-        elif i > 0 or block.merkle_root != ZERO_DIGEST:
-            return ChainValidation(False, i, ChainFault.BAD_MERKLE)
-        try:
-            hash_ok = Block.compute_hash(block.height, block.prev_hash, block.merkle_root, block.timestamp) == block.block_hash
-        except (UnsupportedType, UnicodeEncodeError):
-            hash_ok = False  # a hand-edited header: a float height or timestamp, a lone surrogate
-        if not hash_ok:
-            return ChainValidation(False, i, ChainFault.BAD_HASH)
-        prev = block
+        # a record that cannot be encoded fails its id check; a record whose id recomputes has its leaf
+        leaves = [txn._leaf for txn in block.txns] if all(txn.id_recomputes() for txn in block.txns) else None
+        header = (block.height, block.prev_hash, block.merkle_root, block.timestamp, block.block_hash)
+        fault = _block_fault(i, prev_hash, header, leaves)
+        if fault is not None:
+            return ChainValidation(False, i, fault)
+        prev_hash = block.block_hash
     return VALID
 
 
 def write_chain(chain: Chain, path: str | Path) -> None:
     """Persist as JSON lines: one canonical-JSON block per line, height order,
     each ended by "\n". Other line breaks (U+2028, U+2029, U+0085) stay raw
-    inside strings."""
-    Path(path).write_text("\n".join(chain.to_lines()) + "\n", encoding="utf-8")
+    inside strings. The file is replaced whole (``canonical.write_atomic``)."""
+    write_atomic(path, "\n".join(chain.to_lines()) + "\n")
 
 
-def read_chain(path: str | Path) -> Chain:
-    """Read a ``write_chain`` file one line at a time. Lines end at "\n" only
-    ("\r\n" is read as well); blank lines are skipped. A line decoded with no
-    float has its payloads encoded while it is decoded."""
+def _decoded_blocks(path: str | Path) -> Iterator[tuple[tuple, list[tuple]]]:
+    """The blocks of a ``write_chain`` file, each ``_block`` of a line. Lines end
+    at "\n" only ("\r\n" is read as well); blank lines are skipped. A line
+    decoded with no float has its payloads encoded without the canonical check.
+    A file with no block raises ``MalformedRecord``."""
     hooks, floats = _float_screen()
-    blocks = []
+    empty = True
     try:
         with open(path, encoding="utf-8", newline="\n") as lines:
             for line in lines:
@@ -439,10 +486,35 @@ def read_chain(path: str | Path) -> Chain:
                 if line.strip():
                     seen = len(floats)
                     data = json.loads(line, **hooks)
-                    blocks.append(Block.from_dict(data, screened=len(floats) == seen))
+                    empty = False
+                    yield _block(data, screened=len(floats) == seen)
     except UnicodeDecodeError:
         Path(path).read_text(encoding="utf-8")  # raises with the offset in the file, not in a read buffer
         raise
-    if not blocks:
+    if empty:
         raise MalformedRecord(f"no blocks in {path}")
-    return Chain(blocks=tuple(blocks))
+
+
+def read_chain(path: str | Path) -> Chain:
+    """Read a ``write_chain`` file. Every record comes with its id check and
+    leaf filled in, so ``validate_chain`` of the chain hashes only the headers."""
+    return Chain(blocks=tuple(_built_block(header, records) for header, records in _decoded_blocks(path)))
+
+
+def check_file(path: str | Path) -> tuple[ChainValidation, list[tuple]]:
+    """``validate_chain(read_chain(path))`` in one pass over the file, and the
+    records of a valid chain in chain order, decoded and framed but not built
+    (see ``_record``; ``state.fold_read_set`` builds the ones it folds). Raises
+    as ``read_chain`` does: an error anywhere in the file wins over a fault,
+    and the fault is the lowest."""
+    check, prev_hash, records = VALID, ZERO_DIGEST, []
+    for i, (header, block_records) in enumerate(_decoded_blocks(path)):
+        if check.ok:  # past a fault the rest is only read
+            leaves = [record[8] for record in block_records] if all(record[7] for record in block_records) else None
+            fault = _block_fault(i, prev_hash, header, leaves)
+            if fault is not None:
+                check, records = ChainValidation(False, i, fault), []
+            else:
+                prev_hash = header[4]  # this block's hash
+                records += block_records
+    return check, records

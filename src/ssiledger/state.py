@@ -23,7 +23,7 @@ from typing import Any, Iterable
 
 from .canonical import canonicalize
 from .crypto import Digest, digest_of
-from .ledger import LedgerTransaction, TxnType
+from .ledger import LedgerTransaction, TxnType, _built
 
 DID_PREFIX = "did:sample:"
 
@@ -499,37 +499,39 @@ def consent_proof_payload(
     }
 
 
-def fold_chain(chain, reads: set[str] | None = None) -> NodeState:
+def fold_chain(chain) -> NodeState:
     """Replay a committed chain into the state it produces: one ``fold_into``
     into a new ``NodeState``. Transactions in stored blocks were accepted at
     commit time, so rejections here only occur for chains assembled outside
-    consensus.
-
-    With ``reads``, a set of state keys (DIDs, schema ids, cred def ids), only
-    the records that can write a key in their closure are applied: the closure
-    grows by the keys those records' handlers read until nothing is added. The
-    result then equals the full fold on every key of the closure, and may lack
-    anything else."""
-    txns = [txn for block in chain.blocks for txn in block.txns]
-    if reads is not None:
-        txns = _writers_of(txns, reads)[1]
+    consensus."""
     state = NodeState()
-    fold_into(state, txns)
+    fold_into(state, [txn for block in chain.blocks for txn in block.txns])
     return state
 
 
-def _writers_of(
-    txns: list[LedgerTransaction], reads: set[str]
-) -> tuple[set[str], list[LedgerTransaction]]:
+def fold_read_set(records: list[tuple], reads: set[str]) -> NodeState:
+    """The fold of a valid chain's records (``ledger.check_file``'s) on the
+    keys a verdict reads. ``reads`` is a set of state keys (DIDs, schema ids,
+    cred def ids); only the records that can write a key in its closure are
+    built and folded: the closure grows by the keys those records' handlers
+    read until nothing is added. The result equals ``fold_chain`` of the chain
+    on every key of the closure, and may lack anything else."""
+    state = NodeState()
+    fold_into(state, [_built(records[index]) for index in _writers_of(records, reads)[1]])
+    return state
+
+
+def _writers_of(records: list[tuple], reads: set[str]) -> tuple[set[str], list[int]]:
     """The closure of ``reads`` over the records' apply-time reads, and the
-    records that can write a key in it, in chain order."""
+    indices of the records that can write a key in it, in chain order. A
+    record is read as its first three fields: (txn_type, payload, author_did)."""
     writers: dict[str, list[tuple[int, tuple]]] = {}
-    for index, txn in enumerate(txns):
-        keys = _KEYS.get(txn.txn_type)
+    for index, record in enumerate(records):
+        keys = _KEYS.get(record[0])
         if keys is None:
             continue
         try:
-            key, needs = keys(txn.payload, txn.author_did)
+            key, needs = keys(record[1], record[2])
             hash(needs)  # an unhashable read: the handler raises on it before it writes
             writers.setdefault(key, []).append((index, needs))
         except (KeyError, ValueError, TypeError, AttributeError):
@@ -542,7 +544,7 @@ def _writers_of(
             for index, needs in writers.get(key, ()):
                 picked.add(index)
                 todo.extend(needs)
-    return closure, [txns[index] for index in sorted(picked)]
+    return closure, sorted(picked)
 
 
 def verify_txn_signature(state: NodeState, txn: LedgerTransaction) -> bool:

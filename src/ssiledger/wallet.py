@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .canonical import canonical_json
+from .canonical import canonical_json, write_atomic
 from .crypto import (
     NONCE_SIZE,
     CryptoError,
@@ -333,8 +333,9 @@ class Wallet:
         return wallet
 
     def save(self, path: str | Path) -> None:
-        """Write the wallet file. Private keys appear only as ciphertext."""
-        Path(path).write_text(canonical_json(self.to_dict()) + "\n", encoding="utf-8")
+        """Write the wallet file, replacing it whole (``canonical.write_atomic``).
+        Private keys appear only as ciphertext."""
+        write_atomic(path, canonical_json(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Wallet":

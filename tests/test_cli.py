@@ -1,20 +1,27 @@
 import base64
 import dataclasses
+import errno
 import json
+import os
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ssiledger
 import ssiledger.cli as cli
 import ssiledger.state as state_mod
 from conftest import Identity, small_order_registration
 from ssiledger.cli import main
-from ssiledger.credentials import Presentation, issue
-from ssiledger.crypto import CryptoError, digest_of, sign
-from ssiledger.ledger import Chain, LedgerTransaction, TxnType, build_block, read_chain, write_chain
-from ssiledger.state import AttrType, CredDefRecord, SchemaRecord, cred_def_payload, schema_payload
-from ssiledger.wallet import KdfParams
+from ssiledger.canonical import canonical_json
+from ssiledger.credentials import Presentation, VerifiableCredential, issue, revoke, verify_credential, verify_presentation
+from ssiledger.crypto import CryptoError, Digest, digest_of, sign
+from ssiledger.ledger import Block, Chain, LedgerTransaction, TxnType, build_block, read_chain, validate_chain, write_chain
+from ssiledger.state import AttrType, CredDefRecord, SchemaRecord, cred_def_payload, fold_chain, schema_payload
+from ssiledger.wallet import KdfParams, Wallet
 
 SECRET = {"WALLET_SECRET": "cli-test-secret"}
 UNREADABLE = "error: unreadable record: "
@@ -420,6 +427,163 @@ class TestVerifyFoldsWhatItReads:
             result = invoke(runner, ["cred", "verify", record, "--ledger", "net.ledger.jsonl"])
             assert (result.exit_code, result.output) == (0, "valid\n")
             assert folded == [count]  # the issuer's and holder's DID_REGs, the schema, the cred def
+
+
+def _corpus_base() -> tuple[list[dict], dict]:
+    """A valid ledger's lines, decoded: DID_REGs, then a schema and a cred def,
+    then a revocation. Also the record files: a presentation that verifies and
+    a revoked credential."""
+    issuer, holder = Identity.create("corpus-issuer"), Identity.create("corpus-holder")
+    schema = SchemaRecord.create("corpus", "1.0", [("ref", AttrType.STRING)])
+    cred_def = CredDefRecord.create(schema.schema_id, issuer.did, issuer.signing_public)
+    valid, revoked = (issue(issuer.signing_private, cred_def, schema, holder.did, {"ref": ref}, 7) for ref in "ab")
+    blocks = [
+        [issuer.registration_txn(1), holder.registration_txn(1), Identity.create("corpus-other").registration_txn(1)],
+        [
+            LedgerTransaction.create(TxnType.SCHEMA, schema_payload(schema), issuer.did, issuer.signing_private, 3),
+            LedgerTransaction.create(TxnType.CRED_DEF, cred_def_payload(cred_def), issuer.did, issuer.signing_private, 4),
+        ],
+        [revoke(issuer.did, issuer.signing_private, cred_def, revoked.credential_hash, 8)],
+    ]
+    chain = Chain.new()
+    for height, records in enumerate(blocks, 1):
+        chain = chain.append(build_block(chain.head, records, 10 * height))
+    body = Presentation.body([valid], holder.did, "did:sample:acme", 9)
+    presentation = Presentation((valid,), holder.did, "did:sample:acme", 9, sign(holder.signing_private, digest_of(body).value))
+    files = {"p.json": presentation.to_dict(), "c.json": revoked.to_dict()}
+    return [json.loads(line) for line in chain.to_lines()], files
+
+
+def _flipped(text: str) -> str:
+    return ("1" if text[0] == "0" else "0") + text[1:]
+
+
+def _text(lines: list[dict]) -> str:
+    """The lines as ``write_chain`` writes them, bar floats and lone surrogates,
+    which ``canonical_json`` refuses: sorted keys, no spaces, ASCII escapes."""
+    return "".join(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n" for line in lines)
+
+
+def _rehashed(lines: list[dict]) -> list[dict]:
+    """Every block hash and link recomputed over the headers as they stand."""
+    prev = None
+    for line in lines:
+        if prev is not None:
+            line["prev_hash"] = prev
+        root, link = Digest.from_hex(line["merkle_root"]), Digest.from_hex(line["prev_hash"])
+        prev = line["block_hash"] = Block.compute_hash(line["height"], link, root, line["timestamp"]).hex
+    return lines
+
+
+def _set(height: int, path: list, value, rehash: bool = False):
+    """The case that sets one value of one line (a callable maps the old value)."""
+
+    def case(lines: list[dict]) -> bytes:
+        *outer, last = path
+        container = lines[height]
+        for key in outer:
+            container = container[key]
+        container[last] = value(container[last]) if callable(value) else value
+        return _text(_rehashed(lines) if rehash else lines).encode()
+
+    return case
+
+
+def _swapped(lines: list[dict]) -> str:
+    return _text(lines[:1] + lines[2:3] + lines[1:2] + lines[3:])
+
+
+def _two_faults(lines: list[dict]) -> bytes:
+    lines[1]["timestamp"] += 1  # a BadHash at height 1
+    lines[3]["txns"][0]["txn_id"] = _flipped(lines[3]["txns"][0]["txn_id"])  # a BadMerkle at height 3
+    return _text(lines).encode()
+
+
+def _spaced_and_shuffled(lines: list[dict]) -> bytes:
+    return "".join(json.dumps(dict(reversed(line.items())), separators=(" , ", " : ")) + "\n" for line in lines).encode()
+
+
+# each case turns the valid ledger's decoded lines into the bytes of a ledger file
+LEDGER_CORPUS = {
+    "as-written": lambda lines: _text(lines).encode(),
+    "crlf": lambda lines: _text(lines).replace("\n", "\r\n").encode(),
+    "blank-lines": lambda lines: ("\n" + _text(lines).replace("\n", "\n \n") + "\n\t\n").encode(),
+    "bom": lambda lines: ("\ufeff" + _text(lines)).encode(),
+    "float-in-payload": _set(1, ["txns", 2, "payload", "document", "endpoint"], 1.5),
+    "float-timestamp": _set(2, ["timestamp"], 30.0),
+    "lone-surrogate": _set(1, ["txns", 0, "payload", "document", "endpoint"], "sim://\ud800"),
+    "upper-case-txn-id": _set(2, ["txns", 0, "txn_id"], str.upper),
+    "upper-case-prev-hash": _set(3, ["prev_hash"], str.upper),
+    "upper-case-key": _set(1, ["txns", 0, "payload", "document", "verification_key"], str.upper),
+    "short-txn-id": _set(2, ["txns", 1, "txn_id"], lambda text: text[:-2]),
+    "odd-length-signature": _set(1, ["txns", 0, "author_signature"], lambda text: text[:-1]),
+    "true-height": _set(1, ["height"], True),
+    "true-height-rehashed": _set(1, ["height"], True, rehash=True),
+    "extra-record-key": _set(2, ["txns", 0, "note"], "x"),
+    "extra-block-key": _set(2, ["note"], [1, 2]),
+    "spaced-and-shuffled": _spaced_and_shuffled,
+    "flipped-prev-hash": _set(2, ["prev_hash"], _flipped),
+    "flipped-merkle-root": _set(2, ["merkle_root"], _flipped),
+    "flipped-block-hash": _set(2, ["block_hash"], _flipped),
+    "flipped-signature": _set(2, ["txns", 1, "author_signature"], _flipped),
+    "flipped-txn-id": _set(3, ["txns", 0, "txn_id"], _flipped),
+    "flipped-payload-key": _set(1, ["txns", 1, "payload", "document", "agreement_key"], _flipped),
+    "flipped-revoked-hash": _set(3, ["txns", 0, "payload", "revoked", 0], _flipped),
+    "swapped-blocks": lambda lines: _swapped(lines).encode(),
+    "duplicated-line": lambda lines: _text(lines[:3] + lines[2:]).encode(),
+    "truncated": lambda lines: _text(lines).encode()[: len(_text(lines)) * 2 // 3],
+    "empty": lambda lines: b"",
+    "blank-only": lambda lines: b"\n \r\n",
+    "fault-then-read-error": lambda lines: (_swapped(lines) + '{"height": 4').encode(),
+    "two-faults": _two_faults,
+    "not-a-map": lambda lines: (_text(lines) + "[1, 2]\n").encode(),
+    "not-utf-8": lambda lines: _text(lines).encode() + b"\xff\n",
+}
+
+
+def _reference(args: list[str]) -> tuple[int, str]:
+    """What ``cred verify`` and ``ledger state`` print, composed from the
+    library as the commands read a ledger before the one-pass check: the whole
+    chain read, validated and folded, then the verdict."""
+    path = args[args.index("--ledger") + 1]
+    try:
+        chain = read_chain(path)
+    except Exception as exc:  # noqa: BLE001 - the command reports any read error
+        return 1, f"error: cannot read ledger {path}: {exc}\n"
+    check = validate_chain(chain)
+    if not check.ok:
+        return 1, f"error: ledger {path} is invalid at height {check.height}: {check.reason.value}\n"
+    state = fold_chain(chain)
+    if args[:2] == ["ledger", "state"]:
+        return 0, canonical_json(state.to_dict()) + "\n"
+    data = json.loads(Path(args[-1]).read_text())
+    if "holder_signature" in data:
+        result = verify_presentation(Presentation.from_dict(data), state, expected_audience="did:sample:acme")
+    else:
+        result = verify_credential(VerifiableCredential.from_dict(data), state)
+    if result.valid:
+        return 0, "valid\n"
+    return 4 if result.reason == "Revoked" else 3, f"invalid: {result.reason}\n"
+
+
+class TestLedgerFileCorpus:
+    """``cred verify`` and ``ledger state`` on hand-made ledger files print the
+    line and exit with the code of the reference composition."""
+
+    @pytest.mark.parametrize("case", sorted(LEDGER_CORPUS))
+    def test_same_line_and_exit_code(self, runner, workdir, case):
+        lines, files = _corpus_base()
+        for name, record in files.items():
+            Path(name).write_text(json.dumps(record))
+        Path("net.ledger.jsonl").write_bytes(LEDGER_CORPUS[case](lines))
+        commands = [
+            ["ledger", "state", "--ledger", "net.ledger.jsonl"],
+            ["cred", "verify", "--ledger", "net.ledger.jsonl", "--audience", "did:sample:acme", "p.json"],
+            ["cred", "verify", "--ledger", "net.ledger.jsonl", "c.json"],
+        ]
+        for args in commands:
+            result = invoke(runner, args)
+            assert (result.exit_code, result.output) == _reference(args), args
 
 
 class TestConsentCommand:
@@ -1051,3 +1215,63 @@ class TestUnusableAgreementKey:
         )
         assert (result.exit_code, result.output) == (1, f"error: {reason}\n")
         assert not Path("c.json").exists() and not Path("s.json").exists()
+
+
+# The CLI in a child process that may not write a file past FILE_SIZE_LIMIT
+# bytes. SIGXFSZ is ignored, so a write past the limit fails with EFBIG.
+FILE_SIZE_LIMIT = 8192
+LIMITED_CLI = f"""
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, ({FILE_SIZE_LIMIT}, {FILE_SIZE_LIMIT}))
+from ssiledger.cli import main
+main(sys.argv[1:], prog_name="ssiledger")
+"""
+TOO_LARGE = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+
+
+def _limited(args: list[str]) -> subprocess.CompletedProcess:
+    source = str(Path(ssiledger.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": source, "PYTHONDONTWRITEBYTECODE": "1", **SECRET}
+    return subprocess.run([sys.executable, "-c", LIMITED_CLI, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestFailedRewrite:
+    """A rewrite that cannot be written whole leaves the file byte-identical
+    and no other file behind, and ends with one ``error:`` line, exit 1."""
+
+    def test_ledger_append(self, workdir):
+        chain = Chain.new()
+        records = [Identity.create(f"rewrite-{i}").registration_txn(1) for i in range(20)]
+        write_chain(chain.append(build_block(chain.head, records, 2)), "net.ledger.jsonl")
+        Path("reg.json").write_text(json.dumps(Identity.create("rewrite-new").registration_txn(3).to_dict()))
+        before = Path("net.ledger.jsonl").read_bytes()
+        assert len(before) > FILE_SIZE_LIMIT
+        result = _limited(["ledger", "append", "--ledger", "net.ledger.jsonl", "--now", "4", "reg.json"])
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", f"error: cannot write net.ledger.jsonl: {TOO_LARGE}\n"
+        )
+        assert Path("net.ledger.jsonl").read_bytes() == before
+        assert sorted(path.name for path in workdir.iterdir()) == ["net.ledger.jsonl", "reg.json"]
+
+    def test_did_new(self, workdir):
+        wallet = Wallet.create("bob", SECRET["WALLET_SECRET"].encode())
+        for i in range(20):
+            wallet.new_pairwise(f"relation-{i}")
+        wallet.save("w.json")
+        before = Path("w.json").read_bytes()
+        assert len(before) > FILE_SIZE_LIMIT
+        result = _limited(["did", "new", "--wallet", "w.json", "--relation", "one-more"])
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", f"error: cannot write w.json: {TOO_LARGE}\n")
+        assert Path("w.json").read_bytes() == before
+        assert [path.name for path in workdir.iterdir()] == ["w.json"]
+
+    def test_rewrite_keeps_the_file_mode(self, workdir):
+        write_chain(Chain.new(), "new.ledger.jsonl")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(Path("new.ledger.jsonl").stat().st_mode) == 0o666 & ~umask
+        os.chmod("new.ledger.jsonl", 0o640)
+        write_chain(Chain.new(1), "new.ledger.jsonl")
+        assert stat.S_IMODE(Path("new.ledger.jsonl").stat().st_mode) == 0o640
+        assert read_chain("new.ledger.jsonl") == Chain.new(1)

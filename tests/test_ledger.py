@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssiledger.state as state_mod
 from conftest import Identity
 from ssiledger import canonical, ledger
 from ssiledger.canonical import UnsupportedType, canonicalize
@@ -22,11 +23,23 @@ from ssiledger.ledger import (
     MalformedRecord,
     TxnType,
     build_block,
+    check_file,
     read_chain,
     validate_chain,
     write_chain,
 )
-from ssiledger.state import AttrType, NodeState, SchemaRecord, did_reg_payload, schema_payload, verify_txn_signature
+from ssiledger.state import (
+    AttrType,
+    NodeState,
+    SchemaRecord,
+    _writers_of,
+    did_reg_payload,
+    fold_chain,
+    fold_read_set,
+    schema_payload,
+    verify_txn_signature,
+)
+from test_state import _on
 
 
 def _oracle_pair(a: bytes, b: bytes) -> bytes:
@@ -537,6 +550,11 @@ def _base_lines() -> list[dict]:
 
 
 BASE_LINES = _base_lines()
+# the keys a verdict can read on BASE_LINES' chain: its DIDs and schema id, and one that is not there
+READ_KEYS = sorted(
+    {txn["author_did"] for line in BASE_LINES for txn in line["txns"]}
+    | {txn["payload"]["schema_id"] for line in BASE_LINES for txn in line["txns"] if txn["txn_type"] == "SCHEMA"}
+) + ["did:sample:nobody"]
 
 
 def _leaves(value, prefix=()) -> list[tuple]:
@@ -593,28 +611,35 @@ def _outcome(call):
         return type(exc)
 
 
+def _edited_file(data, tmp_path_factory, max_edits: int = 3):
+    """``BASE_LINES`` written with up to ``max_edits`` edited values per line,
+    every map's keys shuffled and one of three separator styles."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    lines = []
+    for base in BASE_LINES:
+        block = json.loads(json.dumps(base))
+        edits = st.lists(st.tuples(st.sampled_from(_leaves(block)), edit_values), max_size=max_edits)
+        for path, new in data.draw(edits):
+            *outer, last = path
+            container = block
+            for key in outer:
+                container = container[key]
+            old = container[last]
+            if new == UPPER:
+                new = old.upper() if isinstance(old, str) else old
+            container[last] = new
+        separators = data.draw(st.sampled_from([(",", ":"), (", ", ": "), (" , ", " :  ")]))
+        lines.append(json.dumps(_shuffled(block, rng), separators=separators))
+    path = tmp_path_factory.mktemp("screen") / "net.ledger.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 class TestScreenedRead:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_screened_read_equals_plain_read(self, tmp_path_factory, data):
-        rng = data.draw(st.randoms(use_true_random=False))
-        lines = []
-        for base in BASE_LINES:
-            block = json.loads(json.dumps(base))
-            for path, new in data.draw(st.lists(st.tuples(st.sampled_from(_leaves(block)), edit_values), max_size=3)):
-                *outer, last = path
-                container = block
-                for key in outer:
-                    container = container[key]
-                old = container[last]
-                if new == UPPER:
-                    new = old.upper() if isinstance(old, str) else old
-                container[last] = new
-            separators = data.draw(st.sampled_from([(",", ":"), (", ", ": "), (" , ", " :  ")]))
-            lines.append(json.dumps(_shuffled(block, rng), separators=separators))
-        path = tmp_path_factory.mktemp("screen") / "net.ledger.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+        path = _edited_file(data, tmp_path_factory)
         (screened, verdict), (plain, plain_verdict) = _read(path, read_chain), _read(path, _plain_read)
         assert verdict == plain_verdict
         if isinstance(plain, str):
@@ -653,6 +678,64 @@ class TestScreenedRead:
             # the flagged line's payloads take the checked encoding; its float fails the id check
             assert (result.ok, result.height, result.reason) == (False, 2, ChainFault.BAD_MERKLE)
             assert any(value is chain.blocks[2].txns[0].payload for value in records)
+
+
+class TestOnePassCheck:
+    """``check_file`` and ``fold_read_set`` against ``read_chain``, then
+    ``validate_chain``, then ``fold_chain``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_read_then_validate_then_fold(self, tmp_path_factory, data):
+        path = _edited_file(data, tmp_path_factory, data.draw(st.sampled_from([0, 3])))  # 0: a valid file
+        chain, verdict = _read(path, read_chain)
+        try:
+            check, records = check_file(path)
+        except MalformedRecord as exc:
+            assert str(exc) == chain  # the same MalformedRecord message
+            return
+        assert (check.ok, check.height, check.reason) == verdict
+        if not check.ok:
+            assert records == []
+            return
+        assert len(records) == chain.txn_count()
+        full = fold_chain(chain)
+        for reads in [set(), *({key} for key in READ_KEYS), set(READ_KEYS)]:
+            closure = _writers_of(records, reads)[0]
+            assert reads <= closure
+            assert _on(fold_read_set(records, reads), closure) == _on(full, closure)
+
+    def test_read_error_wins_over_an_earlier_fault(self, tmp_path):
+        lines = _chain(3).to_lines()
+        path = tmp_path / "net.ledger.jsonl"
+        path.write_text("\n".join([lines[0], lines[2], lines[1], lines[3][:-1]]) + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as raised:
+            read_chain(path)
+        with pytest.raises(json.JSONDecodeError) as raised_once:
+            check_file(path)
+        assert str(raised_once.value) == str(raised.value)
+
+    def test_lowest_fault_is_reported(self, tmp_path):
+        lines = [json.loads(line) for line in _chain(3).to_lines()]
+        lines[1]["timestamp"] += 1
+        lines[3]["txns"][0]["timestamp"] += 1
+        path = tmp_path / "net.ledger.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n", encoding="utf-8")
+        check, records = check_file(path)
+        assert (check.ok, check.height, check.reason, records) == (False, 1, ChainFault.BAD_HASH, [])
+        assert check == validate_chain(read_chain(path))
+
+    def test_builds_only_the_records_it_folds(self, tmp_path, monkeypatch):
+        chain = _chain(4)
+        path = tmp_path / "net.ledger.jsonl"
+        write_chain(chain, path)
+        check, records = check_file(path)
+        built = []
+        monkeypatch.setattr(state_mod, "_built", lambda record: built.append(record) or ledger._built(record))
+        did = chain.blocks[2].txns[0].author_did
+        folded = fold_read_set(records, {did})
+        assert folded.dids == {did: fold_chain(chain).dids[did]}
+        assert [record[2] for record in built] == [did]
 
 
 class TestChainAppend:

@@ -12,7 +12,7 @@ import ssiledger.ledger as ledger_mod
 from ssiledger.consensus import ConsensusConfig
 from ssiledger.credentials import Presentation, issue, ledger_reads, verify_credential, verify_presentation
 from ssiledger.crypto import ZERO_DIGEST, digest_of, sha256, sign
-from ssiledger.ledger import Chain, LedgerTransaction, TxnType, build_block
+from ssiledger.ledger import Chain, LedgerTransaction, TxnType, build_block, check_file, write_chain
 from ssiledger.simulation import Simulation, run_simulation, synthetic_did_workload
 from ssiledger.state import (
     DEFAULT_DENIED_FIELDS,
@@ -28,6 +28,7 @@ from ssiledger.state import (
     did_reg_payload,
     fold_chain,
     fold_into,
+    fold_read_set,
     privacy_lint,
     registry_id_for,
     resolve_did,
@@ -654,7 +655,8 @@ def _reads_universe():
 
 
 def _adversarial_record(op: tuple[int, int, int, int, int], timestamp: int) -> LedgerTransaction:
-    """An unsigned record (``apply`` checks no signatures) from five small ints:
+    """An unsigned record (``apply`` checks no signatures), with its own id so
+    that a file of such records is valid, from five small ints:
     (kind, a, b, id form, variant). Variant 1 swaps in party b's DID as the
     author, 2 adds a private field, 3 wraps the payload in a list, 4 gives a
     DID_REG party b's document and writes a cred def's own id in the chosen
@@ -696,7 +698,11 @@ def _adversarial_record(op: tuple[int, int, int, int, int], timestamp: int) -> L
         payload = {**payload, "email": "e@x"}
     elif variant == 3:
         payload = [payload]
-    return LedgerTransaction(txn_type, payload, author, b"", timestamp, ZERO_DIGEST)
+    return _own_id(LedgerTransaction(txn_type, payload, author, b"", timestamp, ZERO_DIGEST))
+
+
+def _own_id(txn: LedgerTransaction) -> LedgerTransaction:
+    return dataclasses.replace(txn, txn_id=LedgerTransaction.compute_id(txn.txn_type, txn.payload, txn.author_did, txn.timestamp))
 
 
 def _chain_of(txns: list[LedgerTransaction]) -> Chain:
@@ -704,6 +710,15 @@ def _chain_of(txns: list[LedgerTransaction]) -> Chain:
     for start in range(0, len(txns), 3):
         chain = chain.append(build_block(chain.head, txns[start : start + 3], start + 1))
     return chain
+
+
+def _file_records(chain: Chain, tmp_path_factory) -> list[tuple]:
+    """The records ``check_file`` reads back from ``chain`` written to a file."""
+    path = tmp_path_factory.mktemp("reads") / "net.ledger.jsonl"
+    write_chain(chain, path)
+    check, records = check_file(path)
+    assert check.ok
+    return records
 
 
 def _on(state: NodeState, keys: set[str]) -> tuple:
@@ -738,10 +753,11 @@ class TestReadSetFold:
     @given(ops=_ledgers, holder=st.integers(0, 2), cred_defs=st.lists(st.integers(0, 3), min_size=1, max_size=2))
     @example(ops=_UPPER_CASE_REVOCATION, holder=1, cred_defs=[0])
     @example(ops=_UPPER_CASE_SCHEMA, holder=1, cred_defs=[0])
-    def test_verdicts_and_read_keys_equal_the_full_fold(self, ops, holder, cred_defs):
+    def test_verdicts_and_read_keys_equal_the_full_fold(self, tmp_path_factory, ops, holder, cred_defs):
         txns = [_adversarial_record(op, t) for t, op in enumerate(ops)]
         chain = _chain_of(txns)
         full = fold_chain(chain)
+        records = _file_records(chain, tmp_path_factory)
         parties, _, _, credentials = _reads_universe()
         presented = tuple(credentials[3 * c + holder] for c in cred_defs)
         body = Presentation.body(presented, parties[holder].did, "did:sample:audience", 9)
@@ -752,38 +768,41 @@ class TestReadSetFold:
         for record in (presentation, *presented):
             verify = verify_presentation if isinstance(record, Presentation) else verify_credential
             reads = ledger_reads(record)
-            closure = _writers_of(txns, reads)[0]
-            partial = fold_chain(chain, reads)
+            closure = _writers_of(records, reads)[0]
+            partial = fold_read_set(records, reads)
             assert verify(record, partial) == verify(record, full)
             assert reads <= closure
             assert _on(partial, closure) == _on(full, closure)
             assert _on(partial, closure) == (partial.dids, partial.schemas, partial.cred_defs, partial.registries)
 
-    def test_upper_case_revocation_is_folded(self):
+    def test_upper_case_revocation_is_folded(self, tmp_path_factory):
         _, _, _, credentials = _reads_universe()
         chain = _chain_of([_adversarial_record(op, t) for t, op in enumerate(_UPPER_CASE_REVOCATION)])
+        records = _file_records(chain, tmp_path_factory)
         credential = credentials[1]
         assert verify_credential(credential, fold_chain(chain)).reason == "Revoked"
-        assert verify_credential(credential, fold_chain(chain, ledger_reads(credential))).reason == "Revoked"
+        assert verify_credential(credential, fold_read_set(records, ledger_reads(credential))).reason == "Revoked"
 
-    def test_records_with_unhashable_reads_are_skipped(self):
+    def test_records_with_unhashable_reads_are_skipped(self, tmp_path_factory):
         # a SCHEMA authored by a list and a CRED_DEF issued by one: their handlers raise before they write
         txns = [_adversarial_record(op, t) for t, op in enumerate(_UPPER_CASE_SCHEMA)]
         schema = next(txn for txn in txns if txn.txn_type == TxnType.SCHEMA)
         cred_def = next(txn for txn in txns if txn.txn_type == TxnType.CRED_DEF)
         odd = [
-            dataclasses.replace(schema, author_did=["x"]),
-            dataclasses.replace(cred_def, payload={**cred_def.payload, "issuer_did": ["x"]}),
+            _own_id(dataclasses.replace(schema, author_did=["x"])),
+            _own_id(dataclasses.replace(cred_def, payload={**cred_def.payload, "issuer_did": ["x"]})),
         ]
         chain = _chain_of(odd + txns)
+        records = _file_records(chain, tmp_path_factory)
         reads = {schema.payload["schema_id"], cred_def.payload["cred_def_id"]}
-        closure, picked = _writers_of(odd + txns, reads)
+        closure, picked = _writers_of(records, reads)
+        picked = [(odd + txns)[index] for index in picked]
         assert not any(txn in picked for txn in odd)
-        assert _on(fold_chain(chain, reads), closure) == _on(fold_chain(chain), closure)
+        assert _on(fold_read_set(records, reads), closure) == _on(fold_chain(chain), closure)
 
-    def test_no_reads_fold_nothing(self):
+    def test_no_reads_fold_nothing(self, tmp_path_factory):
         txns = [_adversarial_record(op, t) for t, op in enumerate(_UPPER_CASE_REVOCATION)]
-        assert fold_chain(_chain_of(txns), set()) == NodeState()
+        assert fold_read_set(_file_records(_chain_of(txns), tmp_path_factory), set()) == NodeState()
 
 
 # --- folding in place ---------------------------------------------------------
