@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NoReturn
 
 import click
 
-from .auth import Challenge, ChallengeVerifier, issue_challenge
+from .auth import DEFAULT_TTL, Challenge, ChallengeVerifier, issue_challenge
 from .canonical import canonical_json, write_atomic
 from .credentials import (
     Presentation,
@@ -99,7 +99,7 @@ def _write(path: str | Path, value: dict) -> None:
 def _read_json(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8, text that is not JSON
         _fail(f"cannot read {path}: {exc}")
 
 
@@ -128,8 +128,6 @@ def _load_wallet(path: str) -> Wallet:
 
 
 def _open_wallet(path: str) -> Wallet:
-    if not Path(path).exists():
-        _fail(f"wallet file {path} does not exist")
     wallet = _load_wallet(path)
     secret = _secret()
     try:
@@ -374,12 +372,11 @@ def _append(
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def ledger_state(ledger_path: str, out_path: str | None) -> None:
     _, state = _ledger_state(ledger_path)
-    rendered = canonical_json(state.to_dict())
     if out_path:
-        Path(out_path).write_text(rendered + "\n", encoding="utf-8")
+        _write(out_path, state.to_dict())
         click.echo(f"wrote state to {out_path}")
     else:
-        click.echo(rendered)
+        click.echo(canonical_json(state.to_dict()))
 
 
 # --- schema / credential definitions ------------------------------------------
@@ -689,7 +686,7 @@ def auth() -> None:
 @auth.command("challenge")
 @click.option("--ledger", "ledger_path", required=True, type=click.Path(exists=True))
 @click.option("--did", "subject_did", required=True)
-@click.option("--ttl", type=int, default=120)
+@click.option("--ttl", type=int, default=DEFAULT_TTL)
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Challenge to send.")
 @click.option("--state", "state_path", required=True, type=click.Path(), help="Verifier-side state.")
 @click.option("--now", "now_override", type=int, default=None)
@@ -805,9 +802,9 @@ def sim_run(
     except (ValueError, MalformedRecord) as exc:
         _fail(str(exc))
     report, simulation = run_simulation(config, net_config, faults, workload, horizon, seed)
-    Path(out_path).write_text(report.to_json() + "\n", encoding="utf-8")
+    _write(out_path, report.to_dict())
     if events_path:
-        simulation.write_events(events_path)
+        _save(simulation.write_events, events_path)
     click.echo(
         f"committed {report.commit_count} batches; "
         f"honest chains agree: {report.honest_chains_agree}; "
@@ -848,11 +845,11 @@ def scenario_run(name: str, seed: int, as_json: bool, out_dir: str | None, skip_
         )
     if out_dir:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "transcript.json").write_text(canonical_json(transcript) + "\n", encoding="utf-8")
-        write_chain(result.sim.nodes[0].chain, out / "net.ledger.jsonl")
-        result.sim.nodes[0].state.dump(out / "net.state.json")
-        result.sim.write_events(out / "net.events.jsonl")
+        _save(lambda target: target.mkdir(parents=True, exist_ok=True), out)
+        _write(out / "transcript.json", transcript)
+        _save(lambda target: write_chain(result.sim.nodes[0].chain, target), out / "net.ledger.jsonl")
+        _save(result.sim.nodes[0].state.dump, out / "net.state.json")
+        _save(result.sim.write_events, out / "net.events.jsonl")
         for i, receipt in enumerate(result.receipts):
             _write(out / f"consent-{i}.receipt.json", receipt.to_dict())
     if not result.ok:

@@ -177,10 +177,7 @@ class InstanceChangeVote:
 
     def to_dict(self) -> dict:
         return {
-            "epoch": self.epoch,
-            "new_master": self.new_master,
-            "last_committed": self.last_committed,
-            "voter": self.voter,
+            **self.body(self.epoch, self.new_master, self.last_committed, self.voter),
             "signature": self.signature.hex(),
         }
 
@@ -678,12 +675,7 @@ class ConsensusNode:
     def _apply_switch_cert(self, control: dict) -> None:
         if control["epoch"] != self.epoch + 1:
             return
-        self.pending_switch = {
-            "epoch": control["epoch"],
-            "new_master": control["new_master"],
-            "old_master": control["old_master"],
-            "cutover": control["cutover"],
-        }
+        self.pending_switch = control
         self.log(
             self.net.now,
             self.id,

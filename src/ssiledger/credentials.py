@@ -66,10 +66,6 @@ class NotIssuer(CredentialError):
     """Revocation attempted by someone other than the credential definition's issuer."""
 
 
-class MissingSignature(CredentialError):
-    """A consent receipt signature is absent or does not verify."""
-
-
 class ConsentDeclined(CredentialError):
     pass
 
@@ -553,7 +549,6 @@ class VerifierParty:
 @dataclass
 class ThirdPartyFlowResult:
     credential: VerifiableCredential
-    presentation: Presentation
     verification: VerificationResult
     receipt: ConsentReceipt
     consent_txn: LedgerTransaction
@@ -632,7 +627,6 @@ def third_party_flow(
 
     return ThirdPartyFlowResult(
         credential=credential,
-        presentation=presentation,
         verification=verification,
         receipt=receipt,
         consent_txn=consent_txn,

@@ -9,11 +9,11 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
-from .canonical import canonical_json, canonicalize
+from .canonical import canonical_json, write_atomic
 from .consensus import ConsensusConfig, ConsensusNode, FaultPlan
 from .crypto import generate_encryption_keypair, generate_signing_keypair, sha256
 from .ledger import LedgerTransaction, TxnType
@@ -126,25 +126,13 @@ class Simulation:
     def safety_violations(self) -> int:
         """Count (instance, seq) pairs where two honest nodes committed
         different batch digests — must always be zero."""
-        violations = 0
-        for instance_id in (0, 1):
-            seqs: set[int] = set()
-            for node in self.honest_nodes():
-                seqs.update(
-                    s
-                    for s, slot in node.instances[instance_id].slots.items()
-                    if slot.committed
-                )
-            for seq in sorted(seqs):
-                digests = {
-                    node.instances[instance_id].slots[seq].committed_digest
-                    for node in self.honest_nodes()
-                    if seq in node.instances[instance_id].slots
-                    and node.instances[instance_id].slots[seq].committed
-                }
-                if len(digests) > 1:
-                    violations += 1
-        return violations
+        digests: dict[tuple[int, int], set[str]] = {}
+        for node in self.honest_nodes():
+            for instance_id, instance in node.instances.items():
+                for seq, slot in instance.slots.items():
+                    if slot.committed:
+                        digests.setdefault((instance_id, seq), set()).add(slot.committed_digest)
+        return sum(len(committed) > 1 for committed in digests.values())
 
     def honest_chains_fork(self) -> bool:
         """Whether two honest chains diverge: neither one's block hashes are a
@@ -199,8 +187,7 @@ class Simulation:
         )
 
     def write_events(self, path: str | Path) -> None:
-        lines = [canonicalize(event).decode("utf-8") for event in self.events]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        write_atomic(path, "".join(canonical_json(event) + "\n" for event in self.events))
 
 
 @dataclass(frozen=True)
@@ -226,24 +213,7 @@ class SimReport:
         return len(self.honest_digests) <= 1
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "f": self.f,
-            "n": self.n,
-            "horizon": self.horizon,
-            "end_time": self.end_time,
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "messages_sent": self.messages_sent,
-            "messages_dropped": self.messages_dropped,
-            "per_node": self.per_node,
-            "honest_digests": self.honest_digests,
-            "honest_chains_agree": self.honest_chains_agree,
-            "safety_violations": self.safety_violations,
-            "instance_change_count": self.instance_change_count,
-            "instance_changes": self.instance_changes,
-            "commit_count": self.commit_count,
-        }
+        return {**asdict(self), "honest_chains_agree": self.honest_chains_agree}
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Iterable
 
-from .canonical import canonicalize
+from .canonical import canonical_json, write_atomic
 from .crypto import Digest, digest_of
 from .ledger import LedgerTransaction, TxnType, _built
 
@@ -190,7 +190,6 @@ class RevocationRegistryState:
     definition. Append-only: entries are never removed. The record is frozen,
     but its ``revoked`` set belongs to one state and grows in place."""
 
-    registry_id: Digest
     cred_def_id: Digest
     revoked: set[Digest] = field(default_factory=set)
 
@@ -309,7 +308,7 @@ class NodeState:
         return digest_of(self.to_dict())
 
     def dump(self, path: str | Path) -> None:
-        Path(path).write_bytes(canonicalize(self.to_dict()))
+        write_atomic(path, canonical_json(self.to_dict()))
 
 
 def resolve_did(state: NodeState, did: str) -> DidDocument | None:
@@ -404,11 +403,8 @@ def _apply_cred_def(state: NodeState, txn: LedgerTransaction) -> RejectReason | 
         return RejectReason.MALFORMED
     if record.cred_def_id.hex in state.cred_defs:
         return None  # idempotent republish
-    registry = RevocationRegistryState(
-        registry_id=registry_id_for(record.cred_def_id), cred_def_id=record.cred_def_id
-    )
     state.cred_defs[record.cred_def_id.hex] = record
-    state.registries[registry.registry_id.hex] = registry
+    state.registries[record.registry_key] = RevocationRegistryState(cred_def_id=record.cred_def_id)
     return None
 
 

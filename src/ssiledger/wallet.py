@@ -96,7 +96,6 @@ class KdfParams:
 class PairwiseIdentity:
     """One relation's identity: a DID and its keypairs."""
 
-    relation: str
     did: str
     signing: KeyPair
     agreement: KeyPair
@@ -225,7 +224,6 @@ class Wallet:
         except CryptoError as exc:
             raise MalformedWallet(f"relation {relation!r} does not open: {exc}") from exc
         return PairwiseIdentity(
-            relation=relation,
             did=entry.did,
             signing=KeyPair(public=entry.verification_key, private=signing),
             agreement=KeyPair(public=entry.agreement_key, private=agreement),

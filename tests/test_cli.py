@@ -366,6 +366,19 @@ class TestUnreadableInput:
         result = invoke(runner, args)
         assert (result.exit_code, result.output) == (code, f"error: unreadable record x.json: {prefix}{reason}\n")
 
+    NOT_UTF8 = {
+        **{command: args for command, (args, _, _) in COMMANDS.items()},
+        "cred verify": ["cred", "verify", "--ledger", "l.jsonl", "x.json"],
+        "auth respond": ["auth", "respond", "--wallet", "w.json", "--relation", "public", "--out", "r.json", "x.json"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(NOT_UTF8))
+    def test_a_file_that_is_not_utf8(self, runner, files, command):
+        Path("x.json").write_bytes(b"\xff\xfe{}")
+        result = invoke(runner, self.NOT_UTF8[command])
+        reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert (result.exit_code, result.output) == (1, f"error: cannot read x.json: {reason}\n")
+
     @pytest.mark.parametrize(
         "state",
         [
@@ -689,6 +702,17 @@ class TestSimCommand:
         assert len(set(report["honest_digests"])) == 1
         assert Path("e1.jsonl").exists()
 
+    def test_report_into_a_missing_directory_exit_1(self, runner, workdir):
+        self._config(Path("c.json"))
+        self._workload(Path("w.json"))
+        result = invoke(
+            runner,
+            ["sim", "run", "--config", "c.json", "--workload", "w.json", "--out", "missing-dir/r.json", "--horizon", "3000"],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: cannot write missing-dir/r.json: ") and result.stderr.count("\n") == 1
+        assert sorted(path.name for path in workdir.iterdir()) == ["c.json", "w.json"]
+
     def test_bad_n_exit_1(self, runner, workdir):
         self._config(Path("c.json"), n=3)
         self._workload(Path("w.json"))
@@ -843,6 +867,13 @@ class TestScenarioCommand:
         produced = {p.name for p in Path("artifacts").iterdir()}
         assert {"transcript.json", "net.ledger.jsonl", "net.state.json", "net.events.jsonl"} <= produced
         assert any(name.endswith(".receipt.json") for name in produced)
+
+    def test_artifacts_into_a_regular_file_exit_1(self, runner, workdir):
+        Path("artifacts").write_text("not a directory")
+        result = invoke(runner, ["scenario", "run", "loan", "--seed", "1", "--out", "artifacts"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: cannot write artifacts: ") and result.stderr.count("\n") == 1
+        assert Path("artifacts").read_text() == "not a directory"
 
     def test_skip_consent_exit_6(self, runner, workdir):
         result = invoke(runner, ["scenario", "run", "loan", "--seed", "1", "--skip-consent"])
@@ -1265,6 +1296,17 @@ class TestFailedRewrite:
         assert (result.returncode, result.stdout, result.stderr) == (1, "", f"error: cannot write w.json: {TOO_LARGE}\n")
         assert Path("w.json").read_bytes() == before
         assert [path.name for path in workdir.iterdir()] == ["w.json"]
+
+    def test_ledger_state_out(self, workdir):
+        chain = Chain.new()
+        records = [Identity.create(f"state-{i}").registration_txn(1) for i in range(40)]
+        write_chain(chain.append(build_block(chain.head, records, 2)), "net.ledger.jsonl")
+        Path("state.json").write_text(json.dumps({"old": "x" * FILE_SIZE_LIMIT}))
+        before = Path("state.json").read_bytes()
+        result = _limited(["ledger", "state", "--ledger", "net.ledger.jsonl", "--out", "state.json"])
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", f"error: cannot write state.json: {TOO_LARGE}\n")
+        assert Path("state.json").read_bytes() == before
+        assert sorted(path.name for path in workdir.iterdir()) == ["net.ledger.jsonl", "state.json"]
 
     def test_rewrite_keeps_the_file_mode(self, workdir):
         write_chain(Chain.new(), "new.ledger.jsonl")

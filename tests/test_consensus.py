@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Identity
-from ssiledger.consensus import ConsensusConfig, FaultPlan, PerfMonitor, Request
+from ssiledger.consensus import ConsensusConfig, FaultPlan, PerfMonitor, Request, Slot
 from ssiledger.crypto import sha256
 from ssiledger.ledger import LedgerTransaction, TxnType
 from ssiledger.simnet import LinkProfile, NetworkConfig, Partition
@@ -183,6 +183,49 @@ class TestHappyPath:
         appends = [e for e in sim.events if e["event_type"] == "ledger_append"]
         assert appends, "nothing executed"
         assert all(e["detail"]["instance"] == 0 for e in appends)  # no change: master stayed 0
+
+
+class TestSafetyViolations:
+    """``safety_violations`` counts each (instance, seq) that two honest nodes
+    committed with different digests. Node 3 crashes after the run has
+    settled, so it holds committed slots but is not honest."""
+
+    @pytest.fixture
+    def sim(self):
+        _, sim = run_simulation(FAST, None, FaultPlan(crash={3: 50_000}), _workload(6, seed=13), 3000, seed=14)
+        for node in (1, 3):
+            for instance in (0, 1):
+                assert self._first_committed(sim, node, instance) is not None
+        assert sim.safety_violations() == 0
+        return sim
+
+    @staticmethod
+    def _first_committed(sim, node: int, instance: int) -> int | None:
+        slots = sim.nodes[node].instances[instance].slots
+        return min((seq for seq, slot in slots.items() if slot.committed), default=None)
+
+    def _conflict(self, sim, node: int, instance: int) -> None:
+        seq = self._first_committed(sim, node, instance)
+        sim.nodes[node].instances[instance].slots[seq].committed_digest = "ff" * 32
+
+    def test_two_honest_nodes_differ_at_one_slot(self, sim):
+        self._conflict(sim, 1, 0)
+        assert sim.safety_violations() == 1
+
+    def test_they_differ_on_both_instances(self, sim):
+        self._conflict(sim, 1, 0)
+        self._conflict(sim, 1, 1)
+        assert sim.safety_violations() == 2
+
+    def test_a_seq_committed_on_one_honest_node_only(self, sim):
+        slots = sim.nodes[1].instances[0].slots
+        slots[max(slots) + 1] = Slot(committed=True, committed_digest="ff" * 32)
+        assert sim.safety_violations() == 0
+
+    def test_a_conflict_on_a_crashed_node_only(self, sim):
+        assert sim.nodes[3].crashed
+        self._conflict(sim, 3, 0)
+        assert sim.safety_violations() == 0
 
 
 class TestFaultTolerance:
