@@ -62,8 +62,6 @@ from .state import (
     fold_chain,
     fold_into,
     fold_read_set,
-    get_cred_def,
-    get_schema,
     schema_payload,
     verify_txn_signature,
 )
@@ -88,8 +86,8 @@ def _save(write: Callable[[str | Path], None], path: str | Path) -> None:
     write that fails ends the command with one ``error:`` line, exit 1."""
     try:
         write(path)
-    except OSError as exc:
-        _fail(f"cannot write {path}: {exc}")
+    except OSError as exc:  # not str(exc), which names write_atomic's temp file, a random name
+        _fail(f"cannot write {path}: [Errno {exc.errno}] {exc.strerror}")
 
 
 def _write(path: str | Path, value: dict) -> None:
@@ -293,14 +291,7 @@ def did_new(
         _fail(str(exc))
     _save(w.save, wallet_path)
     if txn_out:
-        identity = w.identity(relation)
-        txn = LedgerTransaction.create(
-            TxnType.DID_REG,
-            did_reg_payload(new_did, document),
-            author_did=new_did,
-            signing_private=identity.signing.private,
-            timestamp=_now(now_override),
-        )
+        txn = w.identity(relation).sign_txn(TxnType.DID_REG, did_reg_payload(new_did, document), _now(now_override))
         _write(txn_out, txn.to_dict())
     payload = {"did": new_did, "relation": relation, "document": document.to_dict()}
     click.echo(canonical_json(payload) if as_json else f"{relation}: {new_did}")
@@ -411,13 +402,7 @@ def schema_publish(
         record = SchemaRecord.create(schema_name, version, parsed)
     except ValueError as exc:
         _fail(f"bad --attr: {exc}")
-    txn = LedgerTransaction.create(
-        TxnType.SCHEMA,
-        schema_payload(record),
-        author_did=identity.did,
-        signing_private=identity.signing.private,
-        timestamp=_now(now_override),
-    )
+    txn = identity.sign_txn(TxnType.SCHEMA, schema_payload(record), _now(now_override))
     chain, state = _ledger_state(ledger_path)
     _append(ledger_path, chain, state, [(None, txn)], now_override, record.schema_id.hex in state.schemas)
     click.echo(f"schema_id: {record.schema_id.hex}")
@@ -444,19 +429,11 @@ def creddef_publish(
     w = _open_wallet(wallet_path)
     identity = _identity(w, relation)
     chain, state = _ledger_state(ledger_path)
-    schema_record = get_schema(state, _hex(schema_id_hex, "--schema-id", Digest.from_hex))
+    schema_record = state.schemas.get(_hex(schema_id_hex, "--schema-id", Digest.from_hex).hex)
     if schema_record is None:
         _fail(f"schema {schema_id_hex} not on ledger")
-    record = CredDefRecord.create(
-        schema_record.schema_id, identity.did, identity.signing.public
-    )
-    txn = LedgerTransaction.create(
-        TxnType.CRED_DEF,
-        cred_def_payload(record),
-        author_did=identity.did,
-        signing_private=identity.signing.private,
-        timestamp=_now(now_override),
-    )
+    record = CredDefRecord.create(schema_record.schema_id, identity.did, identity.signing.public)
+    txn = identity.sign_txn(TxnType.CRED_DEF, cred_def_payload(record), _now(now_override))
     _append(ledger_path, chain, state, [(None, txn)], now_override, record.cred_def_id.hex in state.cred_defs)
     click.echo(f"cred_def_id: {record.cred_def_id.hex}")
 
@@ -501,12 +478,12 @@ def cred_issue(
     w = _open_wallet(wallet_path)
     identity = _identity(w, relation)
     _, state = _ledger_state(ledger_path)
-    cred_def = get_cred_def(state, _hex(cred_def_hex, "--cred-def", Digest.from_hex))
+    cred_def = state.cred_defs.get(_hex(cred_def_hex, "--cred-def", Digest.from_hex).hex)
     if cred_def is None:
         _fail(f"cred def {cred_def_hex} not on ledger")
     if cred_def.issuer_did != identity.did:
         _fail(f"wallet relation '{relation}' is not the issuer of this cred def")
-    schema_record = get_schema(state, cred_def.schema_id)
+    schema_record = state.schemas[cred_def.schema_id.hex]
     types = schema_record.attribute_types()
     attributes = {}
     try:
@@ -584,7 +561,7 @@ def cred_revoke(
     identity = _identity(w, relation)
     credential = _parse(VerifiableCredential.from_dict, cred_file)
     chain, state = _ledger_state(ledger_path)
-    cred_def = get_cred_def(state, credential.cred_def_id)
+    cred_def = state.cred_defs.get(credential.cred_def_id.hex)
     if cred_def is None:
         _fail("credential definition not on ledger", EXIT_VERIFY)
     try:

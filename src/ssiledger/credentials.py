@@ -32,8 +32,6 @@ from .state import (
     NodeState,
     SchemaRecord,
     consent_proof_payload,
-    get_cred_def,
-    get_schema,
     resolve_did,
     revoc_entry_payload,
 )
@@ -87,9 +85,6 @@ class VerificationFailed(CredentialError):
 class VerificationResult:
     valid: bool
     reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.valid
 
 
 VALID = VerificationResult(True)
@@ -224,7 +219,7 @@ def verify_credential(cred: VerifiableCredential, ledger_view: NodeState) -> Ver
 def _verify_credential(
     cred: VerifiableCredential, ledger_view: NodeState, hash_recomputes: Callable[[], bool]
 ) -> VerificationResult:
-    cred_def = get_cred_def(ledger_view, cred.cred_def_id)
+    cred_def = ledger_view.cred_defs.get(cred.cred_def_id.hex)
     if cred_def is None:
         return VerificationResult(False, "UnknownCredDef")
     if cred.issuer_did != cred_def.issuer_did or not hash_recomputes():
@@ -236,7 +231,7 @@ def _verify_credential(
         return VerificationResult(False, "UnknownCredDef")
     if cred.credential_hash in registry.revoked:
         return VerificationResult(False, "Revoked")
-    schema = get_schema(ledger_view, cred_def.schema_id)
+    schema = ledger_view.schemas.get(cred_def.schema_id.hex)
     if schema is None:
         return VerificationResult(False, "UnknownCredDef")
     if check_attributes(schema, cred.attributes) is not None:
@@ -412,20 +407,6 @@ class ConsentReceipt:
         data["verifier_signature"] = self.verifier_signature.hex()
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConsentReceipt":
-        return cls(
-            owner_did=data["owner_did"],
-            verifier_did=data["verifier_did"],
-            shared_attributes=tuple(
-                (attr, AttrType(attr_type)) for attr, attr_type in data["shared"]
-            ),
-            purpose=data["purpose"],
-            timestamp=data["timestamp"],
-            owner_signature=bytes.fromhex(data["owner_signature"]),
-            verifier_signature=bytes.fromhex(data["verifier_signature"]),
-        )
-
     def receipt_hash(self) -> Digest:
         """Hash of the full dual-signed receipt; this is what goes on ledger."""
         return digest_of(self.to_dict())
@@ -458,12 +439,8 @@ def record_consent(
         owner_signature=sign(identity.signing.private, body_digest.value),
         verifier_signature=sign(verifier_signing_private, body_digest.value),
     )
-    txn = LedgerTransaction.create(
-        TxnType.CONSENT_PROOF,
-        consent_proof_payload(receipt.receipt_hash(), identity.did, verifier_did, now),
-        author_did=identity.did,
-        signing_private=identity.signing.private,
-        timestamp=now,
+    txn = identity.sign_txn(
+        TxnType.CONSENT_PROOF, consent_proof_payload(receipt.receipt_hash(), identity.did, verifier_did, now), now
     )
     return receipt, txn
 

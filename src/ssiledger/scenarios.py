@@ -70,42 +70,10 @@ class Org:
         return self.wallet.identity("public").signing.private
 
 
-@dataclass
-class ScenarioResult:
-    name: str
-    seed: int
-    steps: list[dict]
-    failures: list[str]
-    sentinels: list[str]
-    receipts: list[ConsentReceipt]
-    sim: Simulation
-    wallets: dict[str, Wallet]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def transcript(self) -> dict:
-        """Deterministic, canonicalizable transcript for golden comparison."""
-        honest = self.sim.honest_nodes()
-        return {
-            "scenario": self.name,
-            "seed": self.seed,
-            "steps": self.steps,
-            "summary": {
-                "ok": self.ok,
-                "failures": self.failures,
-                "chain_digests": sorted({n.chain.digest().hex for n in honest}),
-                "chain_height": honest[0].chain.height,
-                "ledger_txns": honest[0].chain.txn_count(),
-                "consent_proofs": len(honest[0].state.consent_proofs),
-                "sentinel_count": len(self.sentinels),
-            },
-        }
-
-
 class ScenarioRunner:
-    """Drives one scenario against a fresh simulated network."""
+    """Drives one scenario against a fresh simulated network; once ``run``
+    returns, the runner is the result: its steps, failures, receipts, wallets
+    and network."""
 
     def __init__(self, name: str, seed: int = 1, consent: bool = True):
         if name not in SCENARIOS:
@@ -145,6 +113,28 @@ class ScenarioRunner:
             }
         )
 
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def transcript(self) -> dict:
+        """Deterministic, canonicalizable transcript for golden comparison."""
+        honest = self.sim.honest_nodes()
+        return {
+            "scenario": self.name,
+            "seed": self.seed,
+            "steps": self.steps,
+            "summary": {
+                "ok": self.ok,
+                "failures": self.failures,
+                "chain_digests": sorted({n.chain.digest().hex for n in honest}),
+                "chain_height": honest[0].chain.height,
+                "ledger_txns": honest[0].chain.txn_count(),
+                "consent_proofs": len(honest[0].state.consent_proofs),
+                "sentinel_count": len(self.sentinels),
+            },
+        }
+
     def _fail(self, message: str) -> None:
         self.failures.append(message)
 
@@ -172,14 +162,7 @@ class ScenarioRunner:
         did, document = wallet.new_pairwise(
             relation, seed=self._seed_bytes(actor, relation), metadata=metadata
         )
-        identity = wallet.identity(relation)
-        txn = LedgerTransaction.create(
-            TxnType.DID_REG,
-            did_reg_payload(did, document),
-            author_did=did,
-            signing_private=identity.signing.private,
-            timestamp=self.sim.now,
-        )
+        txn = wallet.identity(relation).sign_txn(TxnType.DID_REG, did_reg_payload(did, document), self.sim.now)
         self._commit(actor, f"register DID for relation '{relation}'", txn, {"did": did})
         return did
 
@@ -192,26 +175,12 @@ class ScenarioRunner:
     def _publish_definitions(
         self, org: Org, schema_name: str, version: str, attributes: list[tuple[str, AttrType]]
     ) -> None:
+        identity = org.wallet.identity("public")
         schema = SchemaRecord.create(schema_name, version, attributes)
-        signing = org.signing_private()
-        schema_txn = LedgerTransaction.create(
-            TxnType.SCHEMA,
-            schema_payload(schema),
-            author_did=org.did,
-            signing_private=signing,
-            timestamp=self.sim.now,
-        )
+        schema_txn = identity.sign_txn(TxnType.SCHEMA, schema_payload(schema), self.sim.now)
         self._commit(org.label, f"publish schema '{schema_name}'", schema_txn)
-        cred_def = CredDefRecord.create(
-            schema.schema_id, org.did, org.wallet.identity("public").signing.public
-        )
-        cred_def_txn = LedgerTransaction.create(
-            TxnType.CRED_DEF,
-            cred_def_payload(cred_def),
-            author_did=org.did,
-            signing_private=signing,
-            timestamp=self.sim.now,
-        )
+        cred_def = CredDefRecord.create(schema.schema_id, org.did, identity.signing.public)
+        cred_def_txn = identity.sign_txn(TxnType.CRED_DEF, cred_def_payload(cred_def), self.sim.now)
         self._commit(org.label, f"publish credential definition for '{schema_name}'", cred_def_txn)
         org.schema = schema
         org.cred_def = cred_def
@@ -272,20 +241,11 @@ class ScenarioRunner:
 
     # -- the scenarios
 
-    def run(self) -> ScenarioResult:
+    def run(self) -> "ScenarioRunner":
         runner = {"medical": self._run_medical, "employment": self._run_employment, "loan": self._run_loan}
         runner[self.name]()
         self._final_checks()
-        return ScenarioResult(
-            name=self.name,
-            seed=self.seed,
-            steps=self.steps,
-            failures=self.failures,
-            sentinels=self.sentinels,
-            receipts=self.receipts,
-            sim=self.sim,
-            wallets=self.wallets,
-        )
+        return self
 
     def _run_medical(self) -> None:
         alice = Wallet.create("alice", b"alice-unlock-secret")
@@ -550,5 +510,5 @@ def privacy_scan(sim: Simulation, receipts: list[ConsentReceipt], sentinels: lis
     return [s for s in sentinels if s.encode() in corpus]
 
 
-def run_scenario(name: str, seed: int = 1, consent: bool = True) -> ScenarioResult:
+def run_scenario(name: str, seed: int = 1, consent: bool = True) -> ScenarioRunner:
     return ScenarioRunner(name, seed=seed, consent=consent).run()

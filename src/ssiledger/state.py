@@ -294,12 +294,7 @@ class NodeState:
                 for rid, reg in sorted(self.registries.items())
             },
             "consent_proofs": [
-                {
-                    "receipt_hash": rec.receipt_hash.hex,
-                    "owner_did": rec.owner_did,
-                    "verifier_did": rec.verifier_did,
-                    "timestamp": rec.timestamp,
-                }
+                consent_proof_payload(rec.receipt_hash, rec.owner_did, rec.verifier_did, rec.timestamp)
                 for rec in self.consent_proofs
             ],
         }
@@ -314,14 +309,6 @@ class NodeState:
 def resolve_did(state: NodeState, did: str) -> DidDocument | None:
     """The document a DID currently resolves to, or None."""
     return state.dids.get(did)
-
-
-def get_cred_def(state: NodeState, cred_def_id: Digest) -> CredDefRecord | None:
-    return state.cred_defs.get(cred_def_id.hex)
-
-
-def get_schema(state: NodeState, schema_id: Digest) -> SchemaRecord | None:
-    return state.schemas.get(schema_id.hex)
 
 
 def fold_into(state: NodeState, txns: Iterable[LedgerTransaction]) -> list[RejectReason | None]:

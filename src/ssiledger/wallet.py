@@ -34,6 +34,7 @@ from .crypto import (
     scrypt,
     sha256,
 )
+from .ledger import LedgerTransaction, TxnType
 from .state import DidDocument, derive_did
 
 if TYPE_CHECKING:
@@ -108,6 +109,10 @@ class PairwiseIdentity:
             endpoint=self.endpoint,
             metadata=metadata or {},
         )
+
+    def sign_txn(self, txn_type: TxnType, payload: dict, timestamp: int) -> LedgerTransaction:
+        """A public record this identity authors, signed with its own key."""
+        return LedgerTransaction.create(txn_type, payload, self.did, self.signing.private, timestamp)
 
 
 @dataclass

@@ -1317,3 +1317,147 @@ class TestFailedRewrite:
         write_chain(Chain.new(1), "new.ledger.jsonl")
         assert stat.S_IMODE(Path("new.ledger.jsonl").stat().st_mode) == 0o640
         assert read_chain("new.ledger.jsonl") == Chain.new(1)
+
+
+def test_write_into_a_missing_directory_names_no_temp_file(runner, workdir):
+    """The error line names the file asked for and the errno, the same on every
+    run, and the failed write leaves no temporary file behind."""
+    for _ in range(2):
+        result = invoke(runner, ["ledger", "init", "--out", "nodir/l.jsonl"])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"error: cannot write nodir/l.jsonl: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}\n"
+    assert list(workdir.iterdir()) == []
+
+
+def _error_line(result, code: int, line: str) -> None:
+    assert (result.exit_code, result.stdout, result.stderr) == (code, "", f"error: {line}\n")
+
+
+class TestRarelyTakenBranches:
+    """Each command branch that only a hand-made input reaches: its exit code
+    and its one ``error:`` line, or its output where it succeeds."""
+
+    def _publish_flags(self, runner):
+        """A schema with a boolean attribute and its cred def on the ledger."""
+        out = invoke(
+            runner,
+            ["schema", "publish", "--wallet", "issuer.wallet.json", "--relation", "public",
+             "--ledger", "net.ledger.jsonl", "--name", "flags", "--attr", "honors:boolean", "--now", "150"],
+        )
+        schema_id = out.output.split()[-1]
+        out = invoke(
+            runner,
+            ["creddef", "publish", "--wallet", "issuer.wallet.json", "--relation", "public",
+             "--ledger", "net.ledger.jsonl", "--schema-id", schema_id, "--now", "160"],
+        )
+        return out.output.split()[-1]
+
+    def _issue_under(self, runner, setup, cred_def_id, *attrs):
+        args = ["cred", "issue", "--wallet", "issuer.wallet.json", "--relation", "public",
+                "--ledger", "net.ledger.jsonl", "--cred-def", cred_def_id, "--subject", setup["holder_did"]]
+        for attr in attrs:
+            args += ["--attr", attr]
+        return invoke(runner, args + ["--out", "flag.cred.json", "--now", "170"])
+
+    def test_wallet_list_text_counts_stored_credentials(self, runner, workdir, issuer_setup):
+        assert _issue(runner, issuer_setup).exit_code == 0
+        holder = Wallet.load("holder.wallet.json")
+        holder.unlock(SECRET["WALLET_SECRET"].encode())
+        credential = VerifiableCredential.from_dict(json.loads(Path("alice.cred.json").read_text()))
+        holder.store_credential(credential, fold_chain(read_chain("net.ledger.jsonl")), received_at=141)
+        holder.save("holder.wallet.json")
+        result = invoke(runner, ["wallet", "list", "--wallet", "holder.wallet.json"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == (
+            f"owner: alice\n  relation employer: {issuer_setup['holder_did']}\n  credentials held: 1\n"
+        )
+
+    def test_ledger_init_onto_an_existing_file(self, runner, workdir):
+        Path("l.jsonl").write_text("kept\n")
+        _error_line(invoke(runner, ["ledger", "init", "--out", "l.jsonl"]), 1, "l.jsonl already exists")
+        assert Path("l.jsonl").read_text() == "kept\n"
+
+    def test_schema_with_a_duplicate_attribute(self, runner, workdir, issuer_setup):
+        result = invoke(
+            runner,
+            ["schema", "publish", "--wallet", "issuer.wallet.json", "--relation", "public",
+             "--ledger", "net.ledger.jsonl", "--name", "twice", "--attr", "a:string", "--attr", "a:integer"],
+        )
+        _error_line(result, 1, "bad --attr: schema attribute names must be unique")
+
+    def test_issue_a_boolean_attribute(self, runner, workdir, issuer_setup):
+        cred_def_id = self._publish_flags(runner)
+        result = self._issue_under(runner, issuer_setup, cred_def_id, "honors=TRUE")
+        assert (result.exit_code, result.stderr) == (0, "")
+        issued = json.loads(Path("flag.cred.json").read_text())
+        assert issued["attributes"] == {"honors": True}
+
+    def test_issue_a_boolean_that_is_neither_true_nor_false(self, runner, workdir, issuer_setup):
+        cred_def_id = self._publish_flags(runner)
+        _error_line(self._issue_under(runner, issuer_setup, cred_def_id, "honors=maybe"), 1, "bad --attr: 'maybe' is not a boolean")
+        assert not Path("flag.cred.json").exists()
+
+    def test_issue_an_attribute_outside_the_schema(self, runner, workdir, issuer_setup):
+        result = self._issue_under(runner, issuer_setup, issuer_setup["cred_def_id"], "degree=BSc", "grade=A")
+        _error_line(result, 1, "attribute 'grade' is not in schema 'degree'")
+
+    def test_issue_under_an_unknown_cred_def(self, runner, workdir, issuer_setup):
+        unknown = "ab" * 32
+        _error_line(self._issue_under(runner, issuer_setup, unknown, "degree=BSc"), 1, f"cred def {unknown} not on ledger")
+
+    def test_creddef_for_a_schema_not_on_the_ledger(self, runner, workdir, issuer_setup):
+        unknown = "cd" * 32
+        before = Path("net.ledger.jsonl").read_bytes()
+        result = invoke(
+            runner,
+            ["creddef", "publish", "--wallet", "issuer.wallet.json", "--relation", "public",
+             "--ledger", "net.ledger.jsonl", "--schema-id", unknown],
+        )
+        _error_line(result, 1, f"schema {unknown} not on ledger")
+        assert Path("net.ledger.jsonl").read_bytes() == before
+
+    def test_revoke_when_the_cred_def_is_not_on_the_ledger(self, runner, workdir, issuer_setup):
+        assert _issue(runner, issuer_setup).exit_code == 0
+        assert invoke(runner, ["ledger", "init", "--out", "other.ledger.jsonl"]).exit_code == 0
+        assert invoke(
+            runner, ["ledger", "append", "--ledger", "other.ledger.jsonl", "--now", "110", "issuer.txn.json"]
+        ).exit_code == 0
+        result = invoke(
+            runner,
+            ["cred", "revoke", "--wallet", "issuer.wallet.json", "--relation", "public",
+             "--ledger", "other.ledger.jsonl", "alice.cred.json"],
+        )
+        _error_line(result, 3, "credential definition not on ledger")
+
+    def test_challenge_for_a_did_not_on_the_ledger(self, runner, workdir, issuer_setup):
+        result = invoke(
+            runner,
+            ["auth", "challenge", "--ledger", "net.ledger.jsonl", "--did", "did:sample:nobody",
+             "--out", "c.json", "--state", "s.json"],
+        )
+        _error_line(result, 1, "did:sample:nobody not on ledger")
+        assert not Path("c.json").exists() and not Path("s.json").exists()
+
+    def test_sim_run_of_a_txns_workload(self, runner, workdir):
+        """The ``{"txns": [...]}`` workload, built from ``did new --txn-out``
+        files: every txn commits on every node."""
+        assert invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "bob"]).exit_code == 0
+        items = []
+        for i in range(3):
+            assert invoke(
+                runner,
+                ["did", "new", "--wallet", "w.json", "--relation", f"r{i}", "--seed", f"{i + 1:02x}",
+                 "--txn-out", f"r{i}.txn.json", "--now", str(10 + i)],
+            ).exit_code == 0
+            items.append({"time": 10 + 20 * i, "node": i, "txn": json.loads(Path(f"r{i}.txn.json").read_text())})
+        Path("w.workload.json").write_text(json.dumps({"txns": items}))
+        Path("c.json").write_text(json.dumps({"consensus": {"f": 1, "batch_max": 5, "batch_timeout_ms": 50}}))
+        result = invoke(
+            runner,
+            ["sim", "run", "--config", "c.json", "--seed", "3", "--workload", "w.workload.json",
+             "--out", "r.json", "--horizon", "3000"],
+        )
+        assert (result.exit_code, result.stderr) == (0, "")
+        report = json.loads(Path("r.json").read_text())
+        assert (report["submitted"], report["accepted"], report["honest_chains_agree"]) == (3, 3, True)
+        assert [node["ledger_txns"] for node in report["per_node"]] == [3, 3, 3, 3]

@@ -5,7 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Identity
-from ssiledger.consensus import ConsensusConfig, FaultPlan, PerfMonitor, Request, Slot
+from ssiledger.consensus import (
+    Batch,
+    BatchReply,
+    Commit,
+    ConsensusConfig,
+    FaultPlan,
+    InstanceChangeVote,
+    PerfMonitor,
+    Prepare,
+    PrePrepare,
+    Request,
+    Slot,
+)
 from ssiledger.crypto import sha256
 from ssiledger.ledger import LedgerTransaction, TxnType
 from ssiledger.simnet import LinkProfile, NetworkConfig, Partition
@@ -520,3 +532,144 @@ class TestLiveState:
             assert node.state.to_dict() == fold_chain(node.chain).to_dict()
             assert resolve_did(node.state, issuer.did) == issuer.document
             assert resolve_did(node.state, private.did) is None
+
+
+class TestRefusedMessages:
+    """Each guard on a consensus message from outside: the message goes
+    straight to node 3 of a four-node network, which is the primary of neither
+    instance. A refused message makes the node send no ``Prepare`` and switch
+    no master; the well-formed message each case departs from is accepted."""
+
+    NODE = 3
+
+    @pytest.fixture
+    def sim(self):
+        return Simulation(FAST, seed=1, horizon=0)
+
+    @staticmethod
+    def _vote(sim, voter: int, epoch: int = 1, new_master: int = 1, last_committed: int = 0, key: int | None = None):
+        signer = sim.nodes[voter if key is None else key].signing_private
+        return InstanceChangeVote.create(epoch, new_master, last_committed, voter, signer)
+
+    def _control(self, sim, votes=None, **changes) -> dict:
+        votes = votes if votes is not None else [self._vote(sim, voter) for voter in (0, 1, 2)]
+        control = {
+            "epoch": 1,
+            "new_master": 1,
+            "old_master": 0,
+            "cutover": max(vote.last_committed for vote in votes),
+            "votes": [vote.to_dict() for vote in votes],
+        }
+        return {**control, **changes}
+
+    @staticmethod
+    def _preprepare(control=None, instance: int = 1, seq: int = 1, batch_instance: int = 1, batch_seq: int = 1):
+        return PrePrepare(instance, seq, Batch(batch_instance, batch_seq, 5, (), control=control))
+
+    def _deliver(self, sim, src: int, message) -> list:
+        """Deliver ``message`` from ``src`` to the node; the types of the
+        messages it sends in response."""
+        sim.nodes[self.NODE].on_message(src, message)
+        sent = []
+        while (event := sim.network.pop()) is not None:
+            assert event.src == self.NODE
+            sent.append(type(event.payload))
+        return sent
+
+    def _refused(self, sim, src: int, message) -> None:
+        sent = self._deliver(sim, src, message)
+        node = sim.nodes[self.NODE]
+        assert Prepare not in sent
+        assert (node.epoch, node.master_instance, node.pending_switch) == (0, 0, None)
+
+    def test_well_formed_control_batch_is_prepared(self, sim):
+        assert self._deliver(sim, 1, self._preprepare(self._control(sim))) == [Prepare] * 3
+
+    def test_well_formed_batch_is_prepared(self, sim):
+        assert self._deliver(sim, 1, self._preprepare()) == [Prepare] * 3
+
+    def test_preprepare_from_a_node_that_is_not_the_primary(self, sim):
+        self._refused(sim, 2, self._preprepare())
+
+    def test_preprepare_below_seq_1(self, sim):
+        self._refused(sim, 1, self._preprepare(seq=0, batch_seq=0))
+
+    def test_batch_of_another_instance(self, sim):
+        self._refused(sim, 1, self._preprepare(batch_instance=0))
+
+    def test_batch_of_another_seq(self, sim):
+        self._refused(sim, 1, self._preprepare(batch_seq=2))
+
+    @pytest.mark.parametrize("epoch", [0, 2])
+    def test_control_for_another_epoch(self, sim, epoch):
+        votes = [self._vote(sim, voter, epoch=epoch) for voter in (0, 1, 2)]
+        self._refused(sim, 1, self._preprepare(self._control(sim, votes, epoch=epoch)))
+
+    def test_control_with_fewer_than_2f_plus_1_distinct_voters(self, sim):
+        votes = [self._vote(sim, voter) for voter in (0, 1, 1)]
+        self._refused(sim, 1, self._preprepare(self._control(sim, votes)))
+
+    @pytest.mark.parametrize("change", [{"epoch": 2}, {"new_master": 0}])
+    def test_control_holding_a_vote_for_another_epoch_or_master(self, sim, change):
+        votes = [self._vote(sim, 0), self._vote(sim, 1), self._vote(sim, 2, **change)]
+        self._refused(sim, 1, self._preprepare(self._control(sim, votes)))
+
+    def test_control_holding_a_vote_whose_signature_fails(self, sim):
+        votes = [self._vote(sim, 0), self._vote(sim, 1), self._vote(sim, 2, key=3)]
+        self._refused(sim, 1, self._preprepare(self._control(sim, votes)))
+
+    @pytest.mark.parametrize("key", ["epoch", "new_master", "cutover", "votes"])
+    def test_control_missing_a_key(self, sim, key):
+        control = self._control(sim)
+        del control[key]
+        self._refused(sim, 1, self._preprepare(control))
+
+    def test_control_holding_a_vote_missing_a_key(self, sim):
+        control = self._control(sim)
+        del control["votes"][2]["signature"]
+        self._refused(sim, 1, self._preprepare(control))
+
+    @pytest.mark.parametrize("cutover", [0, 4])
+    def test_cutover_that_is_not_the_highest_last_committed(self, sim, cutover):
+        votes = [self._vote(sim, 0), self._vote(sim, 1), self._vote(sim, 2, last_committed=3)]
+        self._refused(sim, 1, self._preprepare(self._control(sim, votes, cutover=cutover)))
+        assert self._deliver(sim, 1, self._preprepare(self._control(sim, votes))) == [Prepare] * 3
+
+    def test_votes_whose_signatures_fail_are_dropped(self, sim):
+        """f+1 valid votes make the node join the change; f+1 that do not verify
+        are not even recorded."""
+        for voter in (0, 1):
+            self._refused(sim, voter, self._vote(sim, voter, key=2))
+        assert sim.nodes[self.NODE].votes == {}
+        for voter in (0, 1):
+            sent = self._deliver(sim, voter, self._vote(sim, voter))
+        assert sent == [InstanceChangeVote] * 3
+
+    @pytest.mark.parametrize("epoch", [0, 2])
+    def test_committed_control_batch_of_a_stale_epoch_does_not_switch(self, sim, epoch):
+        """A control batch reaches the node only as a body fetched for a commit
+        quorum: that path never checks the certificate, so the switch checks
+        its epoch."""
+        batch = self._preprepare(self._control(sim, epoch=epoch)).batch
+        for src in (0, 1, 2):
+            self._refused(sim, src, Commit(1, 1, batch.digest_hex()))
+        self._refused(sim, 0, BatchReply(1, 1, batch))
+        assert sim.nodes[self.NODE].instances[1].slots[1].committed
+
+    def test_committed_control_batch_of_the_next_epoch_switches(self, sim):
+        batch = self._preprepare(self._control(sim)).batch
+        for src in (0, 1, 2):
+            self._deliver(sim, src, Commit(1, 1, batch.digest_hex()))
+        self._deliver(sim, 0, BatchReply(1, 1, batch))
+        assert (sim.nodes[self.NODE].epoch, sim.nodes[self.NODE].master_instance) == (1, 1)
+
+    @pytest.mark.parametrize("message", [object(), "prepare", ("Prepare", 1, 1, "00")])
+    def test_message_of_an_unknown_type(self, sim, message):
+        self._refused(sim, 1, message)
+
+    @pytest.mark.parametrize("instance", [2, -1])
+    def test_message_for_an_unknown_instance(self, sim, instance):
+        digest = self._preprepare().batch.digest_hex()
+        for message in (self._preprepare(instance=instance), Prepare(instance, 1, digest), Commit(instance, 1, digest)):
+            self._refused(sim, 1, message)
+        assert sim.nodes[self.NODE].instances.keys() == {0, 1}

@@ -18,9 +18,11 @@ from ssiledger.credentials import (
     SchemaMismatch,
     VALID,
     VerifiableCredential,
+    VerificationResult,
     VerifierParty,
     _presentation_digest,
     authenticate,
+    check_attributes,
     issue,
     present,
     record_consent,
@@ -32,7 +34,7 @@ from ssiledger.credentials import (
 )
 from ssiledger.crypto import Digest, digest_of, sha256, sign
 from ssiledger.ledger import LedgerTransaction, TxnType
-from ssiledger.state import AttrType, apply
+from ssiledger.state import AttrType, SchemaRecord, apply
 
 
 def _issue(env: CredEnv, attributes=None, subject=None) -> VerifiableCredential:
@@ -688,3 +690,57 @@ def test_changed_credential_field(shared_env, field, attributes, now):
     holder_key = shared_env.holder_wallet.identity(shared_env.holder_relation).signing.private
     resigned = dataclasses.replace(changed, holder_signature=sign(holder_key, digest_of(body).value))
     assert verify_presentation(resigned, shared_env.state).reason == reason
+
+
+class TestRarelyGivenVerdicts:
+    """Verdicts and messages that only a hand-made record reaches."""
+
+    def _receipt(self, env: CredEnv, verifier: Identity, relation: str | None = None):
+        return record_consent(
+            env.holder_wallet,
+            relation or env.holder_relation,
+            verifier.did,
+            verifier.signing_private,
+            [("credit_score", AttrType.INTEGER)],
+            purpose="loan",
+            now=51,
+        )
+
+    def test_receipt_with_an_unregistered_verifier_is_unknown_holder(self, cred_env):
+        receipt, _ = self._receipt(cred_env, Identity.create("bank-b"))
+        assert verify_consent_receipt(receipt, cred_env.state) == VerificationResult(False, "UnknownHolder")
+
+    def test_receipt_with_an_unregistered_owner_is_unknown_holder(self, cred_env):
+        verifier = Identity.create("bank-b")
+        state = must_apply(cred_env.state, verifier.registration_txn(timestamp=50))
+        cred_env.holder_wallet.new_pairwise("ghost", seed=seed("ghost"))
+        receipt, _ = self._receipt(cred_env, verifier, "ghost")
+        assert verify_consent_receipt(receipt, state) == VerificationResult(False, "UnknownHolder")
+
+    def test_receipt_whose_proof_is_not_on_the_ledger_is_not_recorded(self, cred_env):
+        verifier = Identity.create("bank-b")
+        state = must_apply(cred_env.state, verifier.registration_txn(timestamp=50))
+        receipt, txn = self._receipt(cred_env, verifier)
+        assert verify_consent_receipt(receipt, state) == VerificationResult(False, "NotRecorded")
+        assert verify_consent_receipt(receipt, must_apply(state, txn)) == VALID
+
+    @pytest.mark.parametrize(
+        "attributes, message",
+        [
+            ({"name": 7, "flag": True, "on": "2026-01-31"}, "attribute 'name' must be a string"),
+            ({"name": "n", "flag": 1, "on": "2026-01-31"}, "attribute 'flag' must be a boolean"),
+            ({"name": "n", "flag": False, "on": 20260131}, "attribute 'on' must be an ISO date string"),
+        ],
+    )
+    def test_ill_typed_attribute_messages(self, attributes, message):
+        schema = SchemaRecord.create(
+            "mixed", "1.0", [("name", AttrType.STRING), ("flag", AttrType.BOOLEAN), ("on", AttrType.DATE)]
+        )
+        assert check_attributes(schema, attributes) == message
+        assert check_attributes(schema, {"name": "n", "flag": False, "on": "2026-01-31"}) is None
+
+    def test_holder_signed_presentation_of_no_credentials_is_schema_mismatch(self, cred_env):
+        body_digest, _ = _presentation_digest((), cred_env.holder_did, "did:sample:aud", 40)
+        signing = cred_env.holder_wallet.identity(cred_env.holder_relation).signing
+        presentation = Presentation((), cred_env.holder_did, "did:sample:aud", 40, sign(signing.private, body_digest))
+        assert verify_presentation(presentation, cred_env.state) == VerificationResult(False, "SchemaMismatch")
