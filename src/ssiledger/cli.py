@@ -15,6 +15,7 @@ variable, or an interactive prompt when unset.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sys
@@ -44,10 +45,10 @@ from .ledger import (
     LedgerTransaction,
     MalformedRecord,
     TxnType,
+    _built,
+    append_block,
     build_block,
     check_file,
-    read_chain,
-    validate_chain,
     write_chain,
 )
 from .scenarios import SCENARIOS, run_scenario
@@ -59,7 +60,6 @@ from .state import (
     SchemaRecord,
     cred_def_payload,
     did_reg_payload,
-    fold_chain,
     fold_into,
     fold_read_set,
     schema_payload,
@@ -146,26 +146,43 @@ def _identity(wallet: Wallet, relation: str) -> PairwiseIdentity:
         _fail(f"cannot read wallet: {exc}")
 
 
-def _valid(path: str, read: Callable[[str], tuple]):
-    """The value of ``read(path)``, a (``ChainValidation``, value) pair, for a
-    valid chain; a read error, else a fault, ends the command with one
-    ``error:`` line, exit 1."""
+def _lock(path: str, error: str) -> None:
+    """Hold an exclusive ``flock`` on the file at ``path`` until the command
+    ends, so that commands that read the file and then replace it run one
+    after the other. The lock sits on the file itself; a writer replaces the
+    file, so a lock won on a file that is no longer at ``path`` is let go and
+    taken again. A file that does not open ends the command with ``error:
+    <error>: ...``, exit 1."""
+    context = click.get_current_context()
+    while True:
+        try:
+            file = context.with_resource(open(path, "rb"))
+            fcntl.flock(file, fcntl.LOCK_EX)
+            if os.path.samestat(os.fstat(file.fileno()), os.stat(path)):
+                return
+        except OSError as exc:
+            _fail(f"{error}: {exc}")
+        file.close()
+
+
+def _valid(path: str) -> tuple[list[tuple], Block]:
+    """The records and head block of a valid ledger file (``check_file``); a
+    read error, else a fault, ends the command with one ``error:`` line, exit 1."""
     try:
-        check, value = read(path)
+        check, records, head = check_file(path)
     except Exception as exc:
         _fail(f"cannot read ledger {path}: {exc}")
     if not check.ok:
         _fail(f"ledger {path} is invalid at height {check.height}: {check.reason.value}")
-    return value
+    return records, head
 
 
-def _ledger_state(path: str) -> tuple[Chain, NodeState]:
-    def read(path: str) -> tuple:
-        chain = read_chain(path)
-        return validate_chain(chain), chain
-
-    chain = _valid(path, read)
-    return chain, fold_chain(chain)
+def _ledger_state(path: str) -> tuple[tuple[list[tuple], Block], NodeState]:
+    _lock(path, f"cannot read ledger {path}")  # held to the command's end: a write below reads nothing stale
+    stored = _valid(path)
+    state = NodeState()
+    fold_into(state, map(_built, stored[0]))
+    return stored, state
 
 
 def _name_types(specs: tuple[str, ...], option: str) -> list[tuple[str, AttrType]]:
@@ -283,6 +300,7 @@ def did_new(
     now_override: int | None,
     as_json: bool,
 ) -> None:
+    _lock(wallet_path, "cannot read wallet")
     w = _open_wallet(wallet_path)
     seed = _hex(seed_hex, "--seed") if seed_hex else None
     try:
@@ -321,23 +339,24 @@ def ledger_init(out_path: str, genesis_timestamp: int) -> None:
 @click.argument("txn_files", nargs=-1, required=True, type=click.Path(exists=True))
 def ledger_append(ledger_path: str, now_override: int | None, txn_files: tuple[str, ...]) -> None:
     """Validate, apply, and commit transactions as one new block."""
-    chain, state = _ledger_state(ledger_path)
+    stored, state = _ledger_state(ledger_path)
     # each file is read as it is reached, so errors come in argument order
     named_txns = ((txn_file, _parse(LedgerTransaction.from_dict, txn_file)) for txn_file in txn_files)
-    block = _append(ledger_path, chain, state, named_txns, now_override)
+    block = _append(ledger_path, stored, state, named_txns, now_override)
     click.echo(f"appended block {block.height} with {len(block.txns)} txn(s)")
 
 
 def _append(
-    ledger_path: str, chain: Chain, state: NodeState, named_txns: Iterable, now_override: int | None, on_ledger=False
+    ledger_path: str, stored: tuple, state: NodeState, named_txns: Iterable, now_override: int | None, on_ledger=False
 ) -> Block | None:
-    """The one write path of a ledger file: each (name, txn) in turn must
-    recompute its id, verify under ``state`` and fold into it in place, and
-    its id must be new to the chain and to this command; one new block then
-    holds them all. The first that fails ends the command (exit 3, the file
-    untouched) naming its file, or no file (name None). Records already
-    ``on_ledger`` are checked alike, bar the id, but append no block."""
-    seen = set() if on_ledger else {txn.id_hex for block in chain.blocks for txn in block.txns}
+    """The one write path of a ledger file, whose (records, head) are ``stored``:
+    each (name, txn) in turn must recompute its id, verify under ``state`` and
+    fold into it in place, and its id must be new to the file and to this
+    command; one new block on the head holds them all. The first that fails
+    ends the command (exit 3, the file untouched) naming its file, or none.
+    Records already ``on_ledger`` are checked alike, bar the id, but append no block."""
+    records, head = stored
+    seen = set() if on_ledger else {record[5] for record in records}  # each record's id hex
     accepted = []
     for name, txn in named_txns:
         where = f"{name}: " if name else ""
@@ -353,8 +372,8 @@ def _append(
         accepted.append(txn)
     if on_ledger:
         return None
-    block = build_block(chain.head, accepted, _now(now_override))
-    _save(lambda target: write_chain(chain.append(block), target), ledger_path)
+    block = build_block(head, accepted, _now(now_override))
+    _save(lambda target: append_block(target, block), ledger_path)
     return block
 
 
@@ -403,8 +422,8 @@ def schema_publish(
     except ValueError as exc:
         _fail(f"bad --attr: {exc}")
     txn = identity.sign_txn(TxnType.SCHEMA, schema_payload(record), _now(now_override))
-    chain, state = _ledger_state(ledger_path)
-    _append(ledger_path, chain, state, [(None, txn)], now_override, record.schema_id.hex in state.schemas)
+    stored, state = _ledger_state(ledger_path)
+    _append(ledger_path, stored, state, [(None, txn)], now_override, record.schema_id.hex in state.schemas)
     click.echo(f"schema_id: {record.schema_id.hex}")
 
 
@@ -428,13 +447,13 @@ def creddef_publish(
 ) -> None:
     w = _open_wallet(wallet_path)
     identity = _identity(w, relation)
-    chain, state = _ledger_state(ledger_path)
+    stored, state = _ledger_state(ledger_path)
     schema_record = state.schemas.get(_hex(schema_id_hex, "--schema-id", Digest.from_hex).hex)
     if schema_record is None:
         _fail(f"schema {schema_id_hex} not on ledger")
     record = CredDefRecord.create(schema_record.schema_id, identity.did, identity.signing.public)
     txn = identity.sign_txn(TxnType.CRED_DEF, cred_def_payload(record), _now(now_override))
-    _append(ledger_path, chain, state, [(None, txn)], now_override, record.cred_def_id.hex in state.cred_defs)
+    _append(ledger_path, stored, state, [(None, txn)], now_override, record.cred_def_id.hex in state.cred_defs)
     click.echo(f"cred_def_id: {record.cred_def_id.hex}")
 
 
@@ -523,7 +542,7 @@ def cred_verify(
     """Verify a credential or presentation file against a ledger. Every record
     of the ledger is read and hash-checked in one pass; only those the verdict
     can depend on are built and folded."""
-    records = _valid(ledger_path, check_file)
+    records, _ = _valid(ledger_path)
     data = _read_json(record_file)
     try:
         if "holder_signature" in data:
@@ -560,7 +579,7 @@ def cred_revoke(
     w = _open_wallet(wallet_path)
     identity = _identity(w, relation)
     credential = _parse(VerifiableCredential.from_dict, cred_file)
-    chain, state = _ledger_state(ledger_path)
+    stored, state = _ledger_state(ledger_path)
     cred_def = state.cred_defs.get(credential.cred_def_id.hex)
     if cred_def is None:
         _fail("credential definition not on ledger", EXIT_VERIFY)
@@ -575,7 +594,7 @@ def cred_revoke(
     except Exception as exc:
         _fail(str(exc), EXIT_VERIFY)
     revoked = credential.credential_hash in state.registries[cred_def.registry_key].revoked
-    _append(ledger_path, chain, state, [(None, txn)], now_override, revoked)
+    _append(ledger_path, stored, state, [(None, txn)], now_override, revoked)
     click.echo(f"revoked {credential.credential_hash.hex}")
 
 
@@ -723,6 +742,7 @@ def auth_respond(wallet_path: str, relation: str, out_path: str, challenge_file:
 @click.option("--now", "now_override", type=int, default=None)
 @click.argument("response_file", type=click.Path(exists=True))
 def auth_check(state_path: str, now_override: int | None, response_file: str) -> None:
+    _lock(state_path, f"cannot read {state_path}")  # two checks of one response at once: one authenticates
     state, verifier = _parse(lambda data: (data, _challenge_verifier(data)), state_path, EXIT_USAGE)
     response = _parse(lambda data: bytes.fromhex(data["response"]), response_file)
     result = verifier.check(response, _now(now_override))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Callable
 
-from .canonical import _quoted_hex, canonicalize, map_layout
+from .canonical import UnsupportedType, _quoted_hex, canonicalize, map_layout
 from .crypto import digest_of, sign, verify
 from .ledger import Chain, LedgerTransaction, build_block
 from .state import NodeState, fold_into, verify_txn_signature
@@ -278,7 +278,7 @@ class Slot:
     commit_sent: bool = False
     committed: bool = False
     committed_digest: str | None = None
-    fetch_requested: bool = False
+    fetched: str | None = None  # the digest of the body this node asked a peer for
 
 
 @dataclass
@@ -448,8 +448,7 @@ class ConsensusNode:
     # -- three-phase handlers
 
     def on_preprepare(self, src: int, msg: PrePrepare) -> None:
-        instance = self.instances.get(msg.instance)
-        if instance is None or src != instance.primary or msg.seq < 1:
+        if src != self.instances[msg.instance].primary:
             return
         if msg.batch.instance != msg.instance or msg.batch.seq != msg.seq:
             return
@@ -495,24 +494,25 @@ class ConsensusNode:
             return
         if digest in slot.batches:
             self._commit(instance_id, seq, digest)
-        elif not slot.fetch_requested:
+        elif slot.fetched is None:
             # commit certificate without the body: fetch it from a committer
-            slot.fetch_requested = True
+            slot.fetched = digest
             holders = sorted(n for n, d in slot.commits.items() if d == digest and n != self.id)
             if holders:
                 self.net.send(self.id, holders[0], FetchBatch(instance_id, seq, digest))
 
     def on_fetch(self, src: int, msg: FetchBatch) -> None:
-        slot = self.instances[msg.instance].slot(msg.seq)
-        batch = slot.batches.get(msg.digest)
-        if batch is not None:
-            self.net.send(self.id, src, BatchReply(msg.instance, msg.seq, batch))
+        slot = self.instances[msg.instance].slots.get(msg.seq)
+        if slot is not None and msg.digest in slot.batches:
+            self.net.send(self.id, src, BatchReply(msg.instance, msg.seq, slot.batches[msg.digest]))
 
     def on_batch_reply(self, src: int, msg: BatchReply) -> None:
-        # keyed by the batch's actual digest: a wrong body can never satisfy
-        # the commit certificate it was fetched for
-        slot = self.instances[msg.instance].slot(msg.seq)
+        # only the body this node fetched, checked by the batch's actual digest:
+        # a wrong or unasked-for body is dropped, so a slot keeps one body
+        slot = self.instances[msg.instance].slots.get(msg.seq)
         digest = msg.batch.digest_hex()
+        if slot is None or slot.fetched != digest:
+            return
         slot.batches[digest] = msg.batch
         self._check_committed(msg.instance, msg.seq, slot, digest)
 
@@ -783,9 +783,32 @@ class ConsensusNode:
         if entry is None:
             return
         handler, per_instance = entry
-        if per_instance and message.instance not in self.instances:
+        if per_instance and not _well_formed(message, self.instances):
             return
         getattr(self, handler)(src, message)
+
+
+def _well_formed(message: Any, instances: dict) -> bool:
+    """Whether a message that names an instance holds what its handler reads:
+    an int instance among ``instances``, an int seq from 1 (``type(...) is
+    int``: a bool is no seq), and a str digest or a ``Batch`` body of
+    ``LedgerTransaction``s whose digest computes."""
+    if type(message.instance) is not int or message.instance not in instances:
+        return False
+    if type(message.seq) is not int or message.seq < 1:
+        return False
+    if type(message) not in (PrePrepare, BatchReply):
+        return type(message.digest) is str
+    batch = message.batch
+    if type(batch) is not Batch or type(batch.txns) is not tuple:
+        return False
+    if not all(type(txn) is LedgerTransaction for txn in batch.txns):
+        return False
+    try:
+        batch.digest_hex()
+    except (UnsupportedType, UnicodeEncodeError):  # a member the canonical encoding refuses
+        return False
+    return True
 
 
 # message type -> (the ConsensusNode method that handles it, whether the message

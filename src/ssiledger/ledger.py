@@ -14,7 +14,7 @@ what consensus uses for deduplication.
 
 A ledger file is decoded by one line decoder. ``read_chain`` builds every
 record from it; ``check_file`` validates the file in the same pass and leaves
-the records unbuilt, for a reader that folds only a few of them.
+the records unbuilt. ``append_block`` adds a line and keeps the ones before.
 """
 
 from __future__ import annotations
@@ -424,45 +424,42 @@ class Chain:
         return [canonicalize(block.to_dict()).decode("utf-8") for block in self.blocks]
 
 
-def _block_fault(i: int, prev_hash: Digest, header: tuple, leaves: list[bytes] | None) -> ChainFault | None:
-    """The fault of the block at index ``i`` on top of a block whose hash is
-    ``prev_hash`` (``ZERO_DIGEST`` under genesis), given its header, as ``_block``
-    gives it, and its records' leaves in order: None where a record's id does
-    not recompute."""
-    height, link, root, timestamp, block_hash = header
-    if height != i:
-        return ChainFault.BAD_HEIGHT
-    if link != prev_hash:
-        return ChainFault.BAD_LINK
-    if leaves:
-        merkle_ok = _root(leaves) == root.value
-    else:  # a record whose id fails, or no records: only genesis has none, under the zero root
-        merkle_ok = leaves is not None and i == 0 and root == ZERO_DIGEST
-    if not merkle_ok:
-        return ChainFault.BAD_MERKLE
-    try:
-        hash_ok = Block.compute_hash(height, link, root, timestamp) == block_hash
-    except (UnsupportedType, UnicodeEncodeError):
-        hash_ok = False  # a hand-edited header: a float height or timestamp, a lone surrogate
-    return None if hash_ok else ChainFault.BAD_HASH
+def _first_fault(blocks: Iterable[tuple[tuple, list[bytes] | None]]) -> ChainValidation:
+    """The lowest fault of the blocks, each a (header as ``_block`` gives it,
+    its records' leaves or None where a record's id does not recompute) pair:
+    tampering with block i surfaces at height i or i+1 (broken link)."""
+    prev_hash = ZERO_DIGEST
+    for i, ((height, link, root, timestamp, block_hash), leaves) in enumerate(blocks):
+        if height != i:
+            return ChainValidation(False, i, ChainFault.BAD_HEIGHT)
+        if link != prev_hash:
+            return ChainValidation(False, i, ChainFault.BAD_LINK)
+        if leaves:
+            merkle_ok = _root(leaves) == root.value
+        else:  # a record whose id fails, or no records: only genesis has none, under the zero root
+            merkle_ok = leaves is not None and i == 0 and root == ZERO_DIGEST
+        if not merkle_ok:
+            return ChainValidation(False, i, ChainFault.BAD_MERKLE)
+        try:
+            hash_ok = Block.compute_hash(height, link, root, timestamp) == block_hash
+        except (UnsupportedType, UnicodeEncodeError):
+            hash_ok = False  # a hand-edited header: a float height or timestamp, a lone surrogate
+        if not hash_ok:
+            return ChainValidation(False, i, ChainFault.BAD_HASH)
+        prev_hash = block_hash
+    return VALID
 
 
 def validate_chain(chain: Chain) -> ChainValidation:
-    """Check every block's height, linkage, Merkle root and hash.
-
-    Total: never raises. Reports the lowest offending height, so tampering
-    with block i surfaces at height i (internal damage) or i+1 (broken link).
-    """
-    prev_hash = ZERO_DIGEST
-    for i, block in enumerate(chain.blocks):
-        # a record that cannot be encoded fails its id check; a record whose id recomputes has its leaf
-        leaves = [txn._leaf for txn in block.txns] if all(txn.id_recomputes() for txn in block.txns) else None
-        header = (block.height, block.prev_hash, block.merkle_root, block.timestamp, block.block_hash)
-        fault = _block_fault(i, prev_hash, header, leaves)
-        if fault is not None:
-            return ChainValidation(False, i, fault)
-        prev_hash = block.block_hash
-    return VALID
+    """Check every block's height, linkage, Merkle root and hash. Total: never raises."""
+    return _first_fault(
+        (
+            (block.height, block.prev_hash, block.merkle_root, block.timestamp, block.block_hash),
+            # a record that cannot be encoded fails its id check; a record whose id recomputes has its leaf
+            [txn._leaf for txn in block.txns] if all(txn.id_recomputes() for txn in block.txns) else None,
+        )
+        for block in chain.blocks
+    )
 
 
 def write_chain(chain: Chain, path: str | Path) -> None:
@@ -470,6 +467,16 @@ def write_chain(chain: Chain, path: str | Path) -> None:
     each ended by "\n". Other line breaks (U+2028, U+2029, U+0085) stay raw
     inside strings. The file is replaced whole (``canonical.write_atomic``)."""
     write_atomic(path, "\n".join(chain.to_lines()) + "\n")
+
+
+def append_block(path: str | Path, block: Block) -> None:
+    """Add ``block`` as one canonical line after the file's bytes, kept as they are ("\r\n" too; a last
+    line with no "\n" gets one). The file is replaced whole (``canonical.write_atomic``)."""
+    with open(path, encoding="utf-8", newline="") as file:
+        text = file.read()
+    if not text.endswith("\n"):
+        text += "\n"
+    write_atomic(path, text + canonicalize(block.to_dict()).decode("utf-8") + "\n")
 
 
 def _decoded_blocks(path: str | Path) -> Iterator[tuple[tuple, list[tuple]]]:
@@ -501,20 +508,16 @@ def read_chain(path: str | Path) -> Chain:
     return Chain(blocks=tuple(_built_block(header, records) for header, records in _decoded_blocks(path)))
 
 
-def check_file(path: str | Path) -> tuple[ChainValidation, list[tuple]]:
-    """``validate_chain(read_chain(path))`` in one pass over the file, and the
-    records of a valid chain in chain order, decoded and framed but not built
-    (see ``_record``; ``state.fold_read_set`` builds the ones it folds). Raises
-    as ``read_chain`` does: an error anywhere in the file wins over a fault,
-    and the fault is the lowest."""
-    check, prev_hash, records = VALID, ZERO_DIGEST, []
-    for i, (header, block_records) in enumerate(_decoded_blocks(path)):
-        if check.ok:  # past a fault the rest is only read
-            leaves = [record[8] for record in block_records] if all(record[7] for record in block_records) else None
-            fault = _block_fault(i, prev_hash, header, leaves)
-            if fault is not None:
-                check, records = ChainValidation(False, i, fault), []
-            else:
-                prev_hash = header[4]  # this block's hash
-                records += block_records
-    return check, records
+def check_file(path: str | Path) -> tuple[ChainValidation, list[tuple], Block | None]:
+    """``validate_chain(read_chain(path))`` in one pass over the file; for a
+    valid chain also its records in chain order, decoded and framed but not
+    built (see ``_record``), and its head block, built. Raises as ``read_chain``
+    does: an error anywhere in the file wins over a fault, the lowest fault."""
+    blocks = list(_decoded_blocks(path))
+    check = _first_fault(
+        (header, [record[8] for record in records] if all(record[7] for record in records) else None)
+        for header, records in blocks
+    )
+    if not check.ok:
+        return check, [], None
+    return check, [record for _, records in blocks for record in records], _built_block(*blocks[-1])

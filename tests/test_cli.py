@@ -19,8 +19,28 @@ from ssiledger.cli import main
 from ssiledger.canonical import canonical_json
 from ssiledger.credentials import Presentation, VerifiableCredential, issue, revoke, verify_credential, verify_presentation
 from ssiledger.crypto import CryptoError, Digest, digest_of, sign
-from ssiledger.ledger import Block, Chain, LedgerTransaction, TxnType, build_block, read_chain, validate_chain, write_chain
-from ssiledger.state import AttrType, CredDefRecord, SchemaRecord, cred_def_payload, fold_chain, schema_payload
+from ssiledger.ledger import (
+    Block,
+    Chain,
+    LedgerTransaction,
+    TxnType,
+    _built,
+    build_block,
+    check_file,
+    read_chain,
+    validate_chain,
+    write_chain,
+)
+from ssiledger.state import (
+    AttrType,
+    CredDefRecord,
+    NodeState,
+    SchemaRecord,
+    cred_def_payload,
+    fold_chain,
+    fold_into,
+    schema_payload,
+)
 from ssiledger.wallet import KdfParams, Wallet
 
 SECRET = {"WALLET_SECRET": "cli-test-secret"}
@@ -555,9 +575,10 @@ LEDGER_CORPUS = {
 
 
 def _reference(args: list[str]) -> tuple[int, str]:
-    """What ``cred verify`` and ``ledger state`` print, composed from the
-    library as the commands read a ledger before the one-pass check: the whole
-    chain read, validated and folded, then the verdict."""
+    """What ``cred verify``, ``ledger state`` and ``ledger append`` of one
+    fresh DID_REG print, composed from the library as the commands read a
+    ledger before the one-pass check: the whole chain read, validated and
+    folded, then the verdict or the new block."""
     path = args[args.index("--ledger") + 1]
     try:
         chain = read_chain(path)
@@ -569,6 +590,8 @@ def _reference(args: list[str]) -> tuple[int, str]:
     state = fold_chain(chain)
     if args[:2] == ["ledger", "state"]:
         return 0, canonical_json(state.to_dict()) + "\n"
+    if args[:2] == ["ledger", "append"]:
+        return 0, f"appended block {chain.height + 1} with 1 txn(s)\n"
     data = json.loads(Path(args[-1]).read_text())
     if "holder_signature" in data:
         result = verify_presentation(Presentation.from_dict(data), state, expected_audience="did:sample:acme")
@@ -580,8 +603,9 @@ def _reference(args: list[str]) -> tuple[int, str]:
 
 
 class TestLedgerFileCorpus:
-    """``cred verify`` and ``ledger state`` on hand-made ledger files print the
-    line and exit with the code of the reference composition."""
+    """``cred verify``, ``ledger state`` and ``ledger append`` on hand-made
+    ledger files print the line and exit with the code of the reference
+    composition. An append keeps the file's bytes and adds one line."""
 
     @pytest.mark.parametrize("case", sorted(LEDGER_CORPUS))
     def test_same_line_and_exit_code(self, runner, workdir, case):
@@ -597,6 +621,32 @@ class TestLedgerFileCorpus:
         for args in commands:
             result = invoke(runner, args)
             assert (result.exit_code, result.output) == _reference(args), args
+
+    @pytest.mark.parametrize("case", sorted(LEDGER_CORPUS))
+    def test_append_keeps_the_bytes_and_adds_one_line(self, runner, workdir, case):
+        lines, _ = _corpus_base()
+        before = LEDGER_CORPUS[case](lines)
+        Path("net.ledger.jsonl").write_bytes(before)
+        txn = Identity.create("corpus-new").registration_txn(50)
+        Path("reg.json").write_text(json.dumps(txn.to_dict()))
+        args = ["ledger", "append", "--ledger", "net.ledger.jsonl", "--now", "60", "reg.json"]
+        expected = _reference(args)
+        result = invoke(runner, args)
+        assert (result.exit_code, result.output) == expected
+        after = Path("net.ledger.jsonl").read_bytes()
+        if result.exit_code != 0:
+            assert after == before
+            return
+        kept = before if before.endswith(b"\n") else before + b"\n"
+        assert after.startswith(kept) and after.count(b"\n") == kept.count(b"\n") + 1
+        check, records, head = check_file("net.ledger.jsonl")
+        assert check.ok and head.txns == (txn,)
+        folded = NodeState()
+        fold_into(folded, map(_built, records))
+        Path("net.ledger.jsonl").write_bytes(before)
+        reference = fold_chain(read_chain("net.ledger.jsonl"))
+        fold_into(reference, [txn])
+        assert folded.to_dict() == reference.to_dict()
 
 
 class TestConsentCommand:
@@ -957,17 +1007,43 @@ class TestLedgerWritePath:
         assert (result.exit_code, result.output) == (3, expected)
         assert Path("l.jsonl").read_bytes() == ledger
 
-    @pytest.mark.parametrize("command", ["creddef publish", "cred revoke"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "ledger append",
+            "ledger state",
+            "schema publish",
+            "creddef publish",
+            "cred issue",
+            "cred revoke",
+            "consent record",
+            "auth challenge",
+        ],
+    )
     def test_publish_and_revoke_read_the_ledger_once(self, runner, workdir, issuer_setup, monkeypatch, command):
+        """Every command that reads the ledger reads it once, through ``check_file``."""
         assert _issue(runner, issuer_setup).exit_code == 0
         wallet = ["--wallet", "issuer.wallet.json", "--relation", "public", "--ledger", "net.ledger.jsonl"]
         out = invoke(runner, ["schema", "publish", *wallet, "--name", "transcript", "--attr", "grade:string"])
+        Path("reg.json").write_text(json.dumps(Identity.create("read-once").registration_txn(150).to_dict()))
         args = {
+            "ledger append": ["ledger", "append", "--ledger", "net.ledger.jsonl", "reg.json"],
+            "ledger state": ["ledger", "state", "--ledger", "net.ledger.jsonl"],
+            "schema publish": ["schema", "publish", *wallet, "--name", "diploma", "--attr", "grade:string"],
             "creddef publish": ["creddef", "publish", *wallet, "--schema-id", out.output.strip().split()[-1]],
+            "cred issue": ["cred", "issue", *wallet, "--cred-def", issuer_setup["cred_def_id"],
+                           "--subject", issuer_setup["holder_did"], "--attr", "degree=MSc", "--attr", "year=2020",
+                           "--out", "bob.cred.json"],
             "cred revoke": ["cred", "revoke", *wallet, "alice.cred.json"],
+            "consent record": ["consent", "record", "--owner-wallet", "holder.wallet.json",
+                               "--owner-relation", "employer", "--verifier-wallet", "issuer.wallet.json",
+                               "--verifier-relation", "public", "--ledger", "net.ledger.jsonl",
+                               "--shared", "degree:string", "--purpose", "hiring", "--out", "c.receipt.json"],
+            "auth challenge": ["auth", "challenge", "--ledger", "net.ledger.jsonl", "--did", issuer_setup["holder_did"],
+                               "--out", "ch.json", "--state", "vs.json"],
         }[command]
         reads = []
-        monkeypatch.setattr(cli, "read_chain", lambda path: reads.append(path) or read_chain(path))
+        monkeypatch.setattr(cli, "check_file", lambda path: reads.append(path) or check_file(path))
         assert invoke(runner, args).exit_code == 0
         assert reads == ["net.ledger.jsonl"]
         verify = invoke(runner, ["cred", "verify", "alice.cred.json", "--ledger", "net.ledger.jsonl"])
@@ -1317,6 +1393,82 @@ class TestFailedRewrite:
         write_chain(Chain.new(1), "new.ledger.jsonl")
         assert stat.S_IMODE(Path("new.ledger.jsonl").stat().st_mode) == 0o640
         assert read_chain("new.ledger.jsonl") == Chain.new(1)
+
+
+# The CLI in a child process whose file writes wait, up to RACE_WAIT seconds,
+# until the other child has reached its write too: two commands that read a
+# file before either writes it both get to read.
+RACE_WAIT = 3
+RACING_CLI = f"""
+import sys, time
+from pathlib import Path
+import ssiledger.cli, ssiledger.ledger, ssiledger.wallet
+mine, other = Path(sys.argv[1]), Path(sys.argv[2])
+def racing(write):
+    def write_atomic(path, text):
+        mine.touch()
+        deadline = time.monotonic() + {RACE_WAIT}
+        while not other.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        write(path, text)
+    return write_atomic
+for module in (ssiledger.cli, ssiledger.ledger, ssiledger.wallet):
+    module.write_atomic = racing(module.write_atomic)
+from ssiledger.cli import main
+main(sys.argv[3:], prog_name="ssiledger")
+"""
+
+
+def _race(first: list[str], second: list[str]) -> list[subprocess.CompletedProcess]:
+    """Run two commands at once, each in a child process, and wait for both."""
+    source = str(Path(ssiledger.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": source, "PYTHONDONTWRITEBYTECODE": "1", **SECRET}
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", RACING_CLI, mine, other, *args],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for mine, other, args in (("a.ready", "b.ready", first), ("b.ready", "a.ready", second))
+    ]
+    outputs = [child.communicate(timeout=60) for child in children]
+    return [subprocess.CompletedProcess(child.args, child.returncode, *output) for child, output in zip(children, outputs)]
+
+
+class TestConcurrentWriters:
+    """Two commands that read a file and then replace it, run at once, both
+    land: the second reads the file only after the first has written it."""
+
+    def test_two_ledger_appends(self, workdir):
+        write_chain(Chain.new(), "net.ledger.jsonl")
+        txns = [Identity.create(f"race-{name}").registration_txn(1) for name in "ab"]
+        for name, txn in zip("ab", txns):
+            Path(f"{name}.json").write_text(json.dumps(txn.to_dict()))
+        results = _race(*(["ledger", "append", "--ledger", "net.ledger.jsonl", "--now", "2", f"{name}.json"] for name in "ab"))
+        assert [result.returncode for result in results] == [0, 0], [result.stderr for result in results]
+        chain = read_chain("net.ledger.jsonl")
+        assert validate_chain(chain) and chain.height == 2
+        assert sorted(txn.id_hex for block in chain.blocks for txn in block.txns) == sorted(txn.id_hex for txn in txns)
+
+    def test_two_did_news(self, workdir):
+        Wallet.create("bob", SECRET["WALLET_SECRET"].encode()).save("w.json")
+        results = _race(*(["did", "new", "--wallet", "w.json", "--relation", name] for name in "xy"))
+        assert [result.returncode for result in results] == [0, 0], [result.stderr for result in results]
+        wallet = Wallet.load("w.json")
+        wallet.unlock(SECRET["WALLET_SECRET"].encode())
+        assert sorted(wallet.to_dict()["relations"]) == ["x", "y"]
+        assert all(wallet.identity(name).did in result.stdout for name, result in zip("xy", results))
+
+    def test_two_auth_checks_of_one_response(self, workdir):
+        """The state file is read and rewritten too: one check consumes the
+        challenge, and the other sees it consumed."""
+        nonce = "ab" * 16
+        Path("vs.json").write_text(json.dumps({"subject_did": "did:x", "nonce": nonce, "issued_at": 1, "ttl": 60}))
+        Path("resp.json").write_text(json.dumps({"response": nonce}))
+        results = _race(*(["auth", "check", "--state", "vs.json", "--now", "2", "resp.json"] for _ in range(2)))
+        assert sorted((result.returncode, result.stdout) for result in results) == [
+            (0, "authenticated\n"), (5, "rejected: Replayed\n")
+        ]
+        assert json.loads(Path("vs.json").read_text())["consumed"] is True
 
 
 def test_write_into_a_missing_directory_names_no_temp_file(runner, workdir):

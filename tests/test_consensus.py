@@ -10,7 +10,9 @@ from ssiledger.consensus import (
     BatchReply,
     Commit,
     ConsensusConfig,
+    ExecReady,
     FaultPlan,
+    FetchBatch,
     InstanceChangeVote,
     PerfMonitor,
     Prepare,
@@ -40,6 +42,24 @@ from ssiledger.state import (
 )
 
 FAST = ConsensusConfig(f=1, batch_max=5, batch_timeout=50)
+DIGEST = "00" * 32
+# messages a faulty peer can send that no honest node sends: a field of the
+# wrong type, a seq below 1, a body that is no batch of records, and a flood of
+# bodies that no node asked for
+MALFORMED = {
+    "prepare-list-seq": [Prepare(0, [1], DIGEST)],
+    "prepare-seq-0": [Prepare(0, 0, DIGEST)],
+    "exec-ready-list-instance": [ExecReady([0], 1, DIGEST)],
+    "fetch-list-digest": [FetchBatch(0, 1, ["d"])],
+    "commit-str-seq": [Commit(0, "1", DIGEST)],
+    "commit-bool-seq": [Commit(0, True, DIGEST)],
+    "commit-list-digest": [Commit(0, 1, ["d"])],
+    "preprepare-no-body": [PrePrepare(0, 1, None)],
+    "preprepare-float-timestamp": [PrePrepare(0, 1, Batch(0, 1, 1.5, ()))],
+    "preprepare-txn-not-a-record": [PrePrepare(0, 1, Batch(0, 1, 5, ("txn",)))],
+    "batch-reply-no-body": [BatchReply(0, 1, None)],
+    "batch-reply-flood": [BatchReply(0, 1, Batch(0, 1, timestamp, ())) for timestamp in range(1000)],
+}
 SHARP = ConsensusConfig(f=1, batch_max=2, batch_timeout=20, window=10, delta=2.0)
 
 
@@ -666,6 +686,14 @@ class TestRefusedMessages:
     @pytest.mark.parametrize("message", [object(), "prepare", ("Prepare", 1, 1, "00")])
     def test_message_of_an_unknown_type(self, sim, message):
         self._refused(sim, 1, message)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_message_raises_nothing_and_leaves_no_slot(self, sim, case):
+        node = sim.nodes[self.NODE]
+        for message in MALFORMED[case]:
+            self._refused(sim, 0, message)
+        assert [instance.slots for instance in node.instances.values()] == [{}, {}]
+        assert sim.settle(Identity.create(f"after-{case}").registration_txn(1))
 
     @pytest.mark.parametrize("instance", [2, -1])
     def test_message_for_an_unknown_instance(self, sim, instance):

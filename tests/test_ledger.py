@@ -22,6 +22,7 @@ from ssiledger.ledger import (
     LedgerTransaction,
     MalformedRecord,
     TxnType,
+    append_block,
     build_block,
     check_file,
     read_chain,
@@ -690,7 +691,7 @@ class TestOnePassCheck:
         path = _edited_file(data, tmp_path_factory, data.draw(st.sampled_from([0, 3])))  # 0: a valid file
         chain, verdict = _read(path, read_chain)
         try:
-            check, records = check_file(path)
+            check, records, _ = check_file(path)
         except MalformedRecord as exc:
             assert str(exc) == chain  # the same MalformedRecord message
             return
@@ -721,7 +722,7 @@ class TestOnePassCheck:
         lines[3]["txns"][0]["timestamp"] += 1
         path = tmp_path / "net.ledger.jsonl"
         path.write_text("\n".join(json.dumps(line) for line in lines) + "\n", encoding="utf-8")
-        check, records = check_file(path)
+        check, records, _ = check_file(path)
         assert (check.ok, check.height, check.reason, records) == (False, 1, ChainFault.BAD_HASH, [])
         assert check == validate_chain(read_chain(path))
 
@@ -729,7 +730,7 @@ class TestOnePassCheck:
         chain = _chain(4)
         path = tmp_path / "net.ledger.jsonl"
         write_chain(chain, path)
-        check, records = check_file(path)
+        check, records, _ = check_file(path)
         built = []
         monkeypatch.setattr(state_mod, "_built", lambda record: built.append(record) or ledger._built(record))
         did = chain.blocks[2].txns[0].author_did
@@ -751,6 +752,32 @@ class TestChainAppend:
         assert (base.head, left.head, right.head) == (base.blocks[-1], a, b)
         assert all(validate_chain(chain) for chain in (base, left, right, longer))
         assert Chain(blocks=list(right.blocks)) == right != left
+
+
+class TestAppendBlock:
+    """``append_block`` adds one line and keeps the bytes before it."""
+
+    @pytest.mark.parametrize("height", [0, 1, 3])
+    def test_same_bytes_as_the_rewrite(self, tmp_path, height):
+        path, rewritten = tmp_path / "net.ledger.jsonl", tmp_path / "rewritten.jsonl"
+        write_chain(_chain(height), path)
+        check, _, head = check_file(path)
+        assert check.ok and head == read_chain(path).head
+        block = build_block(head, [_txn(90), _txn(91)], timestamp=92)
+        write_chain(read_chain(path).append(block), rewritten)
+        append_block(path, block)
+        assert path.read_bytes() == rewritten.read_bytes()
+
+    @pytest.mark.parametrize("end", ["", "\r", "\r\n"])
+    def test_old_line_ends_are_kept(self, tmp_path, end):
+        path = tmp_path / "net.ledger.jsonl"
+        text = "\r\n".join(_chain(1).to_lines()) + end
+        path.write_bytes(text.encode())
+        block = build_block(read_chain(path).head, [_txn(7)], timestamp=8)
+        append_block(path, block)
+        line = canonicalize(block.to_dict()) + b"\n"
+        assert path.read_bytes() == text.encode() + (b"" if end == "\r\n" else b"\n") + line
+        assert validate_chain(read_chain(path)) and read_chain(path).head == block
 
 
 HEX_FIELDS = ("txn_id", "author_signature", "prev_hash", "merkle_root", "block_hash")

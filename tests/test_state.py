@@ -716,7 +716,7 @@ def _file_records(chain: Chain, tmp_path_factory) -> list[tuple]:
     """The records ``check_file`` reads back from ``chain`` written to a file."""
     path = tmp_path_factory.mktemp("reads") / "net.ledger.jsonl"
     write_chain(chain, path)
-    check, records = check_file(path)
+    check, records, _ = check_file(path)
     assert check.ok
     return records
 
