@@ -130,7 +130,7 @@ class Simulation:
         for node in self.honest_nodes():
             for instance_id, instance in node.instances.items():
                 for seq, slot in instance.slots.items():
-                    if slot.committed:
+                    if slot.committed_digest is not None:
                         digests.setdefault((instance_id, seq), set()).add(slot.committed_digest)
         return sum(len(committed) > 1 for committed in digests.values())
 
