@@ -32,8 +32,8 @@ from typing import Any, Callable
 from .canonical import UnsupportedType, _quoted_hex, canonicalize, map_layout
 from .crypto import Digest, digest_of, sign, verify
 from .ledger import Chain, LedgerTransaction, TxnType, build_block
-from .state import NodeState, fold_into, verify_txn_signature
-from .simnet import SimNetwork
+from .state import NodeState, fold_into, signing_key
+from .simnet import DELIVER, SUBMIT, SimNetwork
 
 
 @dataclass(frozen=True)
@@ -346,6 +346,9 @@ class ConsensusNode:
         self.applied: set = set()
         self.pending: dict[str, LedgerTransaction] = {}
         self.first_seen: dict[str, int] = {}
+        # ``verdict_key`` -> signature verdict, computed ahead for the events
+        # due at the current ms (``Simulation``) and dropped after them
+        self.verdicts: dict[tuple[str, bytes, bytes], bool] = {}
 
         self.instances = {0: InstanceState(primary=0), 1: InstanceState(primary=1)}
         self.master_instance = 0
@@ -393,12 +396,42 @@ class ConsensusNode:
     def on_request(self, src: int, request: Request) -> None:
         self._admit(request.txn)
 
+    def admission_check(self, kind: str, payload: Any) -> tuple[LedgerTransaction, bytes] | None:
+        """The (record, key) whose signature this node verifies when it takes
+        in ``payload`` as a SUBMIT, or as a DELIVER from a peer; None where it
+        verifies none: it has crashed, or the delivery is no well-formed
+        ``Request`` of a txn it has not seen (``on_message``'s tests), or
+        ``_signing_key`` finds no key."""
+        if self.crashed:
+            return None
+        if kind == DELIVER:
+            if type(payload) is not Request or not _well_formed(payload, self.instances):
+                return None
+            payload = payload.txn
+            if payload.id_hex in self.first_seen:
+                return None
+        elif kind != SUBMIT:
+            return None
+        key = self._signing_key(payload)
+        return None if key is None else (payload, key)
+
+    def _signing_key(self, txn: LedgerTransaction) -> bytes | None:
+        """The key ``_admit`` verifies ``txn`` under: None if its id does not
+        recompute, or if it is a DID_REG that does not certify itself or
+        another record whose author has no registered key."""
+        return signing_key(self.state, txn) if txn.id_recomputes() else None
+
     def _admit(self, txn: LedgerTransaction) -> bool:
         """The one admission gate: whether ``txn``'s id recomputes and its
-        signature verifies; if so, pool and gossip it the first time it is
-        seen. The id does not cover the signature bytes, so the gate comes
-        first: a re-signed copy of a seen txn is still refused."""
-        if not txn.id_recomputes() or not verify_txn_signature(self.state, txn):
+        signature verifies, by the verdict this node holds for the record and
+        key or else by a verify now; if so, pool and gossip it the first time
+        it is seen. The id does not cover the signature bytes, so the gate
+        comes first: a re-signed copy of a seen txn is still refused."""
+        key = self._signing_key(txn)
+        if key is None:
+            return False
+        verdict = self.verdicts.get(verdict_key(txn, key)) if self.verdicts else None
+        if not (txn.verify_signature(key) if verdict is None else verdict):
             return False
         txn_id = txn.id_hex
         if txn_id in self.first_seen:
@@ -664,6 +697,10 @@ class ConsensusNode:
         try:
             if control["epoch"] != self.epoch + 1:
                 return False
+            # it demotes this node's master for the other instance: ``try_execute`` reads both as instance ids
+            old, new = control["old_master"], control["new_master"]
+            if type(old) is not int or type(new) is not int or (old, new) != (self.master_instance, 1 - old):
+                return False
             votes = [InstanceChangeVote.from_dict(v) for v in control["votes"]]
             if len({v.voter for v in votes}) < self.quorum:
                 return False
@@ -759,6 +796,12 @@ class ConsensusNode:
         if kind is Request and message.txn.id_hex in self.first_seen:
             return  # most of the gossip: ``_admit`` would verify it only to drop it
         getattr(self, handler)(src, message)
+
+
+def verdict_key(txn: LedgerTransaction, key: bytes) -> tuple[str, bytes, bytes]:
+    """What the verdict of ``txn.verify_signature(key)`` is a function of, for
+    a record whose id recomputes: its id stands for its payload bytes."""
+    return txn.id_hex, txn.author_signature, key
 
 
 def _well_formed(message: Any, instances: dict) -> bool:

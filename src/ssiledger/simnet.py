@@ -166,5 +166,23 @@ class SimNetwork:
         self.now = event.time
         return event
 
+    def pop_group(self) -> list[SimEvent]:
+        """Every event queued for the earliest ms, in (time, seq) order; empty
+        when nothing is queued. The first comes through ``pop``, the others
+        straight off the heaps, as ``pop`` would take them. An event queued
+        while the group is handled has a higher seq, so it comes after the
+        group as it would after each of its events."""
+        event = self.pop()
+        if event is None:
+            return []
+        group, queue, injected, now = [event], self._queue, self._injected, event.time
+        while True:  # [0][0]: the time, read fast
+            if injected and injected[0][0] == now and (not queue or injected[0] < queue[0]):
+                group.append(heappop(injected))
+            elif queue and queue[0][0] == now:
+                group.append(heappop(queue))
+            else:
+                return group
+
     def __len__(self) -> int:
         return len(self._queue) + len(self._injected)

@@ -13,11 +13,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+from . import ledger
 from .canonical import canonical_json, write_atomic
-from .consensus import ConsensusConfig, ConsensusNode, FaultPlan
+from .consensus import ConsensusConfig, ConsensusNode, FaultPlan, verdict_key
 from .crypto import generate_encryption_keypair, generate_signing_keypair, sha256
 from .ledger import LedgerTransaction, TxnType
-from .simnet import CONTROL, DELIVER, SUBMIT, TIMER, LinkProfile, NetworkConfig, Partition, SimNetwork
+from .simnet import CONTROL, DELIVER, SUBMIT, TIMER, LinkProfile, NetworkConfig, Partition, SimEvent, SimNetwork
 from .state import DidDocument, derive_did, did_reg_payload
 
 MAX_EVENTS = 5_000_000
@@ -83,30 +84,52 @@ class Simulation:
         self.network.inject(at, SUBMIT, node, txn)
 
     def run(self) -> None:
-        """Drain the event queue. Recurring timers stop at the horizon, so
-        this terminates once all in-flight work settles."""
+        """Drain the event queue, one simulated ms at a time. Recurring timers
+        stop at the horizon, so this terminates once all in-flight work settles."""
         network, nodes = self.network, self.nodes
         processed = 0
-        while True:
-            event = network.pop()
-            if event is None:
-                return
-            processed += 1
+        while group := network.pop_group():
+            processed += len(group)
             if processed > MAX_EVENTS:
                 raise RuntimeError("event budget exceeded; simulation is not settling")
-            _, _, kind, node_id, payload, src = event
-            node = nodes[node_id]
-            if kind == DELIVER:
-                node.on_message(src, payload)
-            elif kind == TIMER:
-                node.on_timer(payload)
-            elif kind == SUBMIT:
-                self.submitted += 1
-                if node.on_submit(payload):
-                    self.accepted += 1
-            elif kind == CONTROL and payload == "crash":
-                node.crashed = True
-                self._log(self.now, node_id, "crash", {})
+            ahead = len(group) >= ledger.PARALLEL_MIN
+            if ahead:
+                self._verify_ahead(group)
+            for _, _, kind, node_id, payload, src in group:
+                node = nodes[node_id]
+                if kind == DELIVER:
+                    node.on_message(src, payload)
+                elif kind == TIMER:
+                    node.on_timer(payload)
+                elif kind == SUBMIT:
+                    self.submitted += 1
+                    if node.on_submit(payload):
+                        self.accepted += 1
+                elif kind == CONTROL and payload == "crash":
+                    node.crashed = True
+                    self._log(self.now, node_id, "crash", {})
+            if ahead:
+                for node in nodes:
+                    node.verdicts.clear()
+
+    def _verify_ahead(self, group: list[SimEvent]) -> None:
+        """Verify ahead the signatures that admitting the group's events will
+        check (``ConsensusNode.admission_check``), each (node, record, key)
+        once, through ``ledger.verify_signatures`` (two threads for 16 or
+        more), and hand each node its verdicts. The events are then handled
+        one by one, as without this step: a verdict is a pure function of key,
+        bytes and signature, so the run stays the same. A node's events after
+        its crash in the group are left out."""
+        checks: dict[tuple, tuple] = {}
+        crashed = set()
+        for _, _, kind, node_id, payload, _ in group:
+            if kind == CONTROL and payload == "crash":
+                crashed.add(node_id)
+            elif node_id not in crashed and (check := self.nodes[node_id].admission_check(kind, payload)):
+                checks.setdefault((node_id, verdict_key(*check)), check)
+        verdicts = ledger.verify_signatures(list(checks.values()))
+        for (node_id, checked), verdict in zip(checks, verdicts):
+            self.nodes[node_id].verdicts[checked] = verdict
 
     def settle(self, txn: LedgerTransaction, node: int = 0) -> bool:
         """Scenario helper: submit now, run to quiescence, report whether the

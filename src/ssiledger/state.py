@@ -530,8 +530,9 @@ def _writers_of(records: list[tuple], reads: set[str]) -> tuple[set[str], list[i
     return closure, sorted(picked)
 
 
-def verify_txn_signature(state: NodeState, txn: LedgerTransaction) -> bool:
-    """Signature gate run before a transaction is admitted for ordering.
+def signing_key(state: NodeState, txn: LedgerTransaction) -> bytes | None:
+    """The key a transaction's signature must verify under before it is
+    admitted for ordering, or None where there is none.
 
     DID_REG is self-certifying: it must verify under the key it registers.
     Everything else verifies under the author DID's registered key.
@@ -541,8 +542,15 @@ def verify_txn_signature(state: NodeState, txn: LedgerTransaction) -> bool:
             document = _self_certified(txn)
         else:
             document = resolve_did(state, txn.author_did)
-        if document is None:
-            return False
-        return txn.verify_signature(document.verification_key)
+    except (KeyError, ValueError, TypeError):
+        return None
+    return None if document is None else document.verification_key
+
+
+def verify_txn_signature(state: NodeState, txn: LedgerTransaction) -> bool:
+    """Signature gate run before a transaction is admitted for ordering."""
+    key = signing_key(state, txn)
+    try:
+        return key is not None and txn.verify_signature(key)
     except (KeyError, ValueError, TypeError):
         return False

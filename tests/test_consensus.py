@@ -696,6 +696,22 @@ class TestRefusedMessages:
             sent = self._deliver(sim, voter, self._vote(sim, voter))
         assert sent == [InstanceChangeVote] * 3
 
+    @pytest.mark.parametrize("old_master, new_master", [(7, 1), (1, 0), (0, 0), (True, 1)])
+    def test_ordered_control_that_does_not_demote_the_master_is_refused(self, sim, old_master, new_master):
+        """The backup primary, holding a valid vote quorum, orders a
+        certificate whose old master is not the node's master or whose new
+        master is not the other instance. The node prepares none of it, so a
+        prepare and a commit quorum of its peers leave it as it was: nothing
+        raises (an old master of 7 raised ``KeyError: 7``), no switch pends."""
+        votes = [self._vote(sim, voter, new_master=new_master) for voter in (0, 1, 2)]
+        proposal = self._preprepare(self._control(sim, votes, old_master=old_master, new_master=new_master))
+        digest = proposal.batch.digest_hex()
+        self._refused(sim, 1, proposal)
+        for message in (Prepare(1, 1, digest), Commit(1, 1, digest)):
+            for src in (0, 2):
+                self._refused(sim, src, message)
+        assert sim.nodes[self.NODE].instances[1].slots[1].committed_digest is None
+
     @pytest.mark.parametrize("epoch", [0, 2])
     def test_committed_control_batch_of_a_stale_epoch_does_not_switch(self, sim, epoch):
         """A control batch reaches the node only as a body fetched for a commit

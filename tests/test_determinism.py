@@ -13,9 +13,11 @@ import hashlib
 
 import pytest
 
+import ssiledger.ledger as ledger_mod
+from ssiledger.canonical import canonical_json
 from ssiledger.consensus import ConsensusConfig, FaultPlan
 from ssiledger.simnet import LinkProfile, NetworkConfig, Partition
-from ssiledger.simulation import run_simulation, synthetic_did_workload
+from ssiledger.simulation import WorkloadItem, run_simulation, synthetic_did_workload
 
 SHARP = ConsensusConfig(f=1, batch_max=2, batch_timeout=20, window=10, delta=2.0)
 
@@ -81,3 +83,46 @@ def test_event_log_and_report_are_pinned(name, tmp_path):
         hashlib.sha256((report.to_json() + "\n").encode()).hexdigest(),
     )
     assert pins == PINS[name]
+
+
+# case -> (config, network, faults, workload, horizon): runs with many events due at one ms
+GROUPED = {
+    "burst": (ConsensusConfig(f=1, batch_max=20, batch_timeout=30), None, None, (120, 0), 3000),
+    "burst-equivocate": (
+        ConsensusConfig(f=1, batch_max=10, batch_timeout=30),
+        None,
+        FaultPlan(equivocate={0: 15}),
+        (80, 0),
+        8000,
+    ),
+    "paced-crash": (SHARP, None, FaultPlan(crash={0: 150}), (60, 5), 3000),
+    "f3": (ConsensusConfig(f=3, batch_max=10, batch_timeout=30), None, None, (40, 0), 3000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED))
+def test_checks_verified_ahead_leave_every_byte_as_verified_inline(name, monkeypatch):
+    """The same run with every admission verified inline (``PARALLEL_MIN``
+    above any group), with the default threshold, and with every group of two
+    or more events verified ahead: the reports and event logs are identical."""
+    config, net, faults, (count, interval), horizon = GROUPED[name]
+    workload = [
+        WorkloadItem(item.time, 1 + i % 3, item.txn)
+        for i, item in enumerate(synthetic_did_workload(count, seed=72, start=10, interval=interval))
+    ]
+    checked_ahead = []
+    verify_signatures = ledger_mod.verify_signatures
+    monkeypatch.setattr(
+        ledger_mod, "verify_signatures", lambda checks: checked_ahead.append(len(checks)) or verify_signatures(checks)
+    )
+    runs = {}
+    for threshold in (10**9, ledger_mod.PARALLEL_MIN, 2):
+        monkeypatch.setattr(ledger_mod, "PARALLEL_MIN", threshold)
+        checked_ahead.clear()
+        report, sim = run_simulation(config, net, faults, workload, horizon, seed=73)
+        assert report.safety_violations == 0 and report.honest_chains_agree
+        events = "".join(canonical_json(event) + "\n" for event in sim.events)
+        runs[threshold] = (report.to_json(), events, sum(checked_ahead))
+    inline, default, eager = runs[10**9], runs[ledger_mod.PARALLEL_MIN], runs[2]
+    assert inline[2] == 0 and eager[2] > 0
+    assert default[:2] == inline[:2] and eager[:2] == inline[:2]

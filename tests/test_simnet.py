@@ -58,6 +58,40 @@ class TestDeterminism:
         events = _drain(net)
         assert [e.payload for e in events] == ["first", "second"]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["send", "timer", "inject"]), st.integers(0, 3), st.integers(0, 6)), max_size=40))
+    def test_groups_are_the_pops_of_one_ms(self, ops):
+        """``pop_group`` hands out the same events as ``pop`` one by one, cut
+        at each change of time, across both heaps and their ties."""
+
+        def build() -> SimNetwork:
+            net = SimNetwork(NetworkConfig(n=4, default_link=LinkProfile(0, 3)), seed=5)
+            for i, (op, node, delay) in enumerate(ops):
+                if op == "send":
+                    net.send(node, (node + 1) % 4, i)
+                elif op == "timer":
+                    net.timer(node, delay, i)
+                else:
+                    net.inject(delay, "submit", node, i)
+            return net
+
+        net, groups = build(), []
+        while group := net.pop_group():
+            assert {e.time for e in group} == {net.now}
+            groups.append(group)
+        assert [e for group in groups for e in group] == _drain(build())
+        assert [group[0].time for group in groups] == sorted({group[0].time for group in groups})
+
+    def test_an_event_queued_during_a_group_comes_after_it(self):
+        net = SimNetwork(NetworkConfig(n=2, default_link=LinkProfile(5, 5)), seed=1)
+        net.send(0, 1, "a")
+        net.send(1, 0, "b")
+        assert [e.payload for e in net.pop_group()] == ["a", "b"]
+        net.timer(0, 0, "now")
+        net.send(0, 1, "later")
+        assert [e.payload for e in net.pop_group()] == ["now"] and net.now == 5
+        assert [e.payload for e in net.pop_group()] == ["later"] and net.pop_group() == []
+
 
 class TestFaults:
     def test_drop_probability(self):

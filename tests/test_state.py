@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from conftest import Identity, must_apply, signed_by_no_one, small_order_registration
 from test_acceptance import Budget
 import ssiledger.ledger as ledger_mod
-from ssiledger.consensus import ConsensusConfig
+from ssiledger.consensus import ConsensusConfig, FaultPlan
 from ssiledger.credentials import Presentation, issue, ledger_reads, verify_credential, verify_presentation
 from ssiledger.crypto import ZERO_DIGEST, digest_of, sha256, sign
 from ssiledger.ledger import Chain, LedgerTransaction, TxnType, build_block, check_file, write_chain
-from ssiledger.simulation import Simulation, run_simulation, synthetic_did_workload
+from ssiledger.simulation import Simulation, WorkloadItem, run_simulation, synthetic_did_workload
 from ssiledger.state import (
     DEFAULT_DENIED_FIELDS,
     AttrType,
@@ -523,6 +523,59 @@ class TestDidSelfCheckCache:
             _, sim = run_simulation(config, None, None, workload, 2000, seed=10)
             assert all(node.chain.txn_count() == 6 for node in sim.nodes)
             assert len(calls) == config.n * 6
+
+    @staticmethod
+    def _verified_signatures(monkeypatch) -> list[bytes]:
+        """The signature of each ``ledger.verify`` call from here on, from either thread."""
+        signatures = []
+        real_verify = ledger_mod.verify
+
+        def verify(key: bytes, message: bytes, signature: bytes) -> bool:
+            signatures.append(signature)
+            return real_verify(key, message, signature)
+
+        monkeypatch.setattr(ledger_mod, "verify", verify)
+        return signatures
+
+    def test_every_node_verifies_every_did_reg_of_a_burst(self, monkeypatch):
+        """64 DID_REGs due at one ms, and a junk-signed one with them: each
+        ms's admissions are verified ahead as one group, and still each node
+        verifies each record once. The junk record is refused at its node and
+        reaches no chain; submitted again in a later group, it is verified again."""
+        signatures = self._verified_signatures(monkeypatch)
+        groups = []
+        real_verify_signatures = ledger_mod.verify_signatures
+        monkeypatch.setattr(
+            ledger_mod, "verify_signatures", lambda checks: groups.append(len(checks)) or real_verify_signatures(checks)
+        )
+        config = ConsensusConfig(f=1, batch_max=16, batch_timeout=50)
+        *burst, extra = synthetic_did_workload(65, seed=9, start=10, interval=0)
+        junk = dataclasses.replace(extra.txn, author_signature=bytes(64))
+        workload = [WorkloadItem(item.time, 1 + i % 3, item.txn) for i, item in enumerate(burst)]
+        workload += [WorkloadItem(10, 2, junk), WorkloadItem(1000, 2, junk)]
+        report, sim = run_simulation(config, None, None, workload, 2000, seed=10)
+        assert groups[0] == 65  # the 64 submissions and the junk one, verified ahead
+        assert all(node.chain.txn_count() == 64 for node in sim.nodes)
+        assert len(signatures) == config.n * 64 + 2
+        assert {signatures.count(item.txn.author_signature) for item in burst} == {config.n}
+        assert signatures.count(junk.author_signature) == 2
+        assert report.accepted == 64 and [node.rejected_submissions for node in sim.nodes] == [0, 0, 2, 0]
+        rejected = [(e["time"], e["node"]) for e in sim.events if e["event_type"] == "submit_rejected"]
+        assert rejected == [(10, 2), (1000, 2)]
+        assert not any(junk.txn_id.hex in node.first_seen for node in sim.nodes)
+
+    def test_a_node_that_crashes_in_a_burst_verifies_none_of_it(self, monkeypatch):
+        """The crash of node 1 is due at the ms of a burst submitted to nodes 1
+        and 2, and comes first: node 1 takes none of its share in, so no node
+        verifies that share, ahead or not, and the three live nodes verify node 2's."""
+        signatures = self._verified_signatures(monkeypatch)
+        config = ConsensusConfig(f=1, batch_max=16, batch_timeout=50)
+        burst = synthetic_did_workload(64, seed=9, start=10, interval=0)
+        workload = [WorkloadItem(item.time, 1 + i % 2, item.txn) for i, item in enumerate(burst)]
+        report, sim = run_simulation(config, None, FaultPlan(crash={1: 10}), workload, 2000, seed=10)
+        assert report.accepted == 32 and all(node.chain.txn_count() == 32 for node in sim.nodes if node.id != 1)
+        assert {signatures.count(item.txn.author_signature) for item in workload if item.node == 2} == {3}
+        assert len(signatures) == 3 * 32
 
 
 def test_fold_chain_matches_incremental():
