@@ -97,7 +97,7 @@ def _write(path: str | Path, value: dict) -> None:
 def _read_json(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8, text that is not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # bytes not UTF-8, text not JSON or nested too deep
         _fail(f"cannot read {path}: {exc}")
 
 

@@ -387,21 +387,22 @@ class ConsensusNode:
         """Client submission: signature-gate, pool, gossip. Returns the ack."""
         if self.crashed:
             return False
-        if not self._admit(txn):
+        if not self._admit(SUBMIT, txn):
             self.rejected_submissions += 1
             self._event("submit_rejected", txn_id=txn.id_hex)
             return False
         return True
 
     def on_request(self, src: int, request: Request) -> None:
-        self._admit(request.txn)
+        self._admit(DELIVER, request)
 
     def admission_check(self, kind: str, payload: Any) -> tuple[LedgerTransaction, bytes] | None:
-        """The (record, key) whose signature this node verifies when it takes
-        in ``payload`` as a SUBMIT, or as a DELIVER from a peer; None where it
-        verifies none: it has crashed, or the delivery is no well-formed
-        ``Request`` of a txn it has not seen (``on_message``'s tests), or
-        ``_signing_key`` finds no key."""
+        """The (record, key) whose signature ``_admit`` verifies, and the
+        ``Simulation`` verifies ahead, when this node takes in ``payload`` as a
+        SUBMIT or as a DELIVER from a peer. None where it verifies none: it has
+        crashed, the delivery is no well-formed ``Request`` of a txn it has not
+        seen (``on_message``'s tests), the id does not recompute, or
+        ``signing_key`` finds no key for the record."""
         if self.crashed:
             return None
         if kind == DELIVER:
@@ -412,24 +413,19 @@ class ConsensusNode:
                 return None
         elif kind != SUBMIT:
             return None
-        key = self._signing_key(payload)
+        key = signing_key(self.state, payload) if payload.id_recomputes() else None
         return None if key is None else (payload, key)
 
-    def _signing_key(self, txn: LedgerTransaction) -> bytes | None:
-        """The key ``_admit`` verifies ``txn`` under: None if its id does not
-        recompute, or if it is a DID_REG that does not certify itself or
-        another record whose author has no registered key."""
-        return signing_key(self.state, txn) if txn.id_recomputes() else None
-
-    def _admit(self, txn: LedgerTransaction) -> bool:
-        """The one admission gate: whether ``txn``'s id recomputes and its
-        signature verifies, by the verdict this node holds for the record and
-        key or else by a verify now; if so, pool and gossip it the first time
-        it is seen. The id does not cover the signature bytes, so the gate
-        comes first: a re-signed copy of a seen txn is still refused."""
-        key = self._signing_key(txn)
-        if key is None:
+    def _admit(self, kind: str, payload: Any) -> bool:
+        """The one admission gate: whether ``admission_check`` names a (record,
+        key) and the signature verifies, by the verdict this node holds for
+        them or else by a verify now; if so, pool and gossip the record the
+        first time it is seen. The id does not cover the signature bytes, so the
+        gate comes first: a re-signed copy of a seen txn is still refused."""
+        check = self.admission_check(kind, payload)
+        if check is None:
             return False
+        txn, key = check
         verdict = self.verdicts.get(verdict_key(txn, key)) if self.verdicts else None
         if not (txn.verify_signature(key) if verdict is None else verdict):
             return False
@@ -460,8 +456,6 @@ class ConsensusNode:
 
     def propose(self, instance_id: int) -> None:
         instance = self.instances[instance_id]
-        if instance.primary != self.id:
-            return
         seq = instance.next_seq
         candidates = list(islice(instance.unproposed.values(), self.config.batch_max))
         if not candidates or not instance.proposable():  # ``_commit`` proposes again as the window moves
@@ -794,7 +788,7 @@ class ConsensusNode:
         if handler is None or not _well_formed(message, self.instances):
             return
         if kind is Request and message.txn.id_hex in self.first_seen:
-            return  # most of the gossip: ``_admit`` would verify it only to drop it
+            return  # most of the gossip, dropped here as ``admission_check`` would drop it
         getattr(self, handler)(src, message)
 
 

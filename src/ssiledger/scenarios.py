@@ -213,7 +213,7 @@ class ScenarioRunner:
 
     def _record_consent(
         self, owner_wallet: Wallet, owner_relation: str, org: Org, shared: list, purpose: str
-    ) -> ConsentReceipt:
+    ) -> None:
         receipt, txn = record_consent(
             owner_wallet,
             owner_relation,
@@ -223,21 +223,16 @@ class ScenarioRunner:
             purpose,
             self.sim.now,
         )
+        self._land_consent(owner_wallet.owner_label, org.label, receipt, txn)
+
+    def _land_consent(self, owner_label: str, org_label: str, receipt: ConsentReceipt, txn: LedgerTransaction) -> None:
+        """Hold the receipt, commit its consent txn, and check that the ledger
+        matches the receipt's hash."""
+        detail = {"receipt_hash": receipt.receipt_hash().hex[:16]}
         self.receipts.append(receipt)
-        self._commit(
-            owner_wallet.owner_label,
-            f"record consent with {org.label}",
-            txn,
-            {"receipt_hash": receipt.receipt_hash().hex[:16]},
-        )
+        self._commit(owner_label, f"record consent with {org_label}", txn, detail)
         recorded = verify_consent_receipt(receipt, self.ledger_view())
-        self._expect(
-            recorded.valid,
-            org.label,
-            "match held receipt hash against the ledger",
-            {"receipt_hash": receipt.receipt_hash().hex[:16]},
-        )
-        return receipt
+        self._expect(recorded.valid, org_label, "match held receipt hash against the ledger", detail)
 
     # -- the scenarios
 
@@ -448,20 +443,7 @@ class ScenarioRunner:
             "verify attested credit report via on-ledger keys",
             {"valid": flow.verification.valid},
         )
-        self.receipts.append(flow.receipt)
-        self._commit(
-            "alice",
-            "record consent with bank-b",
-            flow.consent_txn,
-            {"receipt_hash": flow.receipt.receipt_hash().hex[:16]},
-        )
-        recorded = verify_consent_receipt(flow.receipt, self.ledger_view())
-        self._expect(
-            recorded.valid,
-            "bank-b",
-            "match held receipt hash against the ledger",
-            {"receipt_hash": flow.receipt.receipt_hash().hex[:16]},
-        )
+        self._land_consent("alice", "bank-b", flow.receipt, flow.consent_txn)
 
     # -- closing checks
 

@@ -548,7 +548,9 @@ def signing_key(state: NodeState, txn: LedgerTransaction) -> bytes | None:
 
 
 def verify_txn_signature(state: NodeState, txn: LedgerTransaction) -> bool:
-    """Signature gate run before a transaction is admitted for ordering."""
+    """Whether ``txn`` verifies under ``signing_key``: the check of
+    ``cli._append`` and of the benchmark's ledger writer. A consensus node
+    verifies through ``ConsensusNode.admission_check`` and ``_admit``."""
     key = signing_key(state, txn)
     try:
         return key is not None and txn.verify_signature(key)

@@ -399,6 +399,25 @@ class TestUnreadableInput:
         reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
         assert (result.exit_code, result.output) == (1, f"error: cannot read x.json: {reason}\n")
 
+    NESTED = {
+        "cred verify": NOT_UTF8["cred verify"],
+        "ledger append": NOT_UTF8["ledger append"],
+        "sim run --config": ["sim", "run", "--config", "x.json", "--workload", "load.json", "--out", "r.json"],
+        "sim run --workload": ["sim", "run", "--config", "c.json", "--workload", "x.json", "--out", "r.json"],
+        "auth check": NOT_UTF8["auth check response"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(NESTED))
+    def test_json_nested_too_deep(self, runner, files, command):
+        """100 000 nested arrays exhaust the JSON decoder's recursion limit:
+        one ``error:`` line and exit 1, no traceback."""
+        Path("c.json").write_text(json.dumps({"consensus": {"f": 1}}))
+        Path("load.json").write_text(json.dumps({"synthetic_registrations": {"count": 1, "seed": 5}}))
+        Path("x.json").write_text("[" * 100_000 + "]" * 100_000)
+        result = invoke(runner, self.NESTED[command])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: cannot read x.json: ") and result.output.count("\n") == 1
+
     @pytest.mark.parametrize(
         "state",
         [

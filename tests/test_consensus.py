@@ -56,8 +56,8 @@ NOT_RECORDS = {
 }
 # messages a faulty peer can send that no honest node sends: a field of the
 # wrong type, a seq below 1 or past the window, a body that is no batch of
-# records, a request that holds no record, and a flood of bodies that no node
-# asked for
+# records or whose digest does not encode, a request that holds no record, and a
+# flood of bodies that no node asked for
 MALFORMED = {
     **{f"request-{name}": [Request(txn)] for name, txn in NOT_RECORDS.items()},
     **{f"preprepare-{name}": [PrePrepare(0, 1, Batch(0, 1, 5, (txn,)))] for name, txn in NOT_RECORDS.items() if txn},
@@ -74,6 +74,7 @@ MALFORMED = {
     "preprepare-no-body": [PrePrepare(0, 1, None)],
     "preprepare-float-timestamp": [PrePrepare(0, 1, Batch(0, 1, 1.5, ()))],
     "preprepare-txn-not-a-record": [PrePrepare(0, 1, Batch(0, 1, 5, ("txn",)))],
+    "preprepare-float-control": [PrePrepare(0, 1, Batch(0, 1, 5, (), control=1.5))],
     "batch-reply-no-body": [BatchReply(0, 1, None)],
     "batch-reply-flood": [BatchReply(0, 1, Batch(0, 1, timestamp, ())) for timestamp in range(1000)],
 }
@@ -428,6 +429,41 @@ class TestSubmissionRules:
         sim.run()
         assert (sim.accepted, sim.nodes[0].rejected_submissions) == (1, 1)
         assert all(node.chain.txn_count() == 1 for node in sim.nodes)
+
+    def test_resubmitting_an_admitted_txn_is_acked_and_gossips_nothing(self):
+        """A client sends node 0 a txn it admitted a ms before: the node acks
+        it again, so ``accepted`` counts it twice, and sends no ``Request``."""
+        txn = synthetic_did_workload(1, seed=42)[0].txn
+        runs = []
+        for times in ([5], [5, 6]):
+            sim = Simulation(FAST, seed=3, horizon=0)
+            for at in times:
+                sim.submit_at(at, 0, txn)
+            sim.run()
+            runs.append(sim)
+        once, twice = runs
+        assert (once.accepted, twice.accepted) == (1, 2)
+        assert twice.network.sent == once.network.sent == 90
+        assert all(node.chain.txn_count() == 1 for node in twice.nodes)
+
+    def test_request_for_a_txn_applied_before_it_was_seen(self):
+        """Node 3 commits and executes a batch of the master before any
+        ``Request`` for its txn reaches it. The ``Request`` that comes then
+        marks the txn seen, pools nothing and makes the node send nothing."""
+        sim = Simulation(FAST, seed=1, horizon=0)
+        node, txn = sim.nodes[3], synthetic_did_workload(1, seed=42)[0].txn
+        batch = Batch(0, 1, 5, (txn,))
+        digest = batch.digest_hex()
+        messages = [(0, PrePrepare(0, 1, batch))]
+        messages += [(src, kind(0, 1, digest)) for kind in (Prepare, Commit, ExecReady) for src in (0, 1)]
+        for src, message in messages:
+            node.on_message(src, message)
+        assert txn.id_hex in node.applied and txn.id_hex not in node.first_seen
+        while sim.network.pop() is not None:
+            pass
+        node.on_message(1, Request(txn))
+        assert node.first_seen == {txn.id_hex: sim.now} and not node.pending
+        assert sim.network.pop() is None
 
     def test_state_digests_match_across_nodes(self):
         report, sim = run_simulation(FAST, None, None, _workload(8, seed=45), 3000, seed=46)

@@ -2,7 +2,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import random
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -737,6 +740,54 @@ class TestOnePassCheck:
         folded = fold_read_set(records, {did})
         assert folded.dids == {did: fold_chain(chain).dids[did]}
         assert [record[2] for record in built] == [did]
+
+
+def _signature_checks(count: int) -> list[tuple[LedgerTransaction, bytes]]:
+    """``count`` (DID_REG, key) checks; every third key is not the signer's."""
+    identities = [Identity.create(f"verify-signatures:{i}") for i in range(count)]
+    return [
+        (identity.registration_txn(i), identities[i - 1 if i % 3 == 0 else i].signing_public)
+        for i, identity in enumerate(identities)
+    ]
+
+
+class TestVerifySignatures:
+    """The two-thread path of ``ledger.verify_signatures``, on any runner: the
+    fixture makes the module see two usable CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ledger, "_usable_cpus", lambda: 2)
+
+    def test_verdicts_come_back_in_input_order(self):
+        checks = _signature_checks(40)
+        verdicts = ledger.verify_signatures(checks)
+        assert verdicts == [txn.verify_signature(key) for txn, key in checks]
+        assert verdicts == [i % 3 != 0 for i in range(40)]
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() of a process that runs a thread
+    def test_a_child_forked_after_the_worker_exists_verifies(self):
+        """The child inherits no worker thread: the fork hook makes it start its
+        own, where a call on the parent's executor would wait forever."""
+        checks = _signature_checks(ledger.PARALLEL_MIN)
+        expected = [i % 3 != 0 for i in range(len(checks))]
+        assert ledger.verify_signatures(checks) == expected and ledger._worker is not None
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = ledger.verify_signatures(checks) == expected
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 20
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its call within 20 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestChainAppend:
