@@ -20,14 +20,11 @@ DEFAULT_TTL = 120  # seconds
 
 @dataclass(frozen=True)
 class Challenge:
-    """Verifier-side record of one issued challenge. Only ``ciphertext`` is
-    ever transmitted; the nonce stays with the verifier."""
+    """One issued challenge. Only ``ciphertext`` is ever transmitted; the
+    nonce stays with the verifier."""
 
     nonce: bytes
-    issued_at: int
-    ttl: int
     ciphertext: bytes
-    subject_did: str = ""
 
 
 @dataclass(frozen=True)
@@ -39,35 +36,16 @@ class AuthResult:
 AUTHENTICATED = AuthResult(True)
 
 
-def issue_challenge(
-    subject_agreement_key: bytes,
-    ttl: int = DEFAULT_TTL,
-    now: int = 0,
-    subject_did: str = "",
-    rng: Callable[[int], bytes] = os.urandom,
-) -> Challenge:
-    """Create a fresh challenge for a subject's agreement key."""
-    if ttl <= 0:
-        raise ValueError("challenge ttl must be positive")
-    nonce = rng(NONCE_SIZE)
-    return Challenge(
-        nonce=nonce,
-        issued_at=now,
-        ttl=ttl,
-        ciphertext=encrypt_to(subject_agreement_key, nonce),
-        subject_did=subject_did,
-    )
-
-
 @dataclass
 class ChallengeVerifier:
-    """Tracks pending and consumed challenges for one verifying party.
+    """Issues challenges and tracks them for one verifying party: ``pending``
+    maps each nonce to the time it expires.
 
     Every response is checked exactly once: a correct nonce authenticates the
     first time and is Replayed thereafter; expiry consumes the challenge too.
     """
 
-    pending: dict[bytes, Challenge] = field(default_factory=dict)
+    pending: dict[bytes, int] = field(default_factory=dict)
     consumed: set[bytes] = field(default_factory=set)
 
     def issue(
@@ -75,21 +53,24 @@ class ChallengeVerifier:
         subject_agreement_key: bytes,
         ttl: int = DEFAULT_TTL,
         now: int = 0,
-        subject_did: str = "",
         rng: Callable[[int], bytes] = os.urandom,
     ) -> Challenge:
-        challenge = issue_challenge(subject_agreement_key, ttl, now, subject_did, rng)
-        self.pending[challenge.nonce] = challenge
-        return challenge
+        """A fresh challenge for a subject's agreement key, pending until ``now + ttl``."""
+        if ttl <= 0:
+            raise ValueError("challenge ttl must be positive")
+        nonce = rng(NONCE_SIZE)
+        ciphertext = encrypt_to(subject_agreement_key, nonce)
+        self.pending[nonce] = now + ttl
+        return Challenge(nonce, ciphertext)
 
     def check(self, response: bytes, now: int) -> AuthResult:
         """Match a response against pending challenges."""
         if response in self.consumed:
             return AuthResult(False, "Replayed")
-        challenge = self.pending.pop(response, None)
-        if challenge is None:
+        expires = self.pending.pop(response, None)
+        if expires is None:
             return AuthResult(False, "Mismatch")
         self.consumed.add(response)
-        if now > challenge.issued_at + challenge.ttl:
+        if now > expires:
             return AuthResult(False, "Expired")
         return AUTHENTICATED

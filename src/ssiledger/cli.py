@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NoReturn
 
 import click
 
-from .auth import DEFAULT_TTL, Challenge, ChallengeVerifier, issue_challenge
+from .auth import DEFAULT_TTL, ChallengeVerifier
 from .canonical import canonical_json, write_atomic
 from .credentials import (
     Presentation,
@@ -614,6 +614,7 @@ def cred_present(
     cred_files: tuple[str, ...],
 ) -> None:
     w = _open_wallet(wallet_path)
+    _identity(w, relation)  # a relation that is missing or does not open is exit 1, not a verification failure
     credentials = [_parse(VerifiableCredential.from_dict, f) for f in cred_files]
     try:
         presentation = present(w, relation, credentials, audience, _now(now_override))
@@ -700,23 +701,14 @@ def auth_challenge(
     document = resolve_did(state, subject_did)
     if document is None:
         _fail(f"{subject_did} not on ledger")
+    issued_at = _now(now_override)
     try:
-        challenge = issue_challenge(
-            document.agreement_key, ttl=ttl, now=_now(now_override), subject_did=subject_did
-        )
+        challenge = ChallengeVerifier().issue(document.agreement_key, ttl=ttl, now=issued_at)
     except (ValueError, CryptoError) as exc:
         _fail(str(exc))
     _write(out_path, {"subject_did": subject_did, "ciphertext": challenge.ciphertext.hex()})
-    _write(
-        state_path,
-        {
-            "subject_did": subject_did,
-            "nonce": challenge.nonce.hex(),
-            "issued_at": challenge.issued_at,
-            "ttl": challenge.ttl,
-            "consumed": False,
-        },
-    )
+    nonce = challenge.nonce.hex()
+    _write(state_path, {"subject_did": subject_did, "nonce": nonce, "issued_at": issued_at, "ttl": ttl, "consumed": False})
     click.echo(f"challenge written to {out_path}")
 
 
@@ -766,7 +758,7 @@ def _challenge_verifier(state: dict) -> ChallengeVerifier:
     issued_at, ttl = state["issued_at"], state["ttl"]
     if type(issued_at) is not int or type(ttl) is not int:
         raise TypeError("issued_at and ttl must be integers")
-    verifier.pending[nonce] = Challenge(nonce, issued_at, ttl, b"", state.get("subject_did", ""))
+    verifier.pending[nonce] = issued_at + ttl
     return verifier
 
 

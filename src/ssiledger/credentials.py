@@ -498,7 +498,7 @@ def authenticate(
     identity for ``relation`` under its agreement key, the wallet answers,
     and the verifier checks the answer."""
     identity = wallet.identity(relation)
-    challenge = verifier.issue(identity.agreement.public, now=now, subject_did=identity.did, rng=rng)
+    challenge = verifier.issue(identity.agreement.public, now=now, rng=rng)
     return verifier.check(wallet.respond_challenge(relation, challenge.ciphertext), now)
 
 

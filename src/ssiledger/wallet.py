@@ -196,7 +196,7 @@ class Wallet:
         """
         kek = self._require_unlocked()
         if relation in self._relations:
-            raise RelationExists(relation)
+            raise RelationExists(f"wallet already has relation {relation!r}")
         base = seed if seed is not None else os.urandom(32)
         signing = generate_signing_keypair(
             sha256(b"sign:" + relation.encode() + b":" + base).value

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from conftest import seed
-from ssiledger.auth import ChallengeVerifier, issue_challenge
+from ssiledger.auth import ChallengeVerifier
 from ssiledger.crypto import DecryptFailed, decrypt_from, generate_encryption_keypair
 from ssiledger.wallet import Wallet
 
@@ -15,18 +15,20 @@ def subject():
 
 class TestChallenge:
     def test_nonces_are_fresh(self, subject):
-        a = issue_challenge(subject.public, ttl=60, now=0)
-        b = issue_challenge(subject.public, ttl=60, now=0)
+        a = ChallengeVerifier().issue(subject.public, ttl=60, now=0)
+        b = ChallengeVerifier().issue(subject.public, ttl=60, now=0)
         assert a.nonce != b.nonce
         assert a.ciphertext != b.ciphertext
 
     def test_ciphertext_decrypts_to_nonce(self, subject):
-        challenge = issue_challenge(subject.public, ttl=60, now=0)
+        challenge = ChallengeVerifier().issue(subject.public, ttl=60, now=0)
         assert decrypt_from(subject.private, challenge.ciphertext) == challenge.nonce
 
     def test_zero_ttl_rejected(self, subject):
+        verifier = ChallengeVerifier()
         with pytest.raises(ValueError):
-            issue_challenge(subject.public, ttl=0, now=0)
+            verifier.issue(subject.public, ttl=0, now=0)
+        assert not verifier.pending
 
 
 class TestVerifier:
@@ -85,6 +87,6 @@ class TestWalletResponder:
         wallet = Wallet.create("alice", b"secret")
         wallet.new_pairwise("website", seed=seed("alice:website"))
         wallet.new_pairwise("other", seed=seed("alice:other"))
-        challenge = issue_challenge(wallet.identity("website").agreement.public, ttl=60, now=0)
+        challenge = ChallengeVerifier().issue(wallet.identity("website").agreement.public, ttl=60, now=0)
         with pytest.raises(DecryptFailed):
             wallet.respond_challenge("other", challenge.ciphertext)

@@ -176,6 +176,14 @@ class TestWalletCommands:
         assert "bank" in listing["relations"]
         assert listing["relations"]["bank"]["did"].startswith("did:sample:")
 
+    def test_did_new_for_a_relation_held_already(self, runner, workdir):
+        invoke(runner, ["wallet", "create", "--wallet", "w.json", "--owner", "bob"])
+        assert invoke(runner, ["did", "new", "--wallet", "w.json", "--relation", "bank", "--seed", "cc"]).exit_code == 0
+        before = Path("w.json").read_bytes()
+        result = invoke(runner, ["did", "new", "--wallet", "w.json", "--relation", "bank", "--txn-out", "t.json"])
+        assert (result.exit_code, result.output) == (1, "error: wallet already has relation 'bank'\n")
+        assert Path("w.json").read_bytes() == before and not Path("t.json").exists()
+
 
 class TestCredentialFlow:
     def test_issue_verify_ok(self, runner, workdir, issuer_setup):
@@ -1182,12 +1190,14 @@ class TestUnknownRelation:
             "consent record owner": consent + ["--owner-relation", "nobody", "--verifier-relation", "public"],
             "auth respond": ["auth", "respond", "--wallet", "issuer.wallet.json", "--relation", "nobody", "--out", "r.json",
                              "alice.cred.json"],
+            "cred present": ["cred", "present", "--wallet", "holder.wallet.json", "--relation", "nobody",
+                             "--audience", "did:sample:acme", "--out", "p.json", "alice.cred.json"],
         }
 
     @pytest.mark.parametrize(
         "command",
         ["schema publish", "creddef publish", "cred issue", "cred revoke", "consent record verifier", "consent record owner",
-         "auth respond"],
+         "auth respond", "cred present"],
     )
     def test_one_error_line(self, runner, workdir, issuer_setup, command):
         assert _issue(runner, issuer_setup).exit_code == 0
@@ -1195,6 +1205,7 @@ class TestUnknownRelation:
         result = invoke(runner, self._commands(issuer_setup)[command])
         assert (result.exit_code, result.output) == (1, "error: wallet has no relation 'nobody'\n")
         assert Path("net.ledger.jsonl").read_bytes() == ledger
+        assert not any(Path(name).exists() for name in ("x.json", "c.json", "r.json", "p.json"))
 
 
 class TestUnreadableWallet:
@@ -1311,13 +1322,15 @@ class TestDamagedRelation:
              "--shared", "degree:string", "--purpose", "hiring", "--out", "c.json"],
             ["auth", "respond", "--wallet", "issuer.wallet.json", "--relation", "public", "--out", "r.json",
              "alice.cred.json"],
+            ["cred", "present", "--wallet", "issuer.wallet.json", "--relation", "public", "--audience", "did:sample:acme",
+             "--out", "p.json", "alice.cred.json"],
         ]
         for args in commands:
             result = invoke(runner, args)
             expected = f"error: cannot read wallet: relation 'public' does not open: {reason}\n"
             assert (result.exit_code, result.output) == (1, expected), args
         assert {name: Path(name).read_bytes() for name in files} == files
-        assert not any(Path(name).exists() for name in ("x.json", "c.json", "r.json"))
+        assert not any(Path(name).exists() for name in ("x.json", "c.json", "r.json", "p.json"))
 
 
 class TestUnusableAgreementKey:
@@ -1632,3 +1645,73 @@ class TestRarelyTakenBranches:
         report = json.loads(Path("r.json").read_text())
         assert (report["submitted"], report["accepted"], report["honest_chains_agree"]) == (3, 3, True)
         assert [node["ledger_txns"] for node in report["per_node"]] == [3, 3, 3, 3]
+
+    def test_ledger_state_into_a_file(self, runner, workdir, issuer_setup):
+        printed = invoke(runner, ["ledger", "state", "--ledger", "net.ledger.jsonl"])
+        result = invoke(runner, ["ledger", "state", "--ledger", "net.ledger.jsonl", "--out", "s.json"])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "wrote state to s.json\n", "")
+        assert Path("s.json").read_text() == printed.stdout
+
+    def test_issue_with_an_attribute_missing(self, runner, workdir, issuer_setup):
+        result = self._issue_under(runner, issuer_setup, issuer_setup["cred_def_id"], "degree=BSc")
+        _error_line(result, 3, "degree: missing attribute 'year'")
+        assert not Path("flag.cred.json").exists()
+
+    def test_present_a_credential_made_out_to_another_did(self, runner, workdir, issuer_setup):
+        assert _issue(runner, issuer_setup).exit_code == 0
+        issuer_did = json.loads(Path("alice.cred.json").read_text())["issuer_did"]
+        result = invoke(
+            runner,
+            ["cred", "present", "--wallet", "issuer.wallet.json", "--relation", "public",
+             "--audience", "did:sample:acme", "--out", "p.json", "alice.cred.json"],
+        )
+        _error_line(result, 3, f"credential subject {issuer_setup['holder_did']} is not {issuer_did}")
+        assert not Path("p.json").exists()
+
+    @pytest.mark.parametrize(
+        "workload, line",
+        [
+            ({"synthetic_registrations": [5]}, "synthetic_registrations must be a JSON object"),
+            ({"txns": [{"time": 10}]}, "workload txn item must be an object with a txn, got {'time': 10}"),
+            ({"txns": 5}, "workload file needs 'synthetic_registrations' or a list of 'txns'"),
+        ],
+        ids=["registrations-not-an-object", "item-without-txn", "neither"],
+    )
+    def test_sim_run_of_a_workload_that_does_not_parse(self, runner, workdir, workload, line):
+        Path("c.json").write_text(json.dumps({"consensus": {"f": 1}}))
+        Path("w.json").write_text(json.dumps(workload))
+        result = invoke(runner, ["sim", "run", "--config", "c.json", "--workload", "w.json", "--out", "r.json"])
+        _error_line(result, 1, line)
+        assert not Path("r.json").exists()
+
+    def test_a_directory_as_the_ledger(self, runner, workdir):
+        Path("d").mkdir()
+        result = invoke(runner, ["ledger", "state", "--ledger", "d"])
+        _error_line(result, 1, "cannot read ledger d: [Errno 21] Is a directory: 'd'")
+
+    def test_ledger_replaced_while_the_lock_is_taken(self, runner, workdir, issuer_setup, monkeypatch):
+        """A writer replaces the ledger between the open and the lock: the
+        command lets the file it opened go, locks the one now at the path, and
+        appends its block there."""
+        flock, locked = cli.fcntl.flock, []
+
+        def replace_first(file, operation):
+            if not locked:
+                Path("copy.jsonl").write_bytes(Path("net.ledger.jsonl").read_bytes())
+                os.replace("copy.jsonl", "net.ledger.jsonl")
+            else:
+                assert locked[-1].closed
+            locked.append(file)
+            flock(file, operation)
+
+        monkeypatch.setattr(cli.fcntl, "flock", replace_first)
+        before = Path("net.ledger.jsonl").read_text().splitlines()
+        result = invoke(
+            runner,
+            ["schema", "publish", "--wallet", "issuer.wallet.json", "--relation", "public",
+             "--ledger", "net.ledger.jsonl", "--name", "late", "--attr", "a:string", "--now", "150"],
+        )
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert len(locked) == 2
+        after = Path("net.ledger.jsonl").read_text().splitlines()
+        assert after[:-1] == before and check_file("net.ledger.jsonl")[0].ok

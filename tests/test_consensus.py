@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Identity
+import ssiledger.simulation as simulation
 from ssiledger.consensus import (
     Batch,
     BatchReply,
@@ -97,6 +98,20 @@ class TestConfig:
             ConsensusConfig(delta=1.0).validate()
         with pytest.raises(ValueError):
             ConsensusConfig(batch_max=0).validate()
+        with pytest.raises(ValueError, match="^monitor window must be >= 1$"):
+            ConsensusConfig(window=0).validate()
+
+    def test_network_of_another_size_is_refused(self):
+        with pytest.raises(ValueError, match="^network has 7 nodes, consensus needs 4$"):
+            Simulation(ConsensusConfig(f=1), NetworkConfig(n=7))
+
+    def test_a_run_past_the_event_budget_stops(self, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_EVENTS", 50)
+        sim = Simulation(FAST, seed=1, horizon=0)
+        for item in _workload(3, seed=2):
+            sim.submit_at(item.time, item.node, item.txn)
+        with pytest.raises(RuntimeError, match="^event budget exceeded; simulation is not settling$"):
+            sim.run()
 
 
 _json = st.recursive(

@@ -558,6 +558,12 @@ class TestSealedBoxInterop:
         with pytest.raises(DecryptFailed):
             decrypt_from(pair.private, box)
 
+    @pytest.mark.parametrize("size", [0, 47])
+    def test_ciphertext_shorter_than_a_key_and_a_tag(self, size):
+        pair = generate_encryption_keypair(b"\x1c" * 32)
+        with pytest.raises(DecryptFailed, match="^ciphertext too short$"):
+            decrypt_from(pair.private, encrypt_to(pair.public, b"")[:size])
+
     @pytest.mark.parametrize("size", [0, 31, 33])
     def test_private_key_of_another_length(self, size):
         pair = generate_encryption_keypair(b"\x1b" * 32)

@@ -1,7 +1,11 @@
 import pytest
+from click.testing import CliRunner
 
+import ssiledger.scenarios as scenarios
 from ssiledger.canonical import canonical_json
-from ssiledger.scenarios import SCENARIOS, privacy_scan, run_scenario
+from ssiledger.cli import main
+from ssiledger.credentials import VerificationResult
+from ssiledger.scenarios import SCENARIOS, ScenarioRunner, privacy_scan, run_scenario
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -58,3 +62,19 @@ def test_sentinels_live_in_wallets_only():
     wallet_blob = b"".join(canonicalize(w.to_dict()) for w in result.wallets.values())
     found = [s for s in result.sentinels if s.encode() in wallet_blob]
     assert found, "sentinel values should be present in wallet credential stores"
+
+
+def test_unknown_scenario_is_refused():
+    with pytest.raises(ValueError, match="^unknown scenario 'nope'"):
+        ScenarioRunner("nope")
+
+
+def test_a_check_that_fails_fails_the_run(monkeypatch):
+    """A presentation the verifier refuses: the step reads ``failed``, the run
+    is not ok, and ``scenario run`` exits 6."""
+    monkeypatch.setattr(scenarios, "verify_presentation", lambda *args, **kwargs: VerificationResult(False, "Refused"))
+    action = "verify records are original, unmutated and issued by hospitals A and B"
+    result = run_scenario("medical", seed=1)
+    assert not result.ok and result.failures == [f"hospital-c: {action}"]
+    assert [step["outcome"] for step in result.steps if step["action"] == action] == ["failed"]
+    assert CliRunner().invoke(main, ["scenario", "run", "medical"]).exit_code == 6

@@ -164,6 +164,28 @@ class TestSchemaAndCredDef:
         )
         assert rejection == RejectReason.UNKNOWN_DID
 
+    def test_cred_def_whose_id_is_not_its_digest_is_malformed(self):
+        issuer = Identity.create("issuer")
+        schema = SchemaRecord.create("record", "1.0", [("ref", AttrType.STRING)])
+        state = must_apply(NodeState(), issuer.registration_txn())
+        state = must_apply(
+            state, LedgerTransaction.create(TxnType.SCHEMA, schema_payload(schema), issuer.did, issuer.signing_private, 1)
+        )
+        cred_def = CredDefRecord.create(schema.schema_id, issuer.did, issuer.signing_public)
+        payload = {**cred_def_payload(cred_def), "cred_def_id": "ab" * 32}
+        txn = LedgerTransaction.create(TxnType.CRED_DEF, payload, issuer.did, issuer.signing_private, 2)
+        assert fold_into(state, (txn,)) == [RejectReason.MALFORMED]
+        assert not state.cred_defs and not state.registries
+
+    def test_schema_with_no_attributes_is_malformed(self):
+        issuer = Identity.create("issuer")
+        schema = SchemaRecord.create("record", "1.0", [("ref", AttrType.STRING)])
+        state = must_apply(NodeState(), issuer.registration_txn())
+        payload = {**schema_payload(schema), "attributes": []}
+        txn = LedgerTransaction.create(TxnType.SCHEMA, payload, issuer.did, issuer.signing_private, 1)
+        assert fold_into(state, (txn,)) == [RejectReason.MALFORMED]
+        assert not state.schemas
+
     def test_schema_republish_is_idempotent(self):
         issuer = Identity.create("issuer")
         state, schema, _ = _published(issuer)
@@ -441,6 +463,13 @@ class TestSubmissionGate:
             0,
         )
         assert not verify_txn_signature(NodeState(), txn)
+
+    def test_payload_that_does_not_encode_fails_the_gate(self):
+        issuer = Identity.create("issuer")
+        schema = SchemaRecord.create("s", "1.0", [("ref", AttrType.STRING)])
+        txn = LedgerTransaction.create(TxnType.SCHEMA, schema_payload(schema), issuer.did, issuer.signing_private, 1)
+        registered = must_apply(NodeState(), issuer.registration_txn())
+        assert not verify_txn_signature(registered, dataclasses.replace(txn, payload={**txn.payload, "version": 1.5}))
 
     def test_small_order_key_registers_no_did(self):
         registration = small_order_registration()

@@ -102,6 +102,8 @@ class TestPairwiseIdentities:
         wallet = Wallet.create("alice", b"secret")
         with pytest.raises(UnknownRelation):
             wallet.identity("nope")
+        with pytest.raises(UnknownRelation):
+            wallet.did("nope")
 
     def test_document_carries_both_keys(self):
         wallet = Wallet.create("alice", b"secret")
