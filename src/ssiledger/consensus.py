@@ -27,8 +27,9 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
+from . import ledger
 from .canonical import UnsupportedType, _quoted_hex, canonicalize, map_layout
 from .crypto import Digest, digest_of, sign, verify
 from .ledger import Chain, LedgerTransaction, TxnType, build_block
@@ -112,9 +113,21 @@ class Batch:
         return self._digest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
-    txn: LedgerTransaction
+    """The txns one node admitted in one quiet stretch of the network
+    (``SimNetwork.hold``), as one message to each peer."""
+
+    txns: tuple[LedgerTransaction, ...]
+    _formed: bool | None = field(default=None, init=False, repr=False, compare=False)
+
+    def well_formed(self) -> bool:
+        """Whether ``txns`` is a non-empty tuple of records: worked out once per
+        object, which goes to every peer and the ``Simulation``'s verify-ahead."""
+        if self._formed is None:
+            txns = self.txns
+            object.__setattr__(self, "_formed", type(txns) is tuple and bool(txns) and all(map(_is_record, txns)))
+        return self._formed
 
 
 @dataclass(frozen=True)
@@ -222,17 +235,14 @@ class PerfMonitor:
         return len(self.commits[instance])
 
     def throughput(self, instance: int, now: int) -> float:
-        """Committed batches per simulated ms over the retained window."""
+        """Committed batches per simulated ms over the retained window, which
+        ``evaluate`` reads only once it holds ``window`` >= 1 commits."""
         window = self.commits[instance]
-        if not window:
-            return 0.0
         span = max(now - window[0][0], 1)
         return len(window) / span
 
     def mean_latency(self, instance: int) -> float:
         window = self.commits[instance]
-        if not window:
-            return 0.0
         return sum(lat for _, lat in window) / len(window)
 
     def evaluate(self, master: int, backup: int, config: ConsensusConfig, now: int) -> int | None:
@@ -250,7 +260,7 @@ class PerfMonitor:
             return None
         master_tp = self.throughput(master, now)
         backup_tp = self.throughput(backup, now)
-        if master_tp == 0 or backup_tp / master_tp > config.delta:
+        if backup_tp / master_tp > config.delta:
             return backup
         master_lat = self.mean_latency(master)
         backup_lat = self.mean_latency(backup)
@@ -345,9 +355,11 @@ class ConsensusNode:
         )
         self.applied: set = set()
         self.pending: dict[str, LedgerTransaction] = {}
+        self.gossip: list[LedgerTransaction] = []  # admitted since the network's last action, not yet sent
         self.first_seen: dict[str, int] = {}
         # ``verdict_key`` -> signature verdict, computed ahead for the events
-        # due at the current ms (``Simulation``) and dropped after them
+        # due at the current ms (``Simulation``) or for one large bundle
+        # (``on_request``), and dropped after them
         self.verdicts: dict[tuple[str, bytes, bytes], bool] = {}
 
         self.instances = {0: InstanceState(primary=0), 1: InstanceState(primary=1)}
@@ -387,45 +399,57 @@ class ConsensusNode:
         """Client submission: signature-gate, pool, gossip. Returns the ack."""
         if self.crashed:
             return False
-        if not self._admit(SUBMIT, txn):
+        if not self._admit(txn):
             self.rejected_submissions += 1
             self._event("submit_rejected", txn_id=txn.id_hex)
             return False
         return True
 
     def on_request(self, src: int, request: Request) -> None:
-        self._admit(DELIVER, request)
+        """A peer's gossip, well formed (``on_message``): each txn of it that
+        this node has not seen goes through the admission gate. A bundle of
+        ``PARALLEL_MIN`` or more txns that came with no verdicts for the node
+        (its group was too small for the ``Simulation`` to verify ahead) is
+        verified ahead here."""
+        seen, txns = self.first_seen, request.txns
+        ahead = len(txns) >= ledger.PARALLEL_MIN and not self.verdicts
+        if ahead:
+            verify_ahead([(self, [txn for txn in txns if txn.id_hex not in seen])])
+        for txn in txns:
+            if txn.id_hex not in seen:  # one seen before, even earlier in this bundle, is skipped
+                self._admit(txn)
+        if ahead:
+            self.verdicts.clear()
 
-    def admission_check(self, kind: str, payload: Any) -> tuple[LedgerTransaction, bytes] | None:
-        """The (record, key) whose signature ``_admit`` verifies, and the
-        ``Simulation`` verifies ahead, when this node takes in ``payload`` as a
-        SUBMIT or as a DELIVER from a peer. None where it verifies none: it has
-        crashed, the delivery is no well-formed ``Request`` of a txn it has not
-        seen (``on_message``'s tests), the id does not recompute, or
-        ``signing_key`` finds no key for the record."""
+    def to_admit(self, kind: str, payload: Any) -> Sequence[LedgerTransaction]:
+        """The records this node, as it stands, takes to ``_admit`` when it
+        handles ``payload`` as a SUBMIT or as a DELIVER from a peer, which the
+        ``Simulation`` verifies ahead: none once it has crashed, a SUBMIT's
+        record, or the txns it has not seen of a well-formed ``Request``."""
         if self.crashed:
-            return None
-        if kind == DELIVER:
-            if type(payload) is not Request or not _well_formed(payload, self.instances):
-                return None
-            payload = payload.txn
-            if payload.id_hex in self.first_seen:
-                return None
-        elif kind != SUBMIT:
-            return None
-        key = signing_key(self.state, payload) if payload.id_recomputes() else None
-        return None if key is None else (payload, key)
+            return ()
+        if kind == SUBMIT:
+            return (payload,)
+        if kind != DELIVER or type(payload) is not Request or not payload.well_formed():
+            return ()
+        seen = self.first_seen
+        return [txn for txn in payload.txns if txn.id_hex not in seen]
 
-    def _admit(self, kind: str, payload: Any) -> bool:
-        """The one admission gate: whether ``admission_check`` names a (record,
-        key) and the signature verifies, by the verdict this node holds for
+    def admission_check(self, txn: LedgerTransaction) -> bytes | None:
+        """The key under which ``_admit`` verifies the record's signature, and
+        ``verify_ahead`` verifies it ahead; None where it verifies none: the id
+        does not recompute, or ``signing_key`` finds no key for the record."""
+        return signing_key(self.state, txn) if txn.id_recomputes() else None
+
+    def _admit(self, txn: LedgerTransaction) -> bool:
+        """The one admission gate: whether ``admission_check`` names a key and
+        the signature verifies under it, by the verdict this node holds for
         them or else by a verify now; if so, pool and gossip the record the
         first time it is seen. The id does not cover the signature bytes, so the
         gate comes first: a re-signed copy of a seen txn is still refused."""
-        check = self.admission_check(kind, payload)
-        if check is None:
+        key = self.admission_check(txn)
+        if key is None:
             return False
-        txn, key = check
         verdict = self.verdicts.get(verdict_key(txn, key)) if self.verdicts else None
         if not (txn.verify_signature(key) if verdict is None else verdict):
             return False
@@ -436,7 +460,9 @@ class ConsensusNode:
         if txn_id in self.applied:
             return True
         self.pending[txn_id] = txn
-        self._broadcast(Request(txn))
+        if not self.gossip:
+            self.net.hold(self._send_requests)
+        self.gossip.append(txn)
         for instance_id, instance in self.instances.items():
             if instance.primary != self.id:
                 continue
@@ -447,6 +473,13 @@ class ConsensusNode:
                 self.batch_timer_armed[instance_id] = True
                 self.net.timer(self.id, self.config.batch_timeout, ("batch", instance_id))
         return True
+
+    def _send_requests(self) -> None:
+        """The one place a ``Request`` is made: the txns this node gossiped in
+        one quiet stretch, as one message to each peer."""
+        txns = tuple(self.gossip)
+        self.gossip.clear()
+        self.net.broadcast(self.id, self.peers, Request(txns))
 
     # -- proposing
 
@@ -787,9 +820,31 @@ class ConsensusNode:
         handler = _HANDLERS.get(kind)
         if handler is None or not _well_formed(message, self.instances):
             return
-        if kind is Request and message.txn.id_hex in self.first_seen:
-            return  # most of the gossip, dropped here as ``admission_check`` would drop it
+        if kind is Request:
+            seen = self.first_seen
+            for txn in message.txns:
+                if txn.id_hex not in seen:
+                    break
+            else:
+                return  # most of the gossip: a bundle of txns this node has seen is dropped here
         getattr(self, handler)(src, message)
+
+
+def verify_ahead(admits: Iterable[tuple[ConsensusNode, Iterable[LedgerTransaction]]]) -> None:
+    """Verify ahead the signature that each node's ``_admit`` of each of its
+    records will check (``admission_check``), each (node, record, key) once,
+    through ``ledger.verify_signatures`` (two threads for ``PARALLEL_MIN`` or
+    more), and hand each node its verdicts. A verdict is a pure function of
+    key, bytes and signature, so the run stays as with each record verified in
+    ``_admit``."""
+    checks: dict[tuple, tuple] = {}
+    for node, txns in admits:
+        for txn in txns:
+            if (key := node.admission_check(txn)) is not None:
+                checks.setdefault((node, verdict_key(txn, key)), (txn, key))
+    verdicts = ledger.verify_signatures(list(checks.values()))
+    for (node, checked), verdict in zip(checks, verdicts):
+        node.verdicts[checked] = verdict
 
 
 def verdict_key(txn: LedgerTransaction, key: bytes) -> tuple[str, bytes, bytes]:
@@ -799,14 +854,14 @@ def verdict_key(txn: LedgerTransaction, key: bytes) -> tuple[str, bytes, bytes]:
 
 
 def _well_formed(message: Any, instances: dict) -> bool:
-    """Whether a peer's message holds what its handler reads: a record in a
-    ``Request``, int fields in an ``InstanceChangeVote``, and in a message
-    that names a slot, an int instance among ``instances``, an int seq
-    (``type(...) is int``: a bool is no seq), and a str digest or a ``Batch``
-    body of records with an int timestamp whose digest computes."""
+    """Whether a peer's message holds what its handler reads: a non-empty
+    tuple of records in a ``Request``, int fields in an ``InstanceChangeVote``,
+    and in a message that names a slot, an int instance among ``instances``, an
+    int seq (``type(...) is int``: a bool is no seq), and a str digest or a
+    ``Batch`` body of records with an int timestamp whose digest computes."""
     kind = type(message)
     if kind is Request:
-        return _is_record(message.txn)
+        return message.well_formed()
     if kind is InstanceChangeVote:
         fields = (message.epoch, message.new_master, message.last_committed, message.voter)
         return all(type(value) is int for value in fields)

@@ -14,6 +14,11 @@ the one draw ``randint`` makes, ``rng._randbelow(width)``, which is inlined:
 link's band, scaled by its sender's slow factor, is worked out once, when the
 network is built.
 
+A sender may hold what it would send (``hold``): its flush then runs before
+the next send, timer, inject or pop, so what it held through one quiet stretch
+goes out at once. Flushes run in the order they were held: a sender that holds
+one message per stretch makes the sends, draws and seqs of sending it at once.
+
 Per-link latency profiles, drop probabilities, outbound slow-down factors and
 partition windows are the fault-injection surface the consensus tests drive.
 """
@@ -24,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 DELIVER = "deliver"
 TIMER = "timer"
@@ -122,9 +127,21 @@ class SimNetwork:
         self._counter = 0
         self.sent = 0
         self.dropped = 0
+        self._held: list[Callable[[], None]] = []
+
+    def hold(self, flush: Callable[[], None]) -> None:
+        """Have ``flush`` called before the next send, timer, inject or pop."""
+        self._held.append(flush)
+
+    def _flush(self) -> None:
+        held, self._held = self._held, []
+        for flush in held:
+            flush()
 
     def send(self, src: int, dst: int, message: Any) -> None:
         """Queue a message for delivery, subject to drops and partitions."""
+        if self._held:
+            self._flush()
         self.sent += 1
         now = self.now
         for partition in self.config.partitions:
@@ -146,16 +163,23 @@ class SimNetwork:
             self.send(src, dst, message)
 
     def timer(self, node: int, delay: int, payload: Any) -> None:
+        if self._held:
+            self._flush()
         self._counter += 1
         heappush(self._queue, _entry(SimEvent, (self.now + delay, self._counter, TIMER, node, payload, -1)))
 
     def inject(self, at: int, kind: str, node: int, payload: Any) -> None:
         """Schedule an external event (client submission, fault activation)."""
+        if self._held:
+            self._flush()
         self._counter += 1
         heappush(self._injected, _entry(SimEvent, (max(at, self.now), self._counter, kind, node, payload, -1)))
 
     def pop(self) -> SimEvent | None:
-        """The earliest event of the two heaps: seqs are unique, so no two entries tie."""
+        """The earliest event of the two heaps, once the held flushes have run:
+        seqs are unique, so no two entries tie."""
+        if self._held:
+            self._flush()
         queue, injected = self._queue, self._injected
         if injected and (not queue or injected[0] < queue[0]):
             event = heappop(injected)

@@ -15,7 +15,7 @@ from typing import Any, Iterable
 
 from . import ledger
 from .canonical import canonical_json, write_atomic
-from .consensus import ConsensusConfig, ConsensusNode, FaultPlan, verdict_key
+from .consensus import ConsensusConfig, ConsensusNode, FaultPlan, verify_ahead
 from .crypto import generate_encryption_keypair, generate_signing_keypair, sha256
 from .ledger import LedgerTransaction, TxnType
 from .simnet import CONTROL, DELIVER, SUBMIT, TIMER, LinkProfile, NetworkConfig, Partition, SimEvent, SimNetwork
@@ -113,23 +113,20 @@ class Simulation:
                     node.verdicts.clear()
 
     def _verify_ahead(self, group: list[SimEvent]) -> None:
-        """Verify ahead the signatures that admitting the group's events will
-        check (``ConsensusNode.admission_check``), each (node, record, key)
-        once, through ``ledger.verify_signatures`` (two threads for 16 or
-        more), and hand each node its verdicts. The events are then handled
-        one by one, as without this step: a verdict is a pure function of key,
-        bytes and signature, so the run stays the same. A node's events after
-        its crash in the group are left out."""
-        checks: dict[tuple, tuple] = {}
+        """Verify ahead (``consensus.verify_ahead``) the records that handling
+        the group's events takes to ``_admit`` (``ConsensusNode.to_admit``). The
+        events are then handled one by one, as without this step. A node's
+        events after its crash in the group are left out."""
+        admits = []
         crashed = set()
         for _, _, kind, node_id, payload, _ in group:
             if kind == CONTROL and payload == "crash":
                 crashed.add(node_id)
-            elif node_id not in crashed and (check := self.nodes[node_id].admission_check(kind, payload)):
-                checks.setdefault((node_id, verdict_key(*check)), check)
-        verdicts = ledger.verify_signatures(list(checks.values()))
-        for (node_id, checked), verdict in zip(checks, verdicts):
-            self.nodes[node_id].verdicts[checked] = verdict
+            elif node_id not in crashed:
+                node = self.nodes[node_id]
+                if txns := node.to_admit(kind, payload):
+                    admits.append((node, txns))
+        verify_ahead(admits)
 
     def settle(self, txn: LedgerTransaction, node: int = 0) -> bool:
         """Scenario helper: submit now, run to quiescence, report whether the

@@ -9,6 +9,7 @@ from ssiledger.crypto import (
     generate_signing_keypair,
     sha256,
 )
+from ssiledger import ledger
 from ssiledger.ledger import LedgerTransaction, TxnType
 from ssiledger.state import (
     AttrType,
@@ -97,6 +98,19 @@ def must_apply(state: NodeState, txn: LedgerTransaction) -> NodeState:
     state, rejection = apply(state, txn)
     assert rejection is None, f"unexpected rejection: {rejection}"
     return state
+
+
+def verified_signatures(monkeypatch) -> list[bytes]:
+    """The signature of each ``ledger.verify`` call from here on, from either thread."""
+    signatures = []
+    real_verify = ledger.verify
+
+    def verify(key: bytes, message: bytes, signature: bytes) -> bool:
+        signatures.append(signature)
+        return real_verify(key, message, signature)
+
+    monkeypatch.setattr(ledger, "verify", verify)
+    return signatures
 
 
 DIPLOMA_ATTRS = [

@@ -1,10 +1,12 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Identity
+from conftest import Identity, verified_signatures
+import ssiledger.ledger as ledger_mod
 import ssiledger.simulation as simulation
 from ssiledger.consensus import (
     Batch,
@@ -60,7 +62,7 @@ NOT_RECORDS = {
 # records or whose digest does not encode, a request that holds no record, and a
 # flood of bodies that no node asked for
 MALFORMED = {
-    **{f"request-{name}": [Request(txn)] for name, txn in NOT_RECORDS.items()},
+    **{f"request-{name}": [Request((txn,))] for name, txn in NOT_RECORDS.items()},
     **{f"preprepare-{name}": [PrePrepare(0, 1, Batch(0, 1, 5, (txn,)))] for name, txn in NOT_RECORDS.items() if txn},
     "prepare-far-seq": [Prepare(0, 10**12, DIGEST), Prepare(0, 5000, DIGEST)],
     "commit-far-seq": [Commit(0, SEQ_WINDOW + 1, DIGEST)],
@@ -318,7 +320,7 @@ class TestFaultTolerance:
             setattr(crashed, name, None)  # a call past an entry point would raise
         crashed.on_timer(("batch", 1))
         crashed.on_timer(("monitor", None))
-        crashed.on_message(0, Request(workload[0].txn))
+        crashed.on_message(0, Request((workload[0].txn,)))
         assert not crashed.on_submit(workload[0].txn)
 
     def test_beyond_f_crashes_lose_liveness_keep_safety(self):
@@ -476,7 +478,7 @@ class TestSubmissionRules:
         assert txn.id_hex in node.applied and txn.id_hex not in node.first_seen
         while sim.network.pop() is not None:
             pass
-        node.on_message(1, Request(txn))
+        node.on_message(1, Request((txn,)))
         assert node.first_seen == {txn.id_hex: sim.now} and not node.pending
         assert sim.network.pop() is None
 
@@ -547,6 +549,87 @@ class TestBurst:
         assert all(_applied_everything(node, workload) for node in sim.nodes)
 
 
+class TestGossip:
+    """A node gossips each txn it admits; the txns it admits in one quiet
+    stretch go to each peer as one ``Request``."""
+
+    NODE = 3  # the primary of neither instance: admitting arms no timer and proposes nothing
+
+    @pytest.fixture
+    def sim(self):
+        return Simulation(FAST, seed=1, horizon=0)
+
+    @staticmethod
+    def _sent(sim) -> list:
+        """(src, dst, message) of each message queued, popped without delivery, by dst."""
+        sent = []
+        while (event := sim.network.pop()) is not None:
+            sent.append((event.src, event.node, event.payload))
+        return sorted(sent, key=lambda message: message[1])
+
+    def test_a_2000_txn_burst_sends_under_3_messages_per_txn(self, monkeypatch):
+        """2000 DID_REGs due at one ms: every node applies all of them and
+        verifies each once, and the run sends fewer than 3 messages per txn,
+        against 13.6 with one ``Request`` per txn."""
+        signatures = verified_signatures(monkeypatch)
+        config, workload, sim = _burst(2000, 50)
+        assert all(_applied_everything(node, workload) for node in sim.nodes)
+        assert set(Counter(signatures).values()) == {config.n} and len(signatures) == config.n * 2000
+        assert sim.network.sent / 2000 < 3
+
+    @pytest.mark.parametrize(
+        "txns", [[_TXN], _TXN, (), (_TXN, None), (None, _TXN), (_TXN, "txn")], ids=repr
+    )
+    def test_a_malformed_bundle_is_dropped_whole(self, sim, txns):
+        node = sim.nodes[self.NODE]
+        node.on_message(1, Request(txns))
+        assert not node.first_seen and not node.pending and self._sent(sim) == []
+
+    def test_a_bundle_admits_only_the_txns_the_node_has_not_seen(self, sim, monkeypatch):
+        seen, unseen = (item.txn for item in synthetic_did_workload(2, seed=91))
+        node = sim.nodes[self.NODE]
+        assert node.on_submit(seen)
+        assert self._sent(sim) == [(self.NODE, dst, Request((seen,))) for dst in (0, 1, 2)]
+        signatures = verified_signatures(monkeypatch)
+        node.on_message(1, Request((seen, unseen)))
+        assert signatures == [unseen.author_signature]
+        assert list(node.pending) == [seen.id_hex, unseen.id_hex]
+        assert self._sent(sim) == [(self.NODE, dst, Request((unseen,))) for dst in (0, 1, 2)]
+
+    def test_a_large_bundle_outside_a_verified_group_is_verified_ahead(self, sim, monkeypatch):
+        """A bundle of ``PARALLEL_MIN`` or more txns the node has not seen, with
+        no verdicts handed to the node, goes through ``verify_signatures`` as
+        one group: each record verified once, the verdicts dropped after."""
+        groups, signatures = [], verified_signatures(monkeypatch)
+        real_verify_signatures = ledger_mod.verify_signatures
+        monkeypatch.setattr(
+            ledger_mod, "verify_signatures", lambda checks: groups.append(len(checks)) or real_verify_signatures(checks)
+        )
+        seen, *fresh = (item.txn for item in synthetic_did_workload(ledger_mod.PARALLEL_MIN + 1, seed=93))
+        node = sim.nodes[self.NODE]
+        assert node.on_submit(seen)
+        node.on_message(1, Request((seen, *fresh)))
+        assert groups == [ledger_mod.PARALLEL_MIN]
+        assert sorted(signatures) == sorted(txn.author_signature for txn in (seen, *fresh))
+        assert list(node.pending) == [txn.id_hex for txn in (seen, *fresh)] and not node.verdicts
+
+    def test_a_re_signed_copy_of_a_seen_txn_in_a_bundle_is_refused(self, sim):
+        """The id does not cover the signature: a copy of a txn signed with
+        another key has the same id, and no bundle gets it admitted."""
+        txn, fresh = (item.txn for item in synthetic_did_workload(2, seed=92))
+        resigned = LedgerTransaction.create(
+            txn.txn_type, txn.payload, txn.author_did, sha256(b"mallory").value, txn.timestamp
+        )
+        assert resigned.id_hex == txn.id_hex and resigned.author_signature != txn.author_signature
+        node = sim.nodes[self.NODE]
+        node.on_message(1, Request((resigned,)))
+        assert not node.first_seen
+        node.on_message(1, Request((txn,)))
+        node.on_message(2, Request((resigned, fresh)))
+        assert list(node.pending) == [txn.id_hex, fresh.id_hex] and node.pending[txn.id_hex] is txn
+        assert self._sent(sim) == [(self.NODE, dst, Request((txn, fresh))) for dst in (0, 1, 2)]
+
+
 class TestUnencodableSubmission:
     def test_float_payload_is_rejected_not_raised(self):
         workload = _workload(6, seed=21)
@@ -566,7 +649,7 @@ class TestUnencodableSubmission:
         ]
         assert all(node.chain.txn_count() == 6 for node in sim.nodes)
         node = sim.nodes[2]
-        node.on_request(1, Request(bad))  # a peer's gossip is dropped the same way
+        node.on_request(1, Request((bad,)))  # a peer's gossip is dropped the same way
         assert bad.txn_id.hex not in node.first_seen and bad.txn_id.hex not in node.pending
 
 
@@ -856,7 +939,7 @@ _batches = st.builds(
     st.none() | _payloads,
 )
 _messages = st.one_of(
-    st.builds(Request, _records),
+    st.builds(Request, st.lists(_records, max_size=3).map(tuple) | _junk),
     st.builds(
         lambda seq, txns: PrePrepare(0, seq, Batch(0, seq, 5, txns)),  # a rival proposal of the master's primary
         st.integers(1, 3),

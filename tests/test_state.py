@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Identity, must_apply, signed_by_no_one, small_order_registration
+from conftest import Identity, must_apply, signed_by_no_one, small_order_registration, verified_signatures
 from test_acceptance import Budget
 import ssiledger.ledger as ledger_mod
 from ssiledger.consensus import ConsensusConfig, FaultPlan
@@ -553,25 +553,12 @@ class TestDidSelfCheckCache:
             assert all(node.chain.txn_count() == 6 for node in sim.nodes)
             assert len(calls) == config.n * 6
 
-    @staticmethod
-    def _verified_signatures(monkeypatch) -> list[bytes]:
-        """The signature of each ``ledger.verify`` call from here on, from either thread."""
-        signatures = []
-        real_verify = ledger_mod.verify
-
-        def verify(key: bytes, message: bytes, signature: bytes) -> bool:
-            signatures.append(signature)
-            return real_verify(key, message, signature)
-
-        monkeypatch.setattr(ledger_mod, "verify", verify)
-        return signatures
-
     def test_every_node_verifies_every_did_reg_of_a_burst(self, monkeypatch):
         """64 DID_REGs due at one ms, and a junk-signed one with them: each
         ms's admissions are verified ahead as one group, and still each node
         verifies each record once. The junk record is refused at its node and
         reaches no chain; submitted again in a later group, it is verified again."""
-        signatures = self._verified_signatures(monkeypatch)
+        signatures = verified_signatures(monkeypatch)
         groups = []
         real_verify_signatures = ledger_mod.verify_signatures
         monkeypatch.setattr(
@@ -597,7 +584,7 @@ class TestDidSelfCheckCache:
         """The crash of node 1 is due at the ms of a burst submitted to nodes 1
         and 2, and comes first: node 1 takes none of its share in, so no node
         verifies that share, ahead or not, and the three live nodes verify node 2's."""
-        signatures = self._verified_signatures(monkeypatch)
+        signatures = verified_signatures(monkeypatch)
         config = ConsensusConfig(f=1, batch_max=16, batch_timeout=50)
         burst = synthetic_did_workload(64, seed=9, start=10, interval=0)
         workload = [WorkloadItem(item.time, 1 + i % 2, item.txn) for i, item in enumerate(burst)]
