@@ -30,7 +30,7 @@ TAG_SIZE = 16
 MAX_SEALED_PLAINTEXT = 4096
 
 _SEAL_INFO = b"ssiledger/sealed-box/v1"
-_BASE_POINT = b"\x09" + b"\x00" * 31  # RFC 7748: u = 9
+PUBLIC_KEYS_MAX = 4096  # entries of _PUBLIC_KEYS; it is emptied when full
 
 _SODIUM_PATH = ctypes.util.find_library("sodium")
 if _SODIUM_PATH is None:
@@ -54,6 +54,9 @@ _scrypt.restype = ctypes.c_int
 _scalarmult = _sodium.crypto_scalarmult_curve25519
 _scalarmult.argtypes = (ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p)
 _scalarmult.restype = ctypes.c_int
+_scalarmult_base = _sodium.crypto_scalarmult_curve25519_base
+_scalarmult_base.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
+_scalarmult_base.restype = ctypes.c_int
 _aead_encrypt = _sodium.crypto_aead_chacha20poly1305_ietf_encrypt
 _aead_encrypt.argtypes = (ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_ulonglong, ctypes.c_char_p,
                           ctypes.c_ulonglong, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_char_p)
@@ -128,15 +131,38 @@ def digest_of(value: Any) -> Digest:
     return sha256(canonicalize(value))
 
 
+# SHA-256(seed) -> the Ed25519 public key libsodium derived from that seed.
+# It holds no seed and no expanded key, and only _ed25519 writes it. Threads
+# may race on it without a lock: every entry any of them writes is right, so
+# a lost entry or one past the bound costs a derivation, never a wrong key.
+_PUBLIC_KEYS: dict[bytes, bytes] = {}
+
+
 def _ed25519(seed: bytes, message: bytes | None = None) -> tuple[bytes, bytes]:
-    public = ctypes.create_string_buffer(KEY_SIZE)
+    """The public key of a seed and, given a message, its signature.
+
+    The public key is derived from the seed here, or was in an earlier call
+    (``_PUBLIC_KEYS``); no key from a caller or a file is ever used. Signing
+    one seed under two public keys would leak its private scalar.
+    """
     expanded = ctypes.create_string_buffer(SIGNATURE_SIZE)  # seed || public: zeroed before return
+    tag = hashlib.sha256(seed).digest()
+    public = _PUBLIC_KEYS.get(tag)
+    if public is None:
+        derived = ctypes.create_string_buffer(KEY_SIZE)
+        _seed_keypair(derived, expanded, seed)
+        public = derived.raw
+        if len(_PUBLIC_KEYS) >= PUBLIC_KEYS_MAX:
+            _PUBLIC_KEYS.clear()
+        _PUBLIC_KEYS[tag] = public
+    else:
+        ctypes.memmove(expanded, seed, SEED_SIZE)
+        ctypes.memmove(ctypes.addressof(expanded) + SEED_SIZE, public, KEY_SIZE)
     signature = ctypes.create_string_buffer(SIGNATURE_SIZE)
-    _seed_keypair(public, expanded, seed)
     if message is not None:
         _sign_detached(signature, None, message, len(message), expanded)
     ctypes.memset(expanded, 0, SIGNATURE_SIZE)
-    return public.raw, signature.raw
+    return public, signature.raw
 
 
 def scrypt(secret: bytes, salt: bytes, n: int, r: int, p: int, length: int = 32) -> bytes:
@@ -161,7 +187,7 @@ def generate_encryption_keypair(seed: bytes) -> KeyPair:
     seed = _raw(seed)
     if len(seed) != SEED_SIZE:
         raise InvalidSeed(f"encryption seed must be {SEED_SIZE} bytes, got {len(seed)}")
-    return KeyPair(public=_x25519(seed, _BASE_POINT), private=seed)
+    return KeyPair(public=_x25519_base(seed), private=seed)
 
 
 def sign(private: bytes, message: bytes) -> bytes:
@@ -198,6 +224,14 @@ def _x25519(scalar: bytes, point: bytes) -> bytes | None:
     zeros, which is what a point of small order gives."""
     out = ctypes.create_string_buffer(KEY_SIZE)
     return None if _scalarmult(out, scalar, point) else out.raw
+
+
+def _x25519_base(scalar: bytes) -> bytes:
+    """X25519 of a 32-byte scalar and the base point u = 9 (RFC 7748): the
+    public key of that scalar. A clamped scalar never gives all zeros here."""
+    out = ctypes.create_string_buffer(KEY_SIZE)
+    _scalarmult_base(out, scalar)
+    return out.raw
 
 
 def _hkdf(secret: bytes, length: int, info: bytes, salt: bytes = b"") -> bytes:
@@ -243,7 +277,7 @@ def encrypt_to(public: bytes, plaintext: bytes) -> bytes:
     if len(public) != KEY_SIZE:
         raise InvalidKey("recipient key must be 32 raw X25519 public bytes")
     ephemeral = os.urandom(KEY_SIZE)
-    ephemeral_public, shared = _x25519(ephemeral, _BASE_POINT), _x25519(ephemeral, public)
+    ephemeral_public, shared = _x25519_base(ephemeral), _x25519(ephemeral, public)
     if shared is None:
         raise InvalidKey("recipient key is a point of small order")
     material = _hkdf(shared, KEY_SIZE + NONCE_SIZE, _SEAL_INFO, ephemeral_public + public)
@@ -261,5 +295,5 @@ def decrypt_from(private: bytes, ciphertext: bytes) -> bytes:
     shared = _x25519(private, ephemeral_public)
     if shared is None:
         raise DecryptFailed("sealed box did not open")
-    material = _hkdf(shared, KEY_SIZE + NONCE_SIZE, _SEAL_INFO, ephemeral_public + _x25519(private, _BASE_POINT))
+    material = _hkdf(shared, KEY_SIZE + NONCE_SIZE, _SEAL_INFO, ephemeral_public + _x25519_base(private))
     return _aead_open(material[:KEY_SIZE], material[KEY_SIZE:], ciphertext[KEY_SIZE:])

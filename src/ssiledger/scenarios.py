@@ -358,10 +358,8 @@ class ScenarioRunner:
                     values[attr] = self.sentinel(slug or attr)
                 elif attr_type == AttrType.DATE:
                     values[attr] = "2025-11-30"
-                elif attr_type == AttrType.BOOLEAN:
-                    values[attr] = True
                 else:
-                    values[attr] = 7
+                    values[attr] = True
             credentials.append(
                 self._issue_and_store(org, bob, "bob", presentation_did, values)
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from . import ledger
 from .canonical import canonical_json, write_atomic
@@ -29,6 +29,17 @@ class WorkloadItem:
     time: int
     node: int
     txn: LedgerTransaction
+
+
+def _event_log(events: list[dict]) -> Callable[[int, int, str, dict], None]:
+    """A log function that appends to ``events`` and holds nothing else: the
+    nodes keep it, so a Simulation that gave them a bound method would be in
+    a cycle, freed only by the cyclic GC."""
+
+    def log(time: int, node: int, event_type: str, detail: dict) -> None:
+        events.append({"time": time, "node": node, "event_type": event_type, "detail": detail})
+
+    return log
 
 
 class Simulation:
@@ -52,6 +63,7 @@ class Simulation:
             raise ValueError(f"network has {net_config.n} nodes, consensus needs {config.n}")
         self.network = SimNetwork(net_config, seed)
         self.events: list[dict] = []
+        self._log = _event_log(self.events)
         self.submitted = 0
         self.accepted = 0
 
@@ -72,9 +84,6 @@ class Simulation:
         if horizon > 0:
             for node in self.nodes:
                 self.network.timer(node.id, config.monitor_interval, ("monitor", None))
-
-    def _log(self, time: int, node: int, event_type: str, detail: dict) -> None:
-        self.events.append({"time": time, "node": node, "event_type": event_type, "detail": detail})
 
     @property
     def now(self) -> int:

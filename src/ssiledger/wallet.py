@@ -226,8 +226,11 @@ class Wallet:
         try:
             signing = _open(kek, relation, "sign", entry.signing_blob)
             agreement = _open(kek, relation, "agree", entry.agreement_blob)
+            public = generate_signing_keypair(signing).public
         except CryptoError as exc:
             raise MalformedWallet(f"relation {relation!r} does not open: {exc}") from exc
+        if public != entry.verification_key:
+            raise MalformedWallet(f"relation {relation!r} stores a verification key its signing key does not derive")
         return PairwiseIdentity(
             did=entry.did,
             signing=KeyPair(public=entry.verification_key, private=signing),

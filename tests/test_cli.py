@@ -1289,7 +1289,8 @@ def _flip_first_byte(text: str) -> str:
 
 
 class TestDamagedRelation:
-    """A relation whose key blob in the wallet file does not open: every
+    """A relation whose key blob in the wallet file does not open, or whose
+    stored verification key is not the one its signing key derives: every
     command that signs or decrypts with it ends with one ``error:`` line,
     exit 1, and writes no ledger, wallet or output file."""
 
@@ -1309,6 +1310,21 @@ class TestDamagedRelation:
         blob = data["relations"]["public"]["signing_private"]
         blob[field] = change(blob[field])
         Path("issuer.wallet.json").write_text(json.dumps(data))
+        self.assert_one_error_line(runner, issuer_setup, f"relation 'public' does not open: {reason}")
+
+    def test_foreign_verification_key(self, runner, workdir, issuer_setup):
+        """The relation's sealed key opens, but the file names another key
+        (the holder's) as the one it derives."""
+        assert _issue(runner, issuer_setup).exit_code == 0
+        data = json.loads(Path("issuer.wallet.json").read_text())
+        holder = json.loads(Path("holder.wallet.json").read_text())
+        data["relations"]["public"]["verification_key"] = holder["relations"]["employer"]["verification_key"]
+        Path("issuer.wallet.json").write_text(json.dumps(data))
+        reason = "relation 'public' stores a verification key its signing key does not derive"
+        self.assert_one_error_line(runner, issuer_setup, reason)
+
+    @staticmethod
+    def assert_one_error_line(runner, issuer_setup, reason):
         files = {name: Path(name).read_bytes() for name in ("issuer.wallet.json", "net.ledger.jsonl")}
         wallet = ["--wallet", "issuer.wallet.json", "--relation", "public", "--ledger", "net.ledger.jsonl"]
         commands = [
@@ -1327,7 +1343,7 @@ class TestDamagedRelation:
         ]
         for args in commands:
             result = invoke(runner, args)
-            expected = f"error: cannot read wallet: relation 'public' does not open: {reason}\n"
+            expected = f"error: cannot read wallet: {reason}\n"
             assert (result.exit_code, result.output) == (1, expected), args
         assert {name: Path(name).read_bytes() for name in files} == files
         assert not any(Path(name).exists() for name in ("x.json", "c.json", "r.json", "p.json"))

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -220,6 +222,18 @@ class TestHappyPath:
         second, sim_two = run_simulation(FAST, None, None, workload, 3000, seed=9)
         assert first.to_json() == second.to_json()
         assert sim_one.events == sim_two.events
+
+    def test_finished_simulation_is_freed_without_the_cyclic_gc(self):
+        """No node holds its Simulation (the nodes log through a function
+        that holds only the event list), so reference counts free it."""
+        gc.disable()
+        try:
+            _, sim = run_simulation(FAST, None, None, _workload(5, seed=11), 2000, seed=12)
+            freed = weakref.ref(sim)
+            del sim
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_zero_workload_only_genesis(self):
         report, sim = run_simulation(FAST, None, None, [], 2000, seed=4)

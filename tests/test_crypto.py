@@ -38,6 +38,7 @@ from ssiledger.crypto import (
     sign,
     verify,
 )
+from ssiledger.simulation import synthetic_did_workload
 
 # Published SHA-256 vectors, cross-checked against hashlib before freezing.
 KNOWN_HASHES = {
@@ -229,11 +230,20 @@ class TestSignRules:
     @settings(max_examples=200, deadline=None)
     @given(st.binary(min_size=32, max_size=32), st.binary(max_size=512))
     def test_same_keys_and_signatures_as_cryptography(self, seed, message):
+        """Signed cold (the seed's key not in the map), then from the map;
+        the map never holds the seed."""
         public, reference = _reference_keys(seed)
+        tag = hashlib.sha256(seed).digest()
+        crypto._PUBLIC_KEYS.pop(tag, None)
+        assert sign(seed, message) == reference.sign(message)
+        assert tag in crypto._PUBLIC_KEYS
         assert generate_signing_keypair(seed).public == public
         assert sign(seed, message) == reference.sign(message)
+        assert not [entry for entry in (*crypto._PUBLIC_KEYS, *crypto._PUBLIC_KEYS.values()) if seed in entry]
 
     def test_expanded_key_is_zeroed_after_use(self, monkeypatch):
+        """Zeroed after a derivation (the seed is not yet in the map) and
+        after a sign that builds seed || public from the map."""
         zeroed = []
         real_memset = ctypes.memset
 
@@ -241,10 +251,36 @@ class TestSignRules:
             zeroed.append(buffer)
             return real_memset(buffer, value, size)
 
+        monkeypatch.setattr(crypto, "_PUBLIC_KEYS", {})
         monkeypatch.setattr(ctypes, "memset", memset)
         generate_signing_keypair(b"\x0c" * 32)
         sign(b"\x0c" * 32, b"hello")
         assert [buf.raw for buf in zeroed] == [b"\x00" * 64] * 2
+
+    def test_map_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(crypto, "_PUBLIC_KEYS", {})
+        monkeypatch.setattr(crypto, "PUBLIC_KEYS_MAX", 3)
+        for i in range(10):
+            seed = bytes([i]) * 32
+            assert sign(seed, b"m") == _reference_keys(seed)[1].sign(b"m")
+            assert len(crypto._PUBLIC_KEYS) <= 3
+
+    def test_workload_derives_each_key_once(self, monkeypatch):
+        """A DID_REG derives its key for the DID and signs with it: one
+        libsodium derivation, where deriving again in ``sign`` made two."""
+        calls = []
+        real = crypto._seed_keypair
+
+        def seed_keypair(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(crypto, "_PUBLIC_KEYS", {})
+        monkeypatch.setattr(crypto, "_seed_keypair", seed_keypair)
+        items = synthetic_did_workload(50, 17)
+        assert len(calls) == 50
+        keys = [bytes.fromhex(item.txn.payload["document"]["verification_key"]) for item in items]
+        assert all(item.txn.verify_signature(key) for item, key in zip(items, keys))
 
     @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
     def test_bytes_like_message_signs_like_bytes(self, kind):
@@ -427,6 +463,13 @@ class TestX25519:
         except ValueError:
             expected = None
         assert crypto._x25519(scalar, point) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(min_size=32, max_size=32))
+    @example(b"\x00" * 32)
+    @example(b"\xff" * 32)
+    def test_base_point_routine_is_x25519_of_nine(self, scalar):
+        assert crypto._x25519_base(scalar) == crypto._x25519(scalar, b"\x09" + b"\x00" * 31)
 
     @pytest.mark.parametrize("kind", [bytearray, memoryview])
     def test_bytes_like_seed(self, kind):

@@ -14,6 +14,7 @@ from ssiledger.ledger import LedgerTransaction, TxnType
 from ssiledger.state import derive_did, revoc_entry_payload
 from ssiledger.wallet import (
     CredentialNotStored,
+    MalformedWallet,
     RelationExists,
     UnknownRelation,
     UnlockFailed,
@@ -125,6 +126,23 @@ class TestPairwiseIdentities:
         assert again.read_bytes() == path.read_bytes()
         result = CliRunner().invoke(main, ["wallet", "list", "--wallet", str(path), "--json"], catch_exceptions=False)
         assert json.loads(result.output)["relations"]["bank"] == {"did": wallet.did("bank"), "peer_did": "did:sample:bankdid"}
+
+    def test_edited_verification_key_is_refused(self, tmp_path):
+        """A wallet file whose relation names a key its sealed signing key does
+        not derive opens no identity for that relation: the key would be
+        handed out in its DID document."""
+        wallet = Wallet.create("alice", b"secret")
+        wallet.new_pairwise("bank", seed=seed("v"))
+        wallet.new_pairwise("shop", seed=seed("v"))
+        data = wallet.to_dict()
+        data["relations"]["bank"]["verification_key"] = data["relations"]["shop"]["verification_key"]
+        path = tmp_path / "alice.wallet.json"
+        path.write_text(canonical_json(data) + "\n", encoding="utf-8")
+        edited = Wallet.load(path)
+        edited.unlock(b"secret")
+        with pytest.raises(MalformedWallet, match="relation 'bank' stores a verification key"):
+            edited.identity("bank")
+        assert edited.identity("shop").signing == wallet.identity("shop").signing
 
     def test_relation_keys_decrypt_independently(self, tmp_path):
         # compromise of one relation's plaintext keys reveals nothing about
