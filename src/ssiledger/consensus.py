@@ -27,14 +27,14 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import ledger
 from .canonical import UnsupportedType, _quoted_hex, canonicalize, map_layout
 from .crypto import Digest, digest_of, sign, verify
 from .ledger import Chain, LedgerTransaction, TxnType, build_block
 from .state import NodeState, fold_into, signing_key
-from .simnet import DELIVER, SUBMIT, SimNetwork
+from .simnet import SimNetwork
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class Request:
 
     def well_formed(self) -> bool:
         """Whether ``txns`` is a non-empty tuple of records: worked out once per
-        object, which goes to every peer and the ``Simulation``'s verify-ahead."""
+        object, which goes to every peer."""
         if self._formed is None:
             txns = self.txns
             object.__setattr__(self, "_formed", type(txns) is tuple and bool(txns) and all(map(_is_record, txns)))
@@ -357,10 +357,6 @@ class ConsensusNode:
         self.pending: dict[str, LedgerTransaction] = {}
         self.gossip: list[LedgerTransaction] = []  # admitted since the network's last action, not yet sent
         self.first_seen: dict[str, int] = {}
-        # ``verdict_key`` -> signature verdict, computed ahead for the events
-        # due at the current ms (``Simulation``) or for one large bundle
-        # (``on_request``), and dropped after them
-        self.verdicts: dict[tuple[str, bytes, bytes], bool] = {}
 
         self.instances = {0: InstanceState(primary=0), 1: InstanceState(primary=1)}
         self.master_instance = 0
@@ -395,63 +391,59 @@ class ConsensusNode:
 
     # -- client requests
 
-    def on_submit(self, txn: LedgerTransaction) -> bool:
-        """Client submission: signature-gate, pool, gossip. Returns the ack."""
+    def on_submit(self, txns: Sequence[LedgerTransaction]) -> int:
+        """Client submissions due at one ms, in order: each through the
+        admission gate, pooled and gossiped if it passes. Returns how many did."""
         if self.crashed:
-            return False
-        if not self._admit(txn):
-            self.rejected_submissions += 1
-            self._event("submit_rejected", txn_id=txn.id_hex)
-            return False
-        return True
+            return 0
+        admitted = 0
+        for txn, valid in self._checked(txns):
+            if self._admit(txn, valid):
+                admitted += 1
+            else:
+                self.rejected_submissions += 1
+                self._event("submit_rejected", txn_id=txn.id_hex)
+        return admitted
 
     def on_request(self, src: int, request: Request) -> None:
-        """A peer's gossip, well formed (``on_message``): each txn of it that
-        this node has not seen goes through the admission gate. A bundle of
-        ``PARALLEL_MIN`` or more txns that came with no verdicts for the node
-        (its group was too small for the ``Simulation`` to verify ahead) is
-        verified ahead here."""
+        """A peer's gossip, well formed and with a txn this node has not seen
+        (``on_message``): each such txn goes through the admission gate."""
         seen, txns = self.first_seen, request.txns
-        ahead = len(txns) >= ledger.PARALLEL_MIN and not self.verdicts
-        if ahead:
-            verify_ahead([(self, [txn for txn in txns if txn.id_hex not in seen])])
-        for txn in txns:
-            if txn.id_hex not in seen:  # one seen before, even earlier in this bundle, is skipped
-                self._admit(txn)
-        if ahead:
-            self.verdicts.clear()
-
-    def to_admit(self, kind: str, payload: Any) -> Sequence[LedgerTransaction]:
-        """The records this node, as it stands, takes to ``_admit`` when it
-        handles ``payload`` as a SUBMIT or as a DELIVER from a peer, which the
-        ``Simulation`` verifies ahead: none once it has crashed, a SUBMIT's
-        record, or the txns it has not seen of a well-formed ``Request``."""
-        if self.crashed:
-            return ()
-        if kind == SUBMIT:
-            return (payload,)
-        if kind != DELIVER or type(payload) is not Request or not payload.well_formed():
-            return ()
-        seen = self.first_seen
-        return [txn for txn in payload.txns if txn.id_hex not in seen]
+        if len(txns) > 1:  # ``on_message`` passes on a lone txn only unseen
+            txns = [txn for txn in txns if txn.id_hex not in seen]
+        for txn, valid in self._checked(txns):
+            if txn.id_hex not in seen:  # one admitted earlier in this bundle is skipped
+                self._admit(txn, valid)
 
     def admission_check(self, txn: LedgerTransaction) -> bytes | None:
-        """The key under which ``_admit`` verifies the record's signature, and
-        ``verify_ahead`` verifies it ahead; None where it verifies none: the id
-        does not recompute, or ``signing_key`` finds no key for the record."""
+        """The key under which ``_checked`` verifies the record's signature;
+        None where it verifies none: the id does not recompute, or
+        ``signing_key`` finds no key for the record."""
         return signing_key(self.state, txn) if txn.id_recomputes() else None
 
-    def _admit(self, txn: LedgerTransaction) -> bool:
-        """The one admission gate: whether ``admission_check`` names a key and
-        the signature verifies under it, by the verdict this node holds for
-        them or else by a verify now; if so, pool and gossip the record the
-        first time it is seen. The id does not cover the signature bytes, so the
-        gate comes first: a re-signed copy of a seen txn is still refused."""
-        key = self.admission_check(txn)
-        if key is None:
-            return False
-        verdict = self.verdicts.get(verdict_key(txn, key)) if self.verdicts else None
-        if not (txn.verify_signature(key) if verdict is None else verdict):
+    def _checked(self, txns: Sequence[LedgerTransaction]) -> Iterator[tuple[LedgerTransaction, bool]]:
+        """Each of the records one event hands this node, in order, with
+        whether its signature verifies under the key ``admission_check``
+        names: ``PARALLEL_MIN`` or more through one ``ledger.verify_signatures``
+        call (two threads), fewer one at a time, as each is asked for.
+        Admitting a record executes nothing, so the state, and with it each
+        record's key, is the same before and after the others are admitted."""
+        if len(txns) < ledger.PARALLEL_MIN:
+            for txn in txns:
+                key = self.admission_check(txn)
+                yield txn, key is not None and txn.verify_signature(key)
+            return
+        keys = [self.admission_check(txn) for txn in txns]
+        valid = iter(ledger.verify_signatures([(txn, key) for txn, key in zip(txns, keys) if key is not None]))
+        for txn, key in zip(txns, keys):
+            yield txn, key is not None and next(valid)
+
+    def _admit(self, txn: LedgerTransaction, valid: bool) -> bool:
+        """The one admission gate: whether the record's signature verified
+        (``valid``, from ``_checked``); if so, pool and gossip it the first time
+        it is seen. The id does not cover the signature bytes, so the check
+        comes first: a re-signed copy of a seen txn is still refused."""
+        if not valid:
             return False
         txn_id = txn.id_hex
         if txn_id in self.first_seen:
@@ -828,29 +820,6 @@ class ConsensusNode:
             else:
                 return  # most of the gossip: a bundle of txns this node has seen is dropped here
         getattr(self, handler)(src, message)
-
-
-def verify_ahead(admits: Iterable[tuple[ConsensusNode, Iterable[LedgerTransaction]]]) -> None:
-    """Verify ahead the signature that each node's ``_admit`` of each of its
-    records will check (``admission_check``), each (node, record, key) once,
-    through ``ledger.verify_signatures`` (two threads for ``PARALLEL_MIN`` or
-    more), and hand each node its verdicts. A verdict is a pure function of
-    key, bytes and signature, so the run stays as with each record verified in
-    ``_admit``."""
-    checks: dict[tuple, tuple] = {}
-    for node, txns in admits:
-        for txn in txns:
-            if (key := node.admission_check(txn)) is not None:
-                checks.setdefault((node, verdict_key(txn, key)), (txn, key))
-    verdicts = ledger.verify_signatures(list(checks.values()))
-    for (node, checked), verdict in zip(checks, verdicts):
-        node.verdicts[checked] = verdict
-
-
-def verdict_key(txn: LedgerTransaction, key: bytes) -> tuple[str, bytes, bytes]:
-    """What the verdict of ``txn.verify_signature(key)`` is a function of, for
-    a record whose id recomputes: its id stands for its payload bytes."""
-    return txn.id_hex, txn.author_signature, key
 
 
 def _well_formed(message: Any, instances: dict) -> bool:

@@ -458,9 +458,6 @@ class Chain:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Chain) and self.blocks == other.blocks
 
-    def __repr__(self) -> str:
-        return f"Chain(blocks={self.blocks!r})"
-
     def txn_count(self) -> int:
         return sum(len(block.txns) for block in self.blocks)
 

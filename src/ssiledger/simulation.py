@@ -13,12 +13,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from . import ledger
 from .canonical import canonical_json, write_atomic
-from .consensus import ConsensusConfig, ConsensusNode, FaultPlan, verify_ahead
+from .consensus import ConsensusConfig, ConsensusNode, FaultPlan
 from .crypto import generate_encryption_keypair, generate_signing_keypair, sha256
 from .ledger import LedgerTransaction, TxnType
-from .simnet import CONTROL, DELIVER, SUBMIT, TIMER, LinkProfile, NetworkConfig, Partition, SimEvent, SimNetwork
+from .simnet import CONTROL, DELIVER, SUBMIT, TIMER, LinkProfile, NetworkConfig, Partition, SimNetwork
 from .state import DidDocument, derive_did, did_reg_payload
 
 MAX_EVENTS = 5_000_000
@@ -66,6 +65,9 @@ class Simulation:
         self._log = _event_log(self.events)
         self.submitted = 0
         self.accepted = 0
+        # (ms, node) -> the txns due to that node at that ms, in submission
+        # order: one SUBMIT event, whose entry goes when it runs
+        self._submissions: dict[tuple[int, int], list[LedgerTransaction]] = {}
 
         node_keys: dict[int, bytes] = {}
         privates: dict[int, bytes] = {}
@@ -90,7 +92,12 @@ class Simulation:
         return self.network.now
 
     def submit_at(self, at: int, node: int, txn: LedgerTransaction) -> None:
-        self.network.inject(at, SUBMIT, node, txn)
+        due = (max(at, self.now), node)
+        txns = self._submissions.get(due)
+        if txns is None:
+            txns = self._submissions[due] = []
+            self.network.inject(at, SUBMIT, node, txns)
+        txns.append(txn)
 
     def run(self) -> None:
         """Drain the event queue, one simulated ms at a time. Recurring timers
@@ -101,9 +108,6 @@ class Simulation:
             processed += len(group)
             if processed > MAX_EVENTS:
                 raise RuntimeError("event budget exceeded; simulation is not settling")
-            ahead = len(group) >= ledger.PARALLEL_MIN
-            if ahead:
-                self._verify_ahead(group)
             for _, _, kind, node_id, payload, src in group:
                 node = nodes[node_id]
                 if kind == DELIVER:
@@ -111,31 +115,12 @@ class Simulation:
                 elif kind == TIMER:
                     node.on_timer(payload)
                 elif kind == SUBMIT:
-                    self.submitted += 1
-                    if node.on_submit(payload):
-                        self.accepted += 1
+                    del self._submissions[network.now, node_id]
+                    self.submitted += len(payload)
+                    self.accepted += node.on_submit(payload)
                 elif kind == CONTROL and payload == "crash":
                     node.crashed = True
                     self._log(self.now, node_id, "crash", {})
-            if ahead:
-                for node in nodes:
-                    node.verdicts.clear()
-
-    def _verify_ahead(self, group: list[SimEvent]) -> None:
-        """Verify ahead (``consensus.verify_ahead``) the records that handling
-        the group's events takes to ``_admit`` (``ConsensusNode.to_admit``). The
-        events are then handled one by one, as without this step. A node's
-        events after its crash in the group are left out."""
-        admits = []
-        crashed = set()
-        for _, _, kind, node_id, payload, _ in group:
-            if kind == CONTROL and payload == "crash":
-                crashed.add(node_id)
-            elif node_id not in crashed:
-                node = self.nodes[node_id]
-                if txns := node.to_admit(kind, payload):
-                    admits.append((node, txns))
-        verify_ahead(admits)
 
     def settle(self, txn: LedgerTransaction, node: int = 0) -> bool:
         """Scenario helper: submit now, run to quiescence, report whether the

@@ -15,6 +15,7 @@ from ssiledger.consensus import (
     BatchReply,
     Commit,
     ConsensusConfig,
+    ConsensusNode,
     ExecReady,
     FaultPlan,
     FetchBatch,
@@ -335,7 +336,7 @@ class TestFaultTolerance:
         crashed.on_timer(("batch", 1))
         crashed.on_timer(("monitor", None))
         crashed.on_message(0, Request((workload[0].txn,)))
-        assert not crashed.on_submit(workload[0].txn)
+        assert crashed.on_submit([workload[0].txn]) == 0
 
     def test_beyond_f_crashes_lose_liveness_keep_safety(self):
         report, sim = run_simulation(
@@ -602,7 +603,7 @@ class TestGossip:
     def test_a_bundle_admits_only_the_txns_the_node_has_not_seen(self, sim, monkeypatch):
         seen, unseen = (item.txn for item in synthetic_did_workload(2, seed=91))
         node = sim.nodes[self.NODE]
-        assert node.on_submit(seen)
+        assert node.on_submit([seen]) == 1
         assert self._sent(sim) == [(self.NODE, dst, Request((seen,))) for dst in (0, 1, 2)]
         signatures = verified_signatures(monkeypatch)
         node.on_message(1, Request((seen, unseen)))
@@ -611,9 +612,10 @@ class TestGossip:
         assert self._sent(sim) == [(self.NODE, dst, Request((unseen,))) for dst in (0, 1, 2)]
 
     def test_a_large_bundle_outside_a_verified_group_is_verified_ahead(self, sim, monkeypatch):
-        """A bundle of ``PARALLEL_MIN`` or more txns the node has not seen, with
-        no verdicts handed to the node, goes through ``verify_signatures`` as
-        one group: each record verified once, the verdicts dropped after."""
+        """A bundle with ``PARALLEL_MIN`` or more txns the node has not seen
+        goes through ``verify_signatures`` as one group of those txns, before
+        any is admitted: each record verified once; the lone submission before
+        it, verified on its own."""
         groups, signatures = [], verified_signatures(monkeypatch)
         real_verify_signatures = ledger_mod.verify_signatures
         monkeypatch.setattr(
@@ -621,11 +623,11 @@ class TestGossip:
         )
         seen, *fresh = (item.txn for item in synthetic_did_workload(ledger_mod.PARALLEL_MIN + 1, seed=93))
         node = sim.nodes[self.NODE]
-        assert node.on_submit(seen)
+        assert node.on_submit([seen]) == 1
         node.on_message(1, Request((seen, *fresh)))
         assert groups == [ledger_mod.PARALLEL_MIN]
         assert sorted(signatures) == sorted(txn.author_signature for txn in (seen, *fresh))
-        assert list(node.pending) == [txn.id_hex for txn in (seen, *fresh)] and not node.verdicts
+        assert list(node.pending) == [txn.id_hex for txn in (seen, *fresh)]
 
     def test_a_re_signed_copy_of_a_seen_txn_in_a_bundle_is_refused(self, sim):
         """The id does not cover the signature: a copy of a txn signed with
@@ -642,6 +644,71 @@ class TestGossip:
         node.on_message(2, Request((resigned, fresh)))
         assert list(node.pending) == [txn.id_hex, fresh.id_hex] and node.pending[txn.id_hex] is txn
         assert self._sent(sim) == [(self.NODE, dst, Request((txn, fresh))) for dst in (0, 1, 2)]
+
+
+class TestSubmissions:
+    """The submissions due at one ms to one node reach it as one SUBMIT event,
+    in submission order, and each of its records is checked at its position."""
+
+    @pytest.mark.parametrize("threshold", [None, 2], ids=["one-at-a-time", "one-group"])
+    def test_one_event_per_ms_and_node_in_order(self, monkeypatch, threshold):
+        if threshold is not None:
+            monkeypatch.setattr(ledger_mod, "PARALLEL_MIN", threshold)
+        calls, admits = [], []
+        on_submit, admit = ConsensusNode.on_submit, ConsensusNode._admit
+
+        def spy_submit(node, txns):
+            calls.append((node.id, node.net.now, list(txns)))
+            return on_submit(node, txns)
+
+        def spy_admit(node, txn, valid):
+            admits.append((node.id, node.net.now, txn, valid))
+            return admit(node, txn, valid)
+
+        monkeypatch.setattr(ConsensusNode, "on_submit", spy_submit)
+        monkeypatch.setattr(ConsensusNode, "_admit", spy_admit)
+        a, b, c, d, e = (item.txn for item in synthetic_did_workload(5, seed=94))
+        junk = dataclasses.replace(b, author_signature=bytes(64))
+        sim = Simulation(FAST, seed=95, horizon=0)
+        for at, node, txn in ((5, 1, a), (5, 2, d), (5, 1, junk), (6, 1, e), (5, 1, c)):
+            sim.submit_at(at, node, txn)
+        sim.run()
+        assert calls == [(1, 5, [a, junk, c]), (2, 5, [d]), (1, 6, [e])]
+        assert [(txn, valid) for node, at, txn, valid in admits if (node, at) == (1, 5)] == [
+            (a, True), (junk, False), (c, True)
+        ]
+        assert (sim.submitted, sim.accepted) == (5, 4)
+        assert [node.rejected_submissions for node in sim.nodes] == [0, 1, 0, 0]
+        rejected = [(ev["time"], ev["node"], ev["detail"]) for ev in sim.events if ev["event_type"] == "submit_rejected"]
+        assert rejected == [(5, 1, {"txn_id": junk.id_hex})]
+        assert all(txn.id_hex in node.applied for node in sim.nodes for txn in (a, c, d, e))
+
+    def test_two_settles_at_one_ms_both_apply(self):
+        """With zero-latency links and no batch wait a settle ends at the ms it
+        began, so the second submission is due at the ms of the first, whose
+        event has run: it is an event of its own."""
+        config = ConsensusConfig(f=1, batch_max=1, batch_timeout=0)
+        sim = Simulation(config, NetworkConfig(default_link=LinkProfile(0, 0)), seed=96, horizon=0)
+        first, second = (item.txn for item in synthetic_did_workload(2, seed=97))
+        assert sim.settle(first, node=1) and sim.now == 0
+        assert sim.settle(second, node=1) and sim.now == 0
+        assert (sim.submitted, sim.accepted) == (2, 2)
+
+    def test_a_2000_txn_burst_verifies_on_two_threads(self, monkeypatch):
+        """A node checks the records one event hands it together: of the 8000
+        verifies of a 2000-DID_REG burst, at least 7990 go through
+        ``verify_signatures`` in groups of ``PARALLEL_MIN`` or more, the branch
+        that runs on two threads."""
+        monkeypatch.setattr(ledger_mod, "_usable_cpus", lambda: 2)
+        signatures, groups = verified_signatures(monkeypatch), []
+        verify_signatures = ledger_mod.verify_signatures
+        monkeypatch.setattr(
+            ledger_mod, "verify_signatures", lambda checks: groups.append(len(checks)) or verify_signatures(checks)
+        )
+        config, workload, sim = _burst(2000, 50)
+        assert all(_applied_everything(node, workload) for node in sim.nodes)
+        assert len(signatures) == config.n * 2000
+        assert sum(size for size in groups if size >= ledger_mod.PARALLEL_MIN) >= 7990
 
 
 class TestUnencodableSubmission:

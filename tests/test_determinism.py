@@ -85,7 +85,7 @@ def test_event_log_and_report_are_pinned(name, tmp_path):
     assert pins == PINS[name]
 
 
-# case -> (config, network, faults, workload, horizon): runs with many events due at one ms
+# case -> (config, network, faults, workload, horizon): runs with many records due at one ms
 GROUPED = {
     "burst": (ConsensusConfig(f=1, batch_max=20, batch_timeout=30), None, None, (120, 0), 3000),
     "burst-equivocate": (
@@ -102,9 +102,10 @@ GROUPED = {
 
 @pytest.mark.parametrize("name", sorted(GROUPED))
 def test_checks_verified_ahead_leave_every_byte_as_verified_inline(name, monkeypatch):
-    """The same run with every admission verified inline (``PARALLEL_MIN``
-    above any group), with the default threshold, and with every group of two
-    or more events verified ahead: the reports and event logs are identical."""
+    """The same run with every record verified on its own (``PARALLEL_MIN``
+    above any event's records), with the default threshold, and with the
+    records of every event that hands a node two or more checked as one group:
+    the reports and event logs are identical."""
     config, net, faults, (count, interval), horizon = GROUPED[name]
     workload = [
         WorkloadItem(item.time, 1 + i % 3, item.txn)

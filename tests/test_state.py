@@ -555,9 +555,10 @@ class TestDidSelfCheckCache:
 
     def test_every_node_verifies_every_did_reg_of_a_burst(self, monkeypatch):
         """64 DID_REGs due at one ms, and a junk-signed one with them: each
-        ms's admissions are verified ahead as one group, and still each node
-        verifies each record once. The junk record is refused at its node and
-        reaches no chain; submitted again in a later group, it is verified again."""
+        node's share of the ms is verified as one group, in submission order,
+        and still each node verifies each record once. The junk record is
+        refused at its node and reaches no chain; submitted again at a later
+        ms, on its own, it is verified again."""
         signatures = verified_signatures(monkeypatch)
         groups = []
         real_verify_signatures = ledger_mod.verify_signatures
@@ -570,7 +571,8 @@ class TestDidSelfCheckCache:
         workload = [WorkloadItem(item.time, 1 + i % 3, item.txn) for i, item in enumerate(burst)]
         workload += [WorkloadItem(10, 2, junk), WorkloadItem(1000, 2, junk)]
         report, sim = run_simulation(config, None, None, workload, 2000, seed=10)
-        assert groups[0] == 65  # the 64 submissions and the junk one, verified ahead
+        # nodes 1, 2 and 3 each verify their share of the 64 as one group, node 2's with the junk one last
+        assert groups[:3] == [22, 21 + 1, 21]
         assert all(node.chain.txn_count() == 64 for node in sim.nodes)
         assert len(signatures) == config.n * 64 + 2
         assert {signatures.count(item.txn.author_signature) for item in burst} == {config.n}
@@ -583,7 +585,7 @@ class TestDidSelfCheckCache:
     def test_a_node_that_crashes_in_a_burst_verifies_none_of_it(self, monkeypatch):
         """The crash of node 1 is due at the ms of a burst submitted to nodes 1
         and 2, and comes first: node 1 takes none of its share in, so no node
-        verifies that share, ahead or not, and the three live nodes verify node 2's."""
+        verifies that share, in a group or not, and the three live nodes verify node 2's."""
         signatures = verified_signatures(monkeypatch)
         config = ConsensusConfig(f=1, batch_max=16, batch_timeout=50)
         burst = synthetic_did_workload(64, seed=9, start=10, interval=0)
