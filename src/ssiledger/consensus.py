@@ -115,8 +115,8 @@ class Batch:
 
 @dataclass(frozen=True, slots=True)
 class Request:
-    """The txns one node admitted in one quiet stretch of the network
-    (``SimNetwork.hold``), as one message to each peer."""
+    """The txns one node admitted while handling one event, as one message
+    to each peer."""
 
     txns: tuple[LedgerTransaction, ...]
     _formed: bool | None = field(default=None, init=False, repr=False, compare=False)
@@ -355,7 +355,7 @@ class ConsensusNode:
         )
         self.applied: set = set()
         self.pending: dict[str, LedgerTransaction] = {}
-        self.gossip: list[LedgerTransaction] = []  # admitted since the network's last action, not yet sent
+        self.gossip: list[LedgerTransaction] = []  # admitted in the event being handled, not yet sent
         self.first_seen: dict[str, int] = {}
 
         self.instances = {0: InstanceState(primary=0), 1: InstanceState(primary=1)}
@@ -403,17 +403,21 @@ class ConsensusNode:
             else:
                 self.rejected_submissions += 1
                 self._event("submit_rejected", txn_id=txn.id_hex)
+        if self.gossip:
+            self._send_requests()
         return admitted
 
     def on_request(self, src: int, request: Request) -> None:
         """A peer's gossip, well formed and with a txn this node has not seen
-        (``on_message``): each such txn goes through the admission gate."""
+        (``on_message``): each such txn, copies of one (same id and signature)
+        once, goes through the admission gate."""
         seen, txns = self.first_seen, request.txns
         if len(txns) > 1:  # ``on_message`` passes on a lone txn only unseen
-            txns = [txn for txn in txns if txn.id_hex not in seen]
+            txns = list({(txn.id_hex, txn.author_signature): txn for txn in txns if txn.id_hex not in seen}.values())
         for txn, valid in self._checked(txns):
-            if txn.id_hex not in seen:  # one admitted earlier in this bundle is skipped
-                self._admit(txn, valid)
+            self._admit(txn, valid)
+        if self.gossip:
+            self._send_requests()
 
     def admission_check(self, txn: LedgerTransaction) -> bytes | None:
         """The key under which ``_checked`` verifies the record's signature;
@@ -441,8 +445,9 @@ class ConsensusNode:
     def _admit(self, txn: LedgerTransaction, valid: bool) -> bool:
         """The one admission gate: whether the record's signature verified
         (``valid``, from ``_checked``); if so, pool and gossip it the first time
-        it is seen. The id does not cover the signature bytes, so the check
-        comes first: a re-signed copy of a seen txn is still refused."""
+        it is seen, in its handler's ``Request``. The id does not cover the
+        signature bytes, so the check comes first: a re-signed copy of a seen
+        txn is still refused."""
         if not valid:
             return False
         txn_id = txn.id_hex
@@ -452,8 +457,6 @@ class ConsensusNode:
         if txn_id in self.applied:
             return True
         self.pending[txn_id] = txn
-        if not self.gossip:
-            self.net.hold(self._send_requests)
         self.gossip.append(txn)
         for instance_id, instance in self.instances.items():
             if instance.primary != self.id:
@@ -467,8 +470,9 @@ class ConsensusNode:
         return True
 
     def _send_requests(self) -> None:
-        """The one place a ``Request`` is made: the txns this node gossiped in
-        one quiet stretch, as one message to each peer."""
+        """The one place a ``Request`` is made: the txns this node admitted
+        while handling one event, as one message to each peer, sent when
+        ``on_submit`` or ``on_request`` is done with them."""
         txns = tuple(self.gossip)
         self.gossip.clear()
         self.net.broadcast(self.id, self.peers, Request(txns))

@@ -100,27 +100,26 @@ class Simulation:
         txns.append(txn)
 
     def run(self) -> None:
-        """Drain the event queue, one simulated ms at a time. Recurring timers
-        stop at the horizon, so this terminates once all in-flight work settles."""
+        """Drain the event queue, one event at a time. Recurring timers stop
+        at the horizon, so this terminates once all in-flight work settles."""
         network, nodes = self.network, self.nodes
         processed = 0
-        while group := network.pop_group():
-            processed += len(group)
+        for _, _, kind, node_id, payload, src in iter(network.pop, None):
+            processed += 1
             if processed > MAX_EVENTS:
                 raise RuntimeError("event budget exceeded; simulation is not settling")
-            for _, _, kind, node_id, payload, src in group:
-                node = nodes[node_id]
-                if kind == DELIVER:
-                    node.on_message(src, payload)
-                elif kind == TIMER:
-                    node.on_timer(payload)
-                elif kind == SUBMIT:
-                    del self._submissions[network.now, node_id]
-                    self.submitted += len(payload)
-                    self.accepted += node.on_submit(payload)
-                elif kind == CONTROL and payload == "crash":
-                    node.crashed = True
-                    self._log(self.now, node_id, "crash", {})
+            node = nodes[node_id]
+            if kind == DELIVER:
+                node.on_message(src, payload)
+            elif kind == TIMER:
+                node.on_timer(payload)
+            elif kind == SUBMIT:
+                del self._submissions[network.now, node_id]
+                self.submitted += len(payload)
+                self.accepted += node.on_submit(payload)
+            elif kind == CONTROL and payload == "crash":
+                node.crashed = True
+                self._log(self.now, node_id, "crash", {})
 
     def settle(self, txn: LedgerTransaction, node: int = 0) -> bool:
         """Scenario helper: submit now, run to quiescence, report whether the

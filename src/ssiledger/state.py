@@ -550,7 +550,7 @@ def signing_key(state: NodeState, txn: LedgerTransaction) -> bytes | None:
 def verify_txn_signature(state: NodeState, txn: LedgerTransaction) -> bool:
     """Whether ``txn`` verifies under ``signing_key``: the check of
     ``cli._append`` and of the benchmark's ledger writer. A consensus node
-    verifies through ``ConsensusNode.admission_check`` and ``_admit``."""
+    verifies through ``ConsensusNode.admission_check`` and ``_checked``."""
     key = signing_key(state, txn)
     try:
         return key is not None and txn.verify_signature(key)

@@ -565,8 +565,8 @@ class TestBurst:
 
 
 class TestGossip:
-    """A node gossips each txn it admits; the txns it admits in one quiet
-    stretch go to each peer as one ``Request``."""
+    """A node gossips each txn it admits; the txns it admits while handling
+    one event go to each peer as one ``Request`` when its handler returns."""
 
     NODE = 3  # the primary of neither instance: admitting arms no timer and proposes nothing
 
@@ -576,11 +576,12 @@ class TestGossip:
 
     @staticmethod
     def _sent(sim) -> list:
-        """(src, dst, message) of each message queued, popped without delivery, by dst."""
-        sent = []
+        """(src, dst, message) of each message queued, popped without delivery,
+        by dst and in the order sent."""
+        events = []
         while (event := sim.network.pop()) is not None:
-            sent.append((event.src, event.node, event.payload))
-        return sorted(sent, key=lambda message: message[1])
+            events.append(event)
+        return [(event.src, event.node, event.payload) for event in sorted(events, key=lambda event: (event.node, event.seq))]
 
     def test_a_2000_txn_burst_sends_under_3_messages_per_txn(self, monkeypatch):
         """2000 DID_REGs due at one ms: every node applies all of them and
@@ -643,7 +644,40 @@ class TestGossip:
         node.on_message(1, Request((txn,)))
         node.on_message(2, Request((resigned, fresh)))
         assert list(node.pending) == [txn.id_hex, fresh.id_hex] and node.pending[txn.id_hex] is txn
-        assert self._sent(sim) == [(self.NODE, dst, Request((txn, fresh))) for dst in (0, 1, 2)]
+        assert self._sent(sim) == [
+            (self.NODE, dst, Request((admitted,))) for dst in (0, 1, 2) for admitted in (txn, fresh)
+        ]
+
+    def test_copies_of_one_record_in_a_bundle_are_verified_once(self, sim, monkeypatch):
+        """A bundle that holds one unseen record five times costs one verify,
+        pools the record once and gossips it once to each peer."""
+        txn = _TXN
+        signatures = verified_signatures(monkeypatch)
+        node = sim.nodes[self.NODE]
+        node.on_message(1, Request((txn,) * 5))
+        assert signatures == [txn.author_signature]
+        assert list(node.pending) == [txn.id_hex]
+        assert self._sent(sim) == [(self.NODE, dst, Request((txn,))) for dst in (0, 1, 2)]
+
+    def test_a_primary_proposing_mid_event_gossips_the_event_once(self, sim):
+        """Node 1, the primary of instance 1, admits ``batch_max + 2``
+        submissions in one event: it proposes the first ``batch_max`` as they
+        are admitted (its PrePrepare and its own Prepare), and then sends one
+        ``Request`` to each peer with every record it admitted."""
+        txns = tuple(item.txn for item in synthetic_did_workload(FAST.batch_max + 2, seed=98))
+        node = sim.nodes[1]
+        assert node.on_submit(txns) == len(txns)
+        events = []
+        while (event := sim.network.pop()) is not None:
+            events.append(event)
+        sent = [(event.node, event.payload) for event in sorted(events, key=lambda event: event.seq) if event.src == 1]
+        (batch,) = node.instances[1].slots[1].batches.values()
+        assert batch.txns == txns[: FAST.batch_max]
+        assert sent == [
+            *((dst, PrePrepare(1, 1, batch)) for dst in (0, 2, 3)),
+            *((dst, Prepare(1, 1, batch.digest_hex())) for dst in (0, 2, 3)),
+            *((dst, Request(txns)) for dst in (0, 2, 3)),
+        ]
 
 
 class TestSubmissions:

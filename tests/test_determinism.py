@@ -85,18 +85,20 @@ def test_event_log_and_report_are_pinned(name, tmp_path):
     assert pins == PINS[name]
 
 
-# case -> (config, network, faults, workload, horizon): runs with many records due at one ms
+# case -> (config, network, faults, workload, horizon): runs with many records due at one ms. A
+# workload (count, interval, per) is ``count`` records, ``per`` of them due to one node at each due
+# time, ``interval`` ms apart, round-robin over nodes 1 to 3
 GROUPED = {
-    "burst": (ConsensusConfig(f=1, batch_max=20, batch_timeout=30), None, None, (120, 0), 3000),
+    "burst": (ConsensusConfig(f=1, batch_max=20, batch_timeout=30), None, None, (120, 0, 1), 3000),
     "burst-equivocate": (
         ConsensusConfig(f=1, batch_max=10, batch_timeout=30),
         None,
         FaultPlan(equivocate={0: 15}),
-        (80, 0),
+        (80, 0, 1),
         8000,
     ),
-    "paced-crash": (SHARP, None, FaultPlan(crash={0: 150}), (60, 5), 3000),
-    "f3": (ConsensusConfig(f=3, batch_max=10, batch_timeout=30), None, None, (40, 0), 3000),
+    "paced-crash": (SHARP, None, FaultPlan(crash={0: 150}), (120, 5, 2), 3000),
+    "f3": (ConsensusConfig(f=3, batch_max=10, batch_timeout=30), None, None, (40, 0, 1), 3000),
 }
 
 
@@ -106,9 +108,9 @@ def test_checks_verified_ahead_leave_every_byte_as_verified_inline(name, monkeyp
     above any event's records), with the default threshold, and with the
     records of every event that hands a node two or more checked as one group:
     the reports and event logs are identical."""
-    config, net, faults, (count, interval), horizon = GROUPED[name]
+    config, net, faults, (count, interval, per), horizon = GROUPED[name]
     workload = [
-        WorkloadItem(item.time, 1 + i % 3, item.txn)
+        WorkloadItem(10 + i // per * interval, 1 + i // per % 3, item.txn)
         for i, item in enumerate(synthetic_did_workload(count, seed=72, start=10, interval=interval))
     ]
     checked_ahead = []

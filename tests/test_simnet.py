@@ -58,115 +58,16 @@ class TestDeterminism:
         events = _drain(net)
         assert [e.payload for e in events] == ["first", "second"]
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(["send", "timer", "inject"]), st.integers(0, 3), st.integers(0, 6)), max_size=40))
-    def test_groups_are_the_pops_of_one_ms(self, ops):
-        """``pop_group`` hands out the same events as ``pop`` one by one, cut
-        at each change of time, across both heaps and their ties."""
-
-        def build() -> SimNetwork:
-            net = SimNetwork(NetworkConfig(n=4, default_link=LinkProfile(0, 3)), seed=5)
-            for i, (op, node, delay) in enumerate(ops):
-                if op == "send":
-                    net.send(node, (node + 1) % 4, i)
-                elif op == "timer":
-                    net.timer(node, delay, i)
-                else:
-                    net.inject(delay, "submit", node, i)
-            return net
-
-        net, groups = build(), []
-        while group := net.pop_group():
-            assert {e.time for e in group} == {net.now}
-            groups.append(group)
-        assert [e for group in groups for e in group] == _drain(build())
-        assert [group[0].time for group in groups] == sorted({group[0].time for group in groups})
-
-    def test_an_event_queued_during_a_group_comes_after_it(self):
+    def test_an_event_queued_at_the_current_ms_comes_after_the_ones_queued(self):
+        """An event queued at the ms of the one just popped has a higher seq
+        than the events of that ms already queued, so it comes after them."""
         net = SimNetwork(NetworkConfig(n=2, default_link=LinkProfile(5, 5)), seed=1)
         net.send(0, 1, "a")
         net.send(1, 0, "b")
-        assert [e.payload for e in net.pop_group()] == ["a", "b"]
+        assert net.pop().payload == "a" and net.now == 5
         net.timer(0, 0, "now")
         net.send(0, 1, "later")
-        assert [e.payload for e in net.pop_group()] == ["now"] and net.now == 5
-        assert [e.payload for e in net.pop_group()] == ["later"] and net.pop_group() == []
-
-
-class _Gossiper:
-    """A sender that holds what it gossips through a quiet stretch and sends it
-    to the other nodes of four as one tuple, as a consensus node sends its
-    ``Request``s; ``hold=False`` sends each item at once instead."""
-
-    def __init__(self, net: SimNetwork, src: int, hold: bool = True):
-        self.net, self.src, self.hold, self.items = net, src, hold, []
-
-    def gossip(self, item) -> None:
-        if not self.items and self.hold:
-            self.net.hold(self.flush)
-        self.items.append(item)
-        if not self.hold:
-            self.flush()
-
-    def flush(self) -> None:
-        items = tuple(self.items)
-        self.items.clear()
-        self.net.broadcast(self.src, [dst for dst in range(4) if dst != self.src], items)
-
-
-class TestHold:
-    def test_held_gossip_goes_out_before_the_next_action(self):
-        """Held flushes run before the next send, timer, inject or pop, in the
-        order they were held: one message per peer for each sender."""
-        net = SimNetwork(NetworkConfig(n=4, default_link=LinkProfile(5, 5)), seed=1)
-        senders = {src: _Gossiper(net, src) for src in (1, 2)}
-        for src, item in [(2, "a"), (1, "b"), (2, "c")]:
-            senders[src].gossip(item)
-        assert net.sent == 0 and len(net) == 0
-        net.timer(0, 1, "t")
-        assert net.sent == 6
-        senders[1].gossip("d")
-        assert [(e.src, e.node, e.payload) for e in _drain(net)] == [
-            (-1, 0, "t"),
-            *((2, dst, ("a", "c")) for dst in (0, 1, 3)),
-            *((1, dst, ("b",)) for dst in (0, 2, 3)),
-            *((1, dst, ("d",)) for dst in (0, 2, 3)),
-        ]
-        assert net.sent == 9
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from(["gossip", "send", "timer", "inject", "pop"]), st.integers(0, 3), st.integers(0, 6)),
-            max_size=40,
-        )
-    )
-    def test_one_gossip_per_sender_per_stretch_sends_as_sending_at_once(self, ops):
-        """Where no sender gossips twice between two other actions, holding
-        makes the same draws and seqs as sending each item at once."""
-
-        def run(hold: bool):
-            net = SimNetwork(NetworkConfig(n=4, default_link=LinkProfile(0, 9, drop_prob=0.2)), seed=5)
-            senders = [_Gossiper(net, src, hold) for src in range(4)]
-            popped, gossiped = [], set()
-            for i, (op, node, delay) in enumerate(ops):
-                if op == "gossip":
-                    if node not in gossiped:
-                        gossiped.add(node)
-                        senders[node].gossip(i)
-                    continue
-                gossiped.clear()
-                if op == "send":
-                    net.send(node, (node + 1) % 4, i)
-                elif op == "timer":
-                    net.timer(node, delay, i)
-                elif op == "inject":
-                    net.inject(delay, "submit", node, i)
-                else:
-                    popped.append(net.pop())
-            return popped + _drain(net), net.sent, net.dropped
-
-        assert run(True) == run(False)
+        assert [(e.time, e.payload) for e in _drain(net)] == [(5, "b"), (5, "now"), (10, "later")]
 
 
 class TestFaults:
