@@ -679,6 +679,29 @@ class TestGossip:
             *((dst, Request(txns)) for dst in (0, 2, 3)),
         ]
 
+    def test_two_events_at_one_ms_gossip_one_request_each(self, sim):
+        """Bundling is per event, not per ms: a node that admits one record in
+        each of two events of one ms sends each peer two ``Request``s."""
+        first, second = (item.txn for item in synthetic_did_workload(2, seed=99))
+        node = sim.nodes[self.NODE]
+        assert node.on_submit([first]) == 1
+        node.on_message(1, Request((second,)))
+        assert self._sent(sim) == [
+            (self.NODE, dst, Request((admitted,))) for dst in (0, 1, 2) for admitted in (first, second)
+        ]
+
+    def test_an_event_that_admits_nothing_gossips_nothing(self, sim):
+        """A refused submission and a bundle of records the node has seen
+        admit nothing, and no ``Request`` goes out for them."""
+        txn = _TXN
+        node = sim.nodes[self.NODE]
+        assert node.on_submit([dataclasses.replace(txn, author_signature=bytes(64))]) == 0
+        assert self._sent(sim) == []
+        assert node.on_submit([txn]) == 1
+        assert self._sent(sim) == [(self.NODE, dst, Request((txn,))) for dst in (0, 1, 2)]
+        node.on_message(1, Request((txn, txn)))
+        assert self._sent(sim) == []
+
 
 class TestSubmissions:
     """The submissions due at one ms to one node reach it as one SUBMIT event,
