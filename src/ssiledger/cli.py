@@ -790,7 +790,10 @@ def sim_run(
         workload = parse_workload(_read_json(workload_path), seed, config.n)
     except (ValueError, MalformedRecord) as exc:
         _fail(str(exc))
-    report, simulation = run_simulation(config, net_config, faults, workload, horizon, seed)
+    try:
+        report, simulation = run_simulation(config, net_config, faults, workload, horizon, seed)
+    except RuntimeError as exc:  # the event budget: a run that does not settle
+        _fail(str(exc))
     _write(out_path, report.to_dict())
     if events_path:
         _save(simulation.write_events, events_path)

@@ -27,7 +27,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import ledger
 from .canonical import UnsupportedType, _quoted_hex, canonicalize, map_layout
@@ -334,7 +334,7 @@ class ConsensusNode:
         network: SimNetwork,
         node_keys: dict[int, bytes],
         signing_private: bytes,
-        log: Callable[[int, int, str, dict], None],
+        events: list[dict],
         horizon: int = 0,
     ):
         self.id = node_id
@@ -342,7 +342,7 @@ class ConsensusNode:
         self.net = network
         self.node_keys = node_keys
         self.signing_private = signing_private
-        self.log = log
+        self.events = events  # the Simulation's event log, shared by all its nodes
         self.horizon = horizon
         self.peers = [n for n in sorted(node_keys) if n != node_id]
         self.quorum = config.quorum
@@ -378,7 +378,7 @@ class ConsensusNode:
     # -- helpers
 
     def _event(self, event_type: str, **detail: Any) -> None:
-        self.log(self.net.now, self.id, event_type, detail)
+        self.events.append({"time": self.net.now, "node": self.id, "event_type": event_type, "detail": detail})
 
     def _broadcast(self, message: Any) -> None:
         self.net.broadcast(self.id, self.peers, message)

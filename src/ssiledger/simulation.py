@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .canonical import canonical_json, write_atomic
 from .consensus import ConsensusConfig, ConsensusNode, FaultPlan
@@ -28,17 +28,6 @@ class WorkloadItem:
     time: int
     node: int
     txn: LedgerTransaction
-
-
-def _event_log(events: list[dict]) -> Callable[[int, int, str, dict], None]:
-    """A log function that appends to ``events`` and holds nothing else: the
-    nodes keep it, so a Simulation that gave them a bound method would be in
-    a cycle, freed only by the cyclic GC."""
-
-    def log(time: int, node: int, event_type: str, detail: dict) -> None:
-        events.append({"time": time, "node": node, "event_type": event_type, "detail": detail})
-
-    return log
 
 
 class Simulation:
@@ -62,7 +51,6 @@ class Simulation:
             raise ValueError(f"network has {net_config.n} nodes, consensus needs {config.n}")
         self.network = SimNetwork(net_config, seed)
         self.events: list[dict] = []
-        self._log = _event_log(self.events)
         self.submitted = 0
         self.accepted = 0
         # (ms, node) -> the txns due to that node at that ms, in submission
@@ -76,7 +64,7 @@ class Simulation:
             node_keys[i] = pair.public
             privates[i] = pair.private
         self.nodes = [
-            ConsensusNode(i, config, self.network, node_keys, privates[i], self._log, horizon)
+            ConsensusNode(i, config, self.network, node_keys, privates[i], self.events, horizon)
             for i in range(config.n)
         ]
         for node_id, at in sorted(self.faults.crash.items()):
@@ -119,7 +107,7 @@ class Simulation:
                 self.accepted += node.on_submit(payload)
             elif kind == CONTROL and payload == "crash":
                 node.crashed = True
-                self._log(self.now, node_id, "crash", {})
+                node._event("crash")
 
     def settle(self, txn: LedgerTransaction, node: int = 0) -> bool:
         """Scenario helper: submit now, run to quiescence, report whether the

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import ssiledger
 import ssiledger.cli as cli
+import ssiledger.simulation as simulation
 import ssiledger.state as state_mod
 from conftest import Identity, small_order_registration
 from ssiledger.cli import main
@@ -1699,6 +1700,21 @@ class TestRarelyTakenBranches:
         result = invoke(runner, ["sim", "run", "--config", "c.json", "--workload", "w.json", "--out", "r.json"])
         _error_line(result, 1, line)
         assert not Path("r.json").exists()
+
+    def test_sim_run_past_the_event_budget(self, runner, workdir, monkeypatch):
+        """A run that does not settle: one ``error:`` line, no traceback, and
+        neither the report nor the event log is written."""
+        monkeypatch.setattr(simulation, "MAX_EVENTS", 50)
+        Path("c.json").write_text(json.dumps({"consensus": {"f": 1}}))
+        Path("w.json").write_text(json.dumps({"synthetic_registrations": {"count": 1}}))
+        result = invoke(
+            runner,
+            ["sim", "run", "--config", "c.json", "--workload", "w.json", "--out", "r.json",
+             "--events", "e.jsonl", "--horizon", "1000"],
+        )
+        _error_line(result, 1, "event budget exceeded; simulation is not settling")
+        assert isinstance(result.exception, SystemExit)
+        assert not Path("r.json").exists() and not Path("e.jsonl").exists()
 
     def test_a_directory_as_the_ledger(self, runner, workdir):
         Path("d").mkdir()
