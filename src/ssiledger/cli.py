@@ -58,12 +58,13 @@ from .state import (
     CredDefRecord,
     NodeState,
     SchemaRecord,
+    admissible,
     cred_def_payload,
     did_reg_payload,
     fold_into,
     fold_read_set,
+    resolve_did,
     schema_payload,
-    verify_txn_signature,
 )
 from .wallet import MalformedWallet, PairwiseIdentity, UnknownRelation, UnlockFailed, Wallet, WeakSecret
 
@@ -350,17 +351,17 @@ def _append(
     ledger_path: str, stored: tuple, state: NodeState, named_txns: Iterable, now_override: int | None, on_ledger=False
 ) -> Block | None:
     """The one write path of a ledger file, whose (records, head) are ``stored``:
-    each (name, txn) in turn must recompute its id, verify under ``state`` and
-    fold into it in place, and its id must be new to the file and to this
-    command; one new block on the head holds them all. The first that fails
-    ends the command (exit 3, the file untouched) naming its file, or none.
-    Records already ``on_ledger`` are checked alike, bar the id, but append no block."""
+    each (name, txn) in turn must be ``admissible`` under ``state`` and fold
+    into it in place, and its id must be new to the file and to this command;
+    one new block on the head holds them all. The first that fails ends the
+    command (exit 3, the file untouched) naming its file, or none. Records
+    already ``on_ledger`` are checked alike, bar the id, but append no block."""
     records, head = stored
     seen = set() if on_ledger else {record[5] for record in records}  # each record's id hex
     accepted = []
     for name, txn in named_txns:
         where = f"{name}: " if name else ""
-        if not txn.id_recomputes() or not verify_txn_signature(state, txn):
+        if not admissible(state, (txn,))[0]:
             against = "" if name else " against the ledger"
             _fail(f"{where}transaction signature does not verify{against}", EXIT_VERIFY)
         (rejection,) = fold_into(state, (txn,))
@@ -695,8 +696,6 @@ def auth_challenge(
     state_path: str,
     now_override: int | None,
 ) -> None:
-    from .state import resolve_did
-
     _, state = _ledger_state(ledger_path)
     document = resolve_did(state, subject_did)
     if document is None:

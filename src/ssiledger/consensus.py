@@ -27,13 +27,12 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
-from . import ledger
 from .canonical import UnsupportedType, _quoted_hex, canonicalize, map_layout
 from .crypto import Digest, digest_of, sign, verify
 from .ledger import Chain, LedgerTransaction, TxnType, build_block
-from .state import NodeState, fold_into, signing_key
+from .state import NodeState, admissible, fold_into
 from .simnet import SimNetwork
 
 
@@ -397,7 +396,7 @@ class ConsensusNode:
         if self.crashed:
             return 0
         admitted = 0
-        for txn, valid in self._checked(txns):
+        for txn, valid in zip(txns, admissible(self.state, txns)):
             if self._admit(txn, valid):
                 admitted += 1
             else:
@@ -414,40 +413,17 @@ class ConsensusNode:
         seen, txns = self.first_seen, request.txns
         if len(txns) > 1:  # ``on_message`` passes on a lone txn only unseen
             txns = list({(txn.id_hex, txn.author_signature): txn for txn in txns if txn.id_hex not in seen}.values())
-        for txn, valid in self._checked(txns):
+        for txn, valid in zip(txns, admissible(self.state, txns)):
             self._admit(txn, valid)
         if self.gossip:
             self._send_requests()
 
-    def admission_check(self, txn: LedgerTransaction) -> bytes | None:
-        """The key under which ``_checked`` verifies the record's signature;
-        None where it verifies none: the id does not recompute, or
-        ``signing_key`` finds no key for the record."""
-        return signing_key(self.state, txn) if txn.id_recomputes() else None
-
-    def _checked(self, txns: Sequence[LedgerTransaction]) -> Iterator[tuple[LedgerTransaction, bool]]:
-        """Each of the records one event hands this node, in order, with
-        whether its signature verifies under the key ``admission_check``
-        names: ``PARALLEL_MIN`` or more through one ``ledger.verify_signatures``
-        call (two threads), fewer one at a time, as each is asked for.
-        Admitting a record executes nothing, so the state, and with it each
-        record's key, is the same before and after the others are admitted."""
-        if len(txns) < ledger.PARALLEL_MIN:
-            for txn in txns:
-                key = self.admission_check(txn)
-                yield txn, key is not None and txn.verify_signature(key)
-            return
-        keys = [self.admission_check(txn) for txn in txns]
-        valid = iter(ledger.verify_signatures([(txn, key) for txn, key in zip(txns, keys) if key is not None]))
-        for txn, key in zip(txns, keys):
-            yield txn, key is not None and next(valid)
-
     def _admit(self, txn: LedgerTransaction, valid: bool) -> bool:
-        """The one admission gate: whether the record's signature verified
-        (``valid``, from ``_checked``); if so, pool and gossip it the first time
-        it is seen, in its handler's ``Request``. The id does not cover the
-        signature bytes, so the check comes first: a re-signed copy of a seen
-        txn is still refused."""
+        """The one admission gate: whether the record passed the admission
+        rule (``valid``, from ``state.admissible``); if so, pool and gossip it
+        the first time it is seen, in its handler's ``Request``. The id does not
+        cover the signature bytes, so the check comes first: a re-signed copy of
+        a seen txn is still refused."""
         if not valid:
             return False
         txn_id = txn.id_hex

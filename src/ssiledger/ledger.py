@@ -207,26 +207,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def verify_signatures(checks: Sequence[tuple[LedgerTransaction, bytes]]) -> list[bool]:
-    """``txn.verify_signature(key)`` of each (record, key) check, in order.
-    Every record's payload is encoded here, on the calling thread; the verifies
-    then run on two threads when there are ``PARALLEL_MIN`` or more of them and
-    the process may use two CPUs: libsodium runs without the GIL. A verdict is a
-    pure function of the key, the payload bytes and the signature, so it does
-    not matter which thread computes it, and each verify goes through this
+def verify_signatures(checks: Sequence[tuple[LedgerTransaction, bytes | None]]) -> list[bool]:
+    """``txn.verify_signature(key)`` of each (record, key) check, in order; a
+    None key is no key, and gives False with no verify. Every keyed record's
+    payload is encoded here, on the calling thread; the verifies then run on
+    two threads when there are ``PARALLEL_MIN`` or more checks, keyed or not,
+    and the process may use two CPUs: libsodium runs without the GIL. A verdict
+    is a pure function of the key, the payload bytes and the signature, so it
+    does not matter which thread computes it, and each verify goes through this
     module's ``verify``, once."""
     global _worker
-    calls = [(key, txn._payload(), txn.author_signature) for txn, key in checks]
     check = verify
-    if len(calls) < PARALLEL_MIN or _usable_cpus() < 2:
-        return [check(*call) for call in calls]
+    if len(checks) < PARALLEL_MIN or _usable_cpus() < 2:
+        return [key is not None and check(key, txn._payload(), txn.author_signature) for txn, key in checks]
+    calls = [None if key is None else (key, txn._payload(), txn.author_signature) for txn, key in checks]
     if _worker is None:
         from concurrent.futures import ThreadPoolExecutor
 
         _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ssiledger-verify")
     half = len(calls) // 2
-    theirs = _worker.submit(lambda: [check(*call) for call in calls[half:]])
-    return [check(*call) for call in calls[:half]] + theirs.result()
+    theirs = _worker.submit(lambda: [call is not None and check(*call) for call in calls[half:]])
+    return [call is not None and check(*call) for call in calls[:half]] + theirs.result()
 
 
 def _usable_cpus() -> int:

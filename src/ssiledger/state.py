@@ -19,8 +19,9 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
+from . import ledger
 from .canonical import canonical_json, write_atomic
 from .crypto import Digest, digest_of
 from .ledger import LedgerTransaction, TxnType, _built
@@ -547,10 +548,20 @@ def signing_key(state: NodeState, txn: LedgerTransaction) -> bytes | None:
     return None if document is None else document.verification_key
 
 
+def admissible(state: NodeState, txns: Sequence[LedgerTransaction]) -> list[bool]:
+    """The one admission rule, of a consensus node and of ``cli._append``: per
+    record, in order, whether its id recomputes and its signature verifies
+    under ``signing_key``, all through one ``ledger.verify_signatures`` call.
+    A node checks the records one event hands it before it admits any: admitting
+    a record executes nothing, so each key is the same before and after the
+    event's other records are admitted."""
+    return ledger.verify_signatures([(txn, signing_key(state, txn) if txn.id_recomputes() else None) for txn in txns])
+
+
 def verify_txn_signature(state: NodeState, txn: LedgerTransaction) -> bool:
-    """Whether ``txn`` verifies under ``signing_key``: the check of
-    ``cli._append`` and of the benchmark's ledger writer. A consensus node
-    verifies through ``ConsensusNode.admission_check`` and ``_checked``."""
+    """Whether ``txn``'s signature verifies under ``signing_key``, whether or
+    not its id recomputes: the check of the benchmark's ledger writer. A record
+    is admitted through ``admissible``, which checks the id too."""
     key = signing_key(state, txn)
     try:
         return key is not None and txn.verify_signature(key)

@@ -16,6 +16,7 @@ import ssiledger.cli as cli
 import ssiledger.simulation as simulation
 import ssiledger.state as state_mod
 from conftest import Identity, small_order_registration
+from ssiledger.consensus import ConsensusConfig
 from ssiledger.cli import main
 from ssiledger.canonical import canonical_json
 from ssiledger.credentials import Presentation, VerifiableCredential, issue, revoke, verify_credential, verify_presentation
@@ -38,6 +39,7 @@ from ssiledger.state import (
     NodeState,
     SchemaRecord,
     cred_def_payload,
+    did_reg_payload,
     fold_chain,
     fold_into,
     schema_payload,
@@ -1076,6 +1078,56 @@ class TestLedgerWritePath:
         assert reads == ["net.ledger.jsonl"]
         verify = invoke(runner, ["cred", "verify", "alice.cred.json", "--ledger", "net.ledger.jsonl"])
         assert verify.exit_code == (4 if command == "cred revoke" else 0)
+
+
+ADMISSION_AUTHOR = Identity.create("admission:author")
+
+
+def _admission_corpus(author: Identity) -> dict[str, LedgerTransaction]:
+    """Records to append on a ledger that holds ``author``'s DID_REG alone."""
+    outsider, imposter = Identity.create("admission:outsider"), Identity.create("admission:imposter")
+    payload = schema_payload(SchemaRecord.create("degree", "1.0", [("degree", AttrType.STRING)]))
+    schema = LedgerTransaction.create(TxnType.SCHEMA, payload, author.did, author.signing_private, 6)
+    return {
+        "did-reg": Identity.create("admission:new").registration_txn(5),
+        "schema": schema,
+        "junk-signed-schema": dataclasses.replace(schema, author_signature=b"\x11" * 64),
+        "re-signed-schema": LedgerTransaction.create(TxnType.SCHEMA, payload, author.did, outsider.signing_private, 6),
+        "tampered-timestamp": dataclasses.replace(schema, timestamp=7),
+        "did-not-of-its-key": LedgerTransaction.create(
+            TxnType.DID_REG, did_reg_payload(imposter.did, author.document), imposter.did, author.signing_private, 5
+        ),
+        "unknown-author": LedgerTransaction.create(TxnType.SCHEMA, payload, outsider.did, outsider.signing_private, 6),
+        "float-payload": dataclasses.replace(schema, payload={**payload, "weight": 1.5}),
+    }
+
+
+ADMISSION_CORPUS = _admission_corpus(ADMISSION_AUTHOR)
+
+
+class TestNodeAndCliAdmitAlike:
+    """``ledger append`` and a consensus node admit through one rule: on the
+    same prior ledger, the command appends a record exactly when a node whose
+    state is the fold of that ledger admits it from a client."""
+
+    @pytest.mark.parametrize("case", sorted(ADMISSION_CORPUS))
+    def test_same_verdict(self, runner, workdir, case):
+        txn = ADMISSION_CORPUS[case]
+        assert invoke(runner, ["ledger", "init", "--out", "l.jsonl"]).exit_code == 0
+        Path("author.json").write_text(json.dumps(ADMISSION_AUTHOR.registration_txn(5).to_dict()))
+        assert invoke(runner, ["ledger", "append", "--ledger", "l.jsonl", "--now", "9", "author.json"]).exit_code == 0
+        node = simulation.Simulation(ConsensusConfig(f=1), seed=1, horizon=0).nodes[3]
+        fold_into(node.state, (txn for block in read_chain("l.jsonl").blocks for txn in block.txns))
+        admitted = node.on_submit([txn]) == 1
+        before = Path("l.jsonl").read_bytes()
+        Path("txn.json").write_text(json.dumps(txn.to_dict()))
+        result = invoke(runner, ["ledger", "append", "--ledger", "l.jsonl", "--now", "20", "txn.json"])
+        if admitted:
+            assert (result.exit_code, result.output) == (0, "appended block 2 with 1 txn(s)\n")
+        else:
+            assert (result.exit_code, result.output) == (3, "error: txn.json: transaction signature does not verify\n")
+            assert Path("l.jsonl").read_bytes() == before
+        assert admitted is (case in ("did-reg", "schema"))
 
 
 class TestRecordsAlreadyOnTheLedger:

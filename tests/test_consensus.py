@@ -615,8 +615,8 @@ class TestGossip:
     def test_a_large_bundle_outside_a_verified_group_is_verified_ahead(self, sim, monkeypatch):
         """A bundle with ``PARALLEL_MIN`` or more txns the node has not seen
         goes through ``verify_signatures`` as one group of those txns, before
-        any is admitted: each record verified once; the lone submission before
-        it, verified on its own."""
+        any is admitted: each record verified once. The lone submission before
+        it is a group of one."""
         groups, signatures = [], verified_signatures(monkeypatch)
         real_verify_signatures = ledger_mod.verify_signatures
         monkeypatch.setattr(
@@ -626,7 +626,7 @@ class TestGossip:
         node = sim.nodes[self.NODE]
         assert node.on_submit([seen]) == 1
         node.on_message(1, Request((seen, *fresh)))
-        assert groups == [ledger_mod.PARALLEL_MIN]
+        assert groups == [1, ledger_mod.PARALLEL_MIN]
         assert sorted(signatures) == sorted(txn.author_signature for txn in (seen, *fresh))
         assert list(node.pending) == [txn.id_hex for txn in (seen, *fresh)]
 

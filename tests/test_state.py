@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,7 @@ from ssiledger.state import (
     schema_payload,
     verify_txn_signature,
     _writers_of,
+    admissible,
 )
 
 
@@ -482,6 +484,64 @@ class TestSubmissionGate:
         forged = signed_by_no_one(TxnType.SCHEMA, schema_payload(schema), 1)
         assert forged.id_recomputes()
         assert not verify_txn_signature(state, forged)
+
+
+class TestAdmissible:
+    """``state.admissible``, and ``ledger.verify_signatures`` under it: a record
+    with no key (``None``) is False in its place and costs no verify, whether
+    the checks run on the calling thread or are split over two."""
+
+    @pytest.fixture(params=["serial", "two-thread"])
+    def count(self, request, monkeypatch):
+        monkeypatch.setattr(ledger_mod, "_usable_cpus", lambda: 2)
+        return ledger_mod.PARALLEL_MIN - 1 if request.param == "serial" else 2 * ledger_mod.PARALLEL_MIN
+
+    @staticmethod
+    def _spied(monkeypatch) -> tuple[list[bytes], list[str]]:
+        """The signature of each ``ledger.verify`` call, and the thread that made it."""
+        signatures, threads = verified_signatures(monkeypatch), []
+        counted = ledger_mod.verify
+        monkeypatch.setattr(
+            ledger_mod, "verify", lambda *call: threads.append(threading.current_thread().name) or counted(*call)
+        )
+        return signatures, threads
+
+    @staticmethod
+    def _split(threads: list[str]) -> bool:
+        return any(name.startswith("ssiledger-verify") for name in threads)
+
+    def test_admissible_verifies_only_the_records_with_a_key(self, count, monkeypatch):
+        """Per four records: a DID_REG whose id is stale and one by an unknown
+        author have no key; a junk-signed DID_REG has one and fails; an honest
+        DID_REG passes."""
+        schema = schema_payload(SchemaRecord.create("s", "1.0", [("ref", AttrType.STRING)]))
+        txns = []
+        for i in range(count):
+            identity = Identity.create(f"admissible:{i}")
+            honest = identity.registration_txn(i)
+            txns.append([
+                dataclasses.replace(honest, timestamp=i + 1),
+                dataclasses.replace(honest, author_signature=bytes(64)),
+                LedgerTransaction.create(TxnType.SCHEMA, schema, identity.did, identity.signing_private, i),
+                honest,
+            ][i % 4])
+        signatures, threads = self._spied(monkeypatch)
+        assert admissible(NodeState(), txns) == [i % 4 == 3 for i in range(count)]
+        assert sorted(signatures) == sorted(txn.author_signature for i, txn in enumerate(txns) if i % 4 in (1, 3))
+        assert self._split(threads) is (count >= ledger_mod.PARALLEL_MIN)
+
+    def test_a_none_key_is_false_in_place(self, count, monkeypatch):
+        """Honest DID_REGs, every other one checked with no key: those are False
+        and unverified, the rest True, in input order."""
+        identities = [Identity.create(f"keyless:{i}") for i in range(count)]
+        checks = [
+            (identity.registration_txn(i), None if i % 2 else identity.signing_public)
+            for i, identity in enumerate(identities)
+        ]
+        signatures, threads = self._spied(monkeypatch)
+        assert ledger_mod.verify_signatures(checks) == [i % 2 == 0 for i in range(count)]
+        assert sorted(signatures) == sorted(txn.author_signature for txn, key in checks if key is not None)
+        assert self._split(threads) is (count >= ledger_mod.PARALLEL_MIN)
 
 
 class TestDidSelfCheckCache:

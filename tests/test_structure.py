@@ -24,13 +24,15 @@ def source() -> dict[str, bytes]:
     return {path.relative_to(ROOT).as_posix(): path.read_bytes() for path in files}
 
 
+SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def walk(node: ast.AST, scope: str = ""):
     """Each node below ``node``, with the dotted name of the scope it is in
-    ("" at module level). A node with a name and a body opens a scope: a class
-    or a function, and also an ``except`` handler, named after its ``as`` name
-    (or ``None``)."""
+    ("" at module level). Only a class or a function opens a scope: a call in
+    an ``except`` handler is its function's."""
     for child in ast.iter_child_nodes(node):
-        inner = f"{scope}.{child.name}".lstrip(".") if hasattr(child, "name") and hasattr(child, "body") else scope
+        inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, SCOPES) else scope
         yield child, inner
         yield from walk(child, inner)
 
@@ -59,17 +61,18 @@ def callers(source: dict[str, bytes], where: str, name: str) -> set[str]:
 
 # (where: one file, or "src/" for all of them; a called name; the scopes that call it, and no others)
 OWNERS = [
-    # a node finds the key a record must verify under in one place, and verifies records only in its one
-    # check of the records an event hands it; simulation.py finds no key and verifies nothing
-    (CONSENSUS, "signing_key", {"ConsensusNode.admission_check"}),
-    (CONSENSUS, "verify_signature", {"ConsensusNode._checked"}),
-    (CONSENSUS, "verify_signatures", {"ConsensusNode._checked"}),
-    *((SIMULATION, name, set()) for name in ("signing_key", "verify_signature", "verify_signatures")),
+    # one admission rule, state.admissible, asked by a node's two handlers that admit and by the CLI's write
+    # path; only it and verify_txn_signature (the benchmark's and the tests' signature check) find a key
+    ("src/", "admissible", {"ConsensusNode.on_submit", "ConsensusNode.on_request", "_append"}),
+    ("src/", "signing_key", {"admissible", "verify_txn_signature"}),
+    ("src/", "verify_signatures", {"admissible"}),
+    ("src/", "verify_signature", {"verify_txn_signature"}),
+    ("src/", "verify_txn_signature", set()),
     # a Request carries what a node admitted while handling one event, sent where the two handlers that admit end
     ("src/", "Request", {"ConsensusNode._send_requests"}),
     ("src/", "_send_requests", {"ConsensusNode.on_submit", "ConsensusNode.on_request"}),
     # the CLI's one write path of a ledger file, and its one reader of one
-    *((CLI, name, {"_append"}) for name in ("append_block", "build_block", "verify_txn_signature")),
+    *((CLI, name, {"_append"}) for name in ("append_block", "build_block")),
     (CLI, "check_file", {"_valid"}),
 ]
 
@@ -163,12 +166,13 @@ BREACHES = {  # name -> (rule, the file the snippet is appended to, the snippet)
     "setdefault-in-on_fetch": ("one slot maker", CONSENSUS, NODE.format("on_fetch", "self.slots.setdefault(1, None)")),
     "store-in-_commit": ("one slot maker", CONSENSUS, NODE.format("_commit", "instance.slots[seq + 1] = None")),
     "import-threading": ("one thread owner", SIMULATION, "import threading"),
-    "second-signing_key": ("signing_key( in consensus.py", CONSENSUS, NODE.format("_admit", "signing_key(state, txn)")),
-    "verify-in-on_request": ("verify_signature( in consensus.py", CONSENSUS, NODE.format("on_request", "verify_signature()")),
-    "group-verify-in-on_request": ("verify_signatures( in consensus.py", CONSENSUS, NODE.format("on_request", "verify_signatures()")),
+    "second-signing_key": ("signing_key( in src/", CONSENSUS, NODE.format("_admit", "signing_key(state, txn)")),
+    "verify-in-on_request": ("verify_signature( in src/", CONSENSUS, NODE.format("on_request", "verify_signature()")),
+    "group-verify-in-on_request": ("verify_signatures( in src/", CONSENSUS, NODE.format("on_request", "verify_signatures()")),
     "verify-in-Simulation.run": (
-        "verify_signatures( in simulation.py", SIMULATION, "class Simulation:\n    def run(self): ledger.verify_signatures([])"
+        "verify_signatures( in src/", SIMULATION, "class Simulation:\n    def run(self): ledger.verify_signatures([])"
     ),
+    "admissible-outside-_append": ("admissible( in src/", CLI, "def _ok(s, t): return admissible(s, (t,))[0]"),
     "send-from-_admit": ("_send_requests( in src/", CONSENSUS, NODE.format("_admit", "self._send_requests()")),
     "Request-in-simulation": ("Request( in src/", SIMULATION, "def gossip(txns): return Request(txns)"),
     "second-Request-in-_send_requests": ("one Request made", CONSENSUS, NODE.format("_send_requests", "Request(())")),
@@ -177,7 +181,7 @@ BREACHES = {  # name -> (rule, the file the snippet is appended to, the snippet)
     "read_chain-comment-in-cli": ("one ledger reader", CLI, "# read_chain(path) would read the ledger again"),
     "append_block-outside-_append": ("append_block( in cli.py", CLI, "def _extend(path, block): append_block(path, block)"),
     "build_block-outside-_append": ("build_block( in cli.py", CLI, "def _block(head, txns): return build_block(head, txns, 0)"),
-    "verify_txn_signature-outside-_append": ("verify_txn_signature( in cli.py", CLI, "def _ok(s, t): return verify_txn_signature(s, t)"),
+    "verify_txn_signature-in-cli": ("verify_txn_signature( in src/", CLI, "def _ok(s, t): return verify_txn_signature(s, t)"),
     "check_file-outside-_valid": ("check_file( in cli.py", CLI, "def _head(path): return check_file(path)[2]"),
 }
 
@@ -187,3 +191,18 @@ def test_the_rule_rejects_a_breach(source, breach):
     rule, path, snippet = BREACHES[breach]
     observe, expected = RULES[rule]
     assert observe({**source, path: source[path] + f"\n{snippet}\n".encode()}) != expected
+
+
+def test_a_call_in_an_except_handler_is_credited_to_its_function():
+    snippet = """
+class Node:
+    def check(self):
+        try:
+            pass
+        except ValueError as exc:
+            first(exc)
+        except KeyError:
+            second()
+"""
+    credited = {called(node): scope for node, scope in walk(ast.parse(snippet)) if called(node)}
+    assert credited == {"first": "Node.check", "second": "Node.check"}
