@@ -15,7 +15,7 @@ import json
 import os
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 # no cycle check: ``_check`` walks every container first, and a cycle raises RecursionError there
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False)
@@ -122,12 +122,14 @@ def map_layout(*keys: str) -> bytes:
     return b"{" + b",".join(members) + b"}"
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Replace the file at ``path`` with ``text`` in UTF-8, or leave it as it
-    was: the text goes to a new file in the same directory, which is synced to
-    disk and then renamed over ``path``. A write that fails removes the new file
-    and raises. The file keeps the permission bits it had; a new file gets the
-    default ones, as ``open`` would give it."""
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Replace the file at ``path`` with the ``str`` chunks in UTF-8, or leave it as it was: each chunk goes,
+    as it comes, to a new file in the same directory, which is synced to disk and then renamed over ``path``.
+    A write or a chunk that fails removes the new file and raises. The file keeps the permission bits it
+    had; a new file gets the default ones, as ``open`` would give it. One ``str`` is refused: it would be
+    written a character at a time."""
+    if isinstance(chunks, str):
+        raise TypeError("write_atomic takes an iterable of str chunks, not one str")
     target = Path(path).resolve()  # through a symlink, as writing in place would go
     temp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -135,7 +137,7 @@ def write_atomic(path: str | Path, text: str) -> None:
         with open(fd, "w", encoding="utf-8") as out:
             if target.exists():
                 os.chmod(fd, target.stat().st_mode & 0o7777)
-            out.write(text)
+            out.writelines(chunks)
             out.flush()
             os.fsync(fd)
         os.replace(temp, target)

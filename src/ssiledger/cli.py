@@ -92,7 +92,7 @@ def _save(write: Callable[[str | Path], None], path: str | Path) -> None:
 
 
 def _write(path: str | Path, value: dict) -> None:
-    _save(lambda target: write_atomic(target, canonical_json(value) + "\n"), path)
+    _save(lambda target: write_atomic(target, (canonical_json(value), "\n")), path)
 
 
 def _read_json(path: str | Path) -> dict:

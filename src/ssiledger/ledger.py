@@ -467,7 +467,12 @@ class Chain:
         return digest_of([block.block_hash.hex for block in self.blocks])
 
     def to_lines(self) -> list[str]:
-        return [canonicalize(block.to_dict()).decode("utf-8") for block in self.blocks]
+        return [_line(block) for block in self.blocks]
+
+
+def _line(block: Block) -> str:
+    """A block's line in a ``write_chain`` file, without its "\n"."""
+    return canonicalize(block.to_dict()).decode("utf-8")
 
 
 def _first_fault(blocks: Iterable[tuple[tuple, list[bytes] | None]]) -> ChainValidation:
@@ -511,18 +516,23 @@ def validate_chain(chain: Chain) -> ChainValidation:
 def write_chain(chain: Chain, path: str | Path) -> None:
     """Persist as JSON lines: one canonical-JSON block per line, height order,
     each ended by "\n". Other line breaks (U+2028, U+2029, U+0085) stay raw
-    inside strings. The file is replaced whole (``canonical.write_atomic``)."""
-    write_atomic(path, "\n".join(chain.to_lines()) + "\n")
+    inside strings. The file is replaced whole, a line at a time (``canonical.write_atomic``)."""
+    write_atomic(path, (f"{_line(block)}\n" for block in chain.blocks))
 
 
 def append_block(path: str | Path, block: Block) -> None:
-    """Add ``block`` as one canonical line after the file's bytes, kept as they are ("\r\n" too; a last
-    line with no "\n" gets one). The file is replaced whole (``canonical.write_atomic``)."""
-    with open(path, encoding="utf-8", newline="") as file:
-        text = file.read()
-    if not text.endswith("\n"):
-        text += "\n"
-    write_atomic(path, text + canonicalize(block.to_dict()).decode("utf-8") + "\n")
+    """Add ``block`` as one canonical line after the file's bytes, kept as they are ("\r\n" too; a last line
+    with no "\n" gets one). The file is replaced whole, its lines copied as read (``canonical.write_atomic``)."""
+    def lines(old: Iterable[str]) -> Iterator[str]:
+        last = ""
+        for last in old:
+            yield last
+        if not last.endswith("\n"):
+            yield "\n"
+        yield f"{_line(block)}\n"
+
+    with open(path, encoding="utf-8", newline="") as old:  # open until the new file has replaced it
+        write_atomic(path, lines(old))
 
 
 def _decoded_blocks(path: str | Path) -> Iterator[tuple[tuple, list[tuple]]]:

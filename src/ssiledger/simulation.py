@@ -188,7 +188,8 @@ class Simulation:
         )
 
     def write_events(self, path: str | Path) -> None:
-        write_atomic(path, "".join(canonical_json(event) + "\n" for event in self.events))
+        """The event log, one canonical event a line, written a line at a time (``canonical.write_atomic``)."""
+        write_atomic(path, (f"{canonical_json(event)}\n" for event in self.events))
 
 
 @dataclass(frozen=True)

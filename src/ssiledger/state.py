@@ -304,7 +304,8 @@ class NodeState:
         return digest_of(self.to_dict())
 
     def dump(self, path: str | Path) -> None:
-        write_atomic(path, canonical_json(self.to_dict()))
+        """The state's canonical JSON, one value made whole, replacing the file (``canonical.write_atomic``)."""
+        write_atomic(path, (canonical_json(self.to_dict()),))
 
 
 def resolve_did(state: NodeState, did: str) -> DidDocument | None:

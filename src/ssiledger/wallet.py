@@ -339,9 +339,9 @@ class Wallet:
         return wallet
 
     def save(self, path: str | Path) -> None:
-        """Write the wallet file, replacing it whole (``canonical.write_atomic``).
-        Private keys appear only as ciphertext."""
-        write_atomic(path, canonical_json(self.to_dict()) + "\n")
+        """Write the wallet's canonical JSON, made whole, and "\n", replacing the file whole
+        (``canonical.write_atomic``). Private keys appear only as ciphertext."""
+        write_atomic(path, (canonical_json(self.to_dict()), "\n"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Wallet":

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssiledger.canonical import UnsupportedType, canonical_json, canonicalize, map_layout
+from ssiledger.canonical import UnsupportedType, canonical_json, canonicalize, map_layout, write_atomic
 
 
 def test_key_order_independence():
@@ -164,3 +164,26 @@ def test_framed_map_equals_canonicalize_of_plain_map(members):
 def test_map_layout_needs_distinct_sorted_keys(keys):
     with pytest.raises(ValueError):
         map_layout(*keys)
+
+
+class TestWriteAtomic:
+    def test_one_str_is_refused_before_any_file_is_made(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_atomic(tmp_path / "out.txt", "text")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_chunks_are_written_in_order(self, tmp_path):
+        write_atomic(tmp_path / "out.txt", iter(["a\r\n", "", "€\u2028", "\n"]))
+        assert (tmp_path / "out.txt").read_bytes() == "a\r\n€\u2028\n".encode()
+
+    def test_a_chunk_that_fails_leaves_the_file_as_it_was(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old\n")
+
+        def chunks():
+            yield "new\n" * 10_000
+            raise UnsupportedType("a record that does not encode")
+
+        with pytest.raises(UnsupportedType):
+            write_atomic(target, chunks())
+        assert target.read_bytes() == b"old\n" and list(tmp_path.iterdir()) == [target]

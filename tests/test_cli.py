@@ -1485,6 +1485,27 @@ class TestFailedRewrite:
         assert Path("state.json").read_bytes() == before
         assert sorted(path.name for path in workdir.iterdir()) == ["net.ledger.jsonl", "state.json"]
 
+    def test_sim_run_events(self, workdir):
+        """The event log is written after the report: the report lands, the log stays as it was."""
+        Path("c.json").write_text(json.dumps({"consensus": {"f": 1, "batch_max": 5, "batch_timeout_ms": 50}}))
+        Path("w.json").write_text(json.dumps({"synthetic_registrations": {"count": 30, "seed": 5, "interval_ms": 40}}))
+        Path("e.jsonl").write_text('{"old": "event"}\n')
+        result = _limited(
+            ["sim", "run", "--config", "c.json", "--seed", "1", "--workload", "w.json",
+             "--out", "r.json", "--events", "e.jsonl", "--horizon", "3000"]
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", f"error: cannot write e.jsonl: {TOO_LARGE}\n")
+        assert Path("e.jsonl").read_text() == '{"old": "event"}\n'
+        assert json.loads(Path("r.json").read_text())["honest_chains_agree"] is True
+        assert sorted(path.name for path in workdir.iterdir()) == ["c.json", "e.jsonl", "r.json", "w.json"]
+
+    def test_scenario_run_out(self, workdir):
+        """The medical transcript fits under the limit and its ledger, written next, does not."""
+        result = _limited(["scenario", "run", "medical", "--seed", "1", "--out", "artifacts"])
+        assert (result.returncode, result.stderr) == (1, f"error: cannot write artifacts/net.ledger.jsonl: {TOO_LARGE}\n")
+        assert [path.name for path in Path("artifacts").iterdir()] == ["transcript.json"]
+        assert Path("artifacts/transcript.json").stat().st_size <= FILE_SIZE_LIMIT
+
     def test_rewrite_keeps_the_file_mode(self, workdir):
         write_chain(Chain.new(), "new.ledger.jsonl")
         umask = os.umask(0)
@@ -1506,12 +1527,12 @@ from pathlib import Path
 import ssiledger.cli, ssiledger.ledger, ssiledger.wallet
 mine, other = Path(sys.argv[1]), Path(sys.argv[2])
 def racing(write):
-    def write_atomic(path, text):
+    def write_atomic(path, chunks):
         mine.touch()
         deadline = time.monotonic() + {RACE_WAIT}
         while not other.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-        write(path, text)
+        write(path, chunks)
     return write_atomic
 for module in (ssiledger.cli, ssiledger.ledger, ssiledger.wallet):
     module.write_atomic = racing(module.write_atomic)

@@ -6,6 +6,7 @@ import os
 import random
 import signal
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ import ssiledger.state as state_mod
 from conftest import Identity
 from ssiledger import canonical, ledger
 from ssiledger.canonical import UnsupportedType, canonicalize
-from ssiledger.consensus import Batch
+from ssiledger.consensus import Batch, ConsensusConfig
 from ssiledger.crypto import Digest, ZERO_DIGEST, digest_of
 from ssiledger.ledger import (
     Block,
@@ -32,6 +33,7 @@ from ssiledger.ledger import (
     validate_chain,
     write_chain,
 )
+from ssiledger.simulation import run_simulation, synthetic_did_workload
 from ssiledger.state import (
     AttrType,
     NodeState,
@@ -805,6 +807,32 @@ class TestChainAppend:
         assert Chain(blocks=list(right.blocks)) == right != left
 
 
+KIB, MIB = 1024, 1024 * 1024
+
+
+@functools.cache
+def _unicode_pool() -> tuple[LedgerTransaction, ...]:
+    """Records whose payloads hold non-ASCII text and U+2028, written raw in a line."""
+    txns = []
+    for n in range(8):
+        identity = Identity.create(f"unicode-{n}")
+        document = dataclasses.replace(identity.document, endpoint=f"sim://zürich-€{n}\u2028ℵ")
+        payload = did_reg_payload(identity.did, document)
+        txns.append(LedgerTransaction.create(TxnType.DID_REG, payload, identity.did, identity.signing_private, n))
+    return tuple(txns)
+
+
+@functools.cache
+def _long_chain(size: int) -> Chain:
+    """A valid chain whose ``write_chain`` file is at least ``size`` bytes: two of the pool's records a block."""
+    chain, written, pool = Chain.new(), 0, _unicode_pool()
+    while written < size:
+        txns = [pool[chain.height % len(pool)], pool[(chain.height + 1) % len(pool)]]
+        chain = chain.append(build_block(chain.head, txns, timestamp=chain.height + 1))
+        written += len(canonicalize(chain.head.to_dict())) + 1
+    return chain
+
+
 class TestAppendBlock:
     """``append_block`` adds one line and keeps the bytes before it."""
 
@@ -819,16 +847,55 @@ class TestAppendBlock:
         append_block(path, block)
         assert path.read_bytes() == rewritten.read_bytes()
 
+    @pytest.mark.parametrize("size", ["one-block", "256KiB"])
     @pytest.mark.parametrize("end", ["", "\r", "\r\n"])
-    def test_old_line_ends_are_kept(self, tmp_path, end):
+    def test_old_line_ends_are_kept(self, tmp_path, end, size):
         path = tmp_path / "net.ledger.jsonl"
-        text = "\r\n".join(_chain(1).to_lines()) + end
+        text = "\r\n".join((_chain(1) if size == "one-block" else _long_chain(256 * KIB)).to_lines()) + end
+        assert size == "one-block" or (len(text.encode()) >= 256 * KIB and "\u2028" in text)
         path.write_bytes(text.encode())
         block = build_block(read_chain(path).head, [_txn(7)], timestamp=8)
         append_block(path, block)
         line = canonicalize(block.to_dict()) + b"\n"
         assert path.read_bytes() == text.encode() + (b"" if end == "\r\n" else b"\n") + line
         assert validate_chain(read_chain(path)) and read_chain(path).head == block
+
+
+def _peak_allocation(write) -> int:
+    """The most memory ``write()`` held allocated at once, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestWritersHoldOneLine:
+    """A writer holds a line of the file it writes, not the file: on a file of
+    1 MiB or more, its peak allocation stays below twice the file's longest
+    line plus 64 KiB."""
+
+    @pytest.mark.parametrize("writer", ["write_chain", "append_block", "write_events"])
+    def test_peak_allocation(self, tmp_path, writer):
+        path = tmp_path / "out.jsonl"
+        if writer == "write_events":
+            config = ConsensusConfig(f=1, batch_max=5, batch_timeout=50)
+            _, sim = run_simulation(config, None, None, synthetic_did_workload(10, seed=1, interval=60), 3000, seed=2)
+            sim.events *= MIB // len("".join(map(canonical.canonical_json, sim.events))) + 1
+            write = functools.partial(sim.write_events, path)
+        elif writer == "write_chain":
+            write = functools.partial(write_chain, _long_chain(MIB), path)
+        else:
+            chain = _long_chain(MIB)
+            write_chain(chain, path)
+            write = functools.partial(append_block, path, build_block(chain.head, _unicode_pool()[:3], timestamp=0))
+        peak = _peak_allocation(write)
+        data = path.read_bytes()
+        assert len(data) >= MIB
+        assert peak < 2 * max(map(len, data.split(b"\n"))) + 64 * KIB
 
 
 HEX_FIELDS = ("txn_id", "author_signature", "prev_hash", "merkle_root", "block_hash")

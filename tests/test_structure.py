@@ -88,6 +88,20 @@ def ledger_reads(source: dict[str, bytes]) -> list[bytes]:
     return re.findall(rb"read_chain|validate_chain|fold_chain", source[CLI])
 
 
+def whole_texts(source: dict[str, bytes]) -> set[str]:
+    """Scopes that build a file's text whole for canonical.write_atomic: a
+    ``….join(…)`` call or a ``+`` anywhere in its text argument. A writer hands
+    it the text a line at a time. Parsed: comments do not count."""
+    return {
+        scope
+        for _, node, scope in nodes(source)
+        if called(node) == "write_atomic"
+        for argument in [*node.args[1:], *(keyword.value for keyword in node.keywords)]
+        for part in ast.walk(argument)
+        if called(part) == "join" or (isinstance(part, ast.BinOp) and isinstance(part.op, ast.Add))
+    }
+
+
 def makes_slot(node: ast.AST) -> bool:
     """A call of ``Slot``, or a store into some object's ``slots``."""
     if called(node) == "Slot":
@@ -143,6 +157,7 @@ def requests_made(source: dict[str, bytes]) -> int:
 
 RULES = {  # name -> (observation, the value it must have)
     "one file writer": (file_writers, []),
+    "no whole-file text": (whole_texts, set()),
     "one ledger reader": (ledger_reads, []),
     "one slot maker": (slot_makers, ({"InstanceState.slot"}, True)),
     "one thread owner": (thread_namers, set()),
@@ -178,6 +193,8 @@ BREACHES = {  # name -> (rule, the file the snippet is appended to, the snippet)
     "second-Request-in-_send_requests": ("one Request made", CONSENSUS, NODE.format("_send_requests", "Request(())")),
     "second-signer": ("one key derivation", CRYPTO, "def _sign_again(m, key): _sign_detached(None, None, m, len(m), key)"),
     "write_text-in-wallet": ("one file writer", WALLET, "def _save(path, text): path.write_text(text)"),
+    "join-in-simulation": ("no whole-file text", SIMULATION, 'def _log(path, lines): write_atomic(path, "".join(lines))'),
+    "plus-in-ledger": ("no whole-file text", LEDGER, "def _add(path, text, line): write_atomic(path, text + line)"),
     "read_chain-comment-in-cli": ("one ledger reader", CLI, "# read_chain(path) would read the ledger again"),
     "append_block-outside-_append": ("append_block( in cli.py", CLI, "def _extend(path, block): append_block(path, block)"),
     "build_block-outside-_append": ("build_block( in cli.py", CLI, "def _block(head, txns): return build_block(head, txns, 0)"),

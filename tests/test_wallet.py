@@ -40,6 +40,7 @@ class TestLifecycle:
         wallet.new_pairwise("bank", seed=seed("alice:bank"))
         path = tmp_path / "alice.wallet.json"
         wallet.save(path)
+        assert path.read_bytes() == (canonical_json(wallet.to_dict()) + "\n").encode()
         loaded = Wallet.load(path)
         with pytest.raises(WalletLocked):
             loaded.identity("bank")
